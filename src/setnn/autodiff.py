@@ -5,8 +5,9 @@ evaluates a primitive eagerly and, when a :class:`Tape` is active, records a
 node so :func:`backprop` can later sweep the graph in reverse. Without an
 active tape the same calls are plain eager numpy evaluation.
 
-The primitive set is intentionally small: dense layers, elementwise
-nonlinearities, reductions, segment pooling over ragged batches, and the three
+The primitive set is intentionally small: a fused dense layer (matmul, bias
+and activation in one node), its parts for the layers that compose them
+differently, reductions, segment pooling over ragged batches, and the two
 loss heads used by the training driver. All arrays are float64; any primitive
 producing a NaN/Inf raises immediately rather than letting it propagate.
 """
@@ -206,48 +207,70 @@ def _bw_scalar_scale(g, xs, out, saved, attrs):
     return (float(attrs["alpha"]) * g,)
 
 
-def _fw_relu(xs, attrs):
-    (x,) = xs
-    return np.maximum(x, 0.0), None
+# Activations shared by the standalone primitives and the fused ``dense``.
+# Each forward overwrites its argument and returns it; each backward scales
+# the incoming gradient using the activation's output alone.
 
 
-def _bw_relu(g, xs, out, saved, attrs):
-    # derivative at exactly 0 is 0
-    return (g * (xs[0] > 0.0),)
+def _relu(out):
+    return np.maximum(out, 0.0, out=out)
 
 
-def _fw_tanh(xs, attrs):
-    return np.tanh(xs[0]), None
+def _tanh(out):
+    return np.tanh(out, out=out)
 
 
-def _bw_tanh(g, xs, out, saved, attrs):
-    return (g * (1.0 - out * out),)
-
-
-def _fw_sigmoid(xs, attrs):
-    (x,) = xs
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
+def _sigmoid(out):
+    pos = out >= 0
+    ex = np.exp(out[~pos])
+    out[pos] = 1.0 / (1.0 + np.exp(-out[pos]))
     out[~pos] = ex / (1.0 + ex)
-    return out, None
+    return out
 
 
-def _bw_sigmoid(g, xs, out, saved, attrs):
-    return (g * out * (1.0 - out),)
+def _elu(out):
+    neg = out < 0.0
+    out[neg] = np.expm1(out[neg])
+    return out
 
 
-def _fw_elu(xs, attrs):
-    (x,) = xs
-    alpha = float(attrs.get("alpha", 1.0))
-    return np.where(x >= 0.0, x, alpha * np.expm1(np.minimum(x, 0.0))), None
+_ACTIVATIONS = {
+    "linear": (lambda out: out, lambda g, out: g),
+    # derivative at exactly 0 is 0
+    "relu": (_relu, lambda g, out: g * (out > 0.0)),
+    "tanh": (_tanh, lambda g, out: g * (1.0 - out * out)),
+    "sigmoid": (_sigmoid, lambda g, out: g * out * (1.0 - out)),
+    "elu": (_elu, lambda g, out: g * np.where(out >= 0.0, 1.0, out + 1.0)),
+}
 
 
-def _bw_elu(g, xs, out, saved, attrs):
-    x = xs[0]
-    alpha = float(attrs.get("alpha", 1.0))
-    return (g * np.where(x >= 0.0, 1.0, out + alpha),)
+def _activation_primitive(act):
+    fw, bw = _ACTIVATIONS[act]
+    return (lambda xs, attrs: (fw(xs[0].copy()), None),
+            lambda g, xs, out, saved, attrs: (bw(g, out),))
+
+
+def _fw_dense(xs, attrs):
+    x, W, b = xs
+    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
+        raise ShapeError(f"dense wants x (N,K), W (K,P), b (P,), got {x.shape}, {W.shape}, {b.shape}")
+    act = attrs["act"]
+    if act not in _ACTIVATIONS:
+        raise UnknownPrimitiveError(f"unknown activation {act!r}")
+    out = x @ W
+    out += b
+    # Every activation maps finite values to finite values, so this one check
+    # on the pre-activation stands in for the output check apply_primitive
+    # skips for dense. It also catches a -inf that relu would turn into 0.
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("primitive 'dense' produced non-finite values")
+    return _ACTIVATIONS[act][0](out), None
+
+
+def _bw_dense(g, xs, out, saved, attrs):
+    x, W, _ = xs
+    g = _ACTIVATIONS[attrs["act"]][1](g, out)
+    return g @ W.T, x.T @ g, g.sum(axis=0)
 
 
 def _axis(attrs, x):
@@ -266,46 +289,6 @@ def _bw_reduce_sum(g, xs, out, saved, attrs):
     x = xs[0]
     ax = _axis(attrs, x)
     return (np.broadcast_to(np.expand_dims(g, ax), x.shape).copy(),)
-
-
-def _fw_reduce_mean(xs, attrs):
-    (x,) = xs
-    return x.mean(axis=_axis(attrs, x)), None
-
-
-def _bw_reduce_mean(g, xs, out, saved, attrs):
-    x = xs[0]
-    ax = _axis(attrs, x)
-    return (np.broadcast_to(np.expand_dims(g, ax), x.shape).copy() / x.shape[ax],)
-
-
-def _fw_reduce_max(xs, attrs):
-    (x,) = xs
-    ax = _axis(attrs, x)
-    idx = x.argmax(axis=ax)  # ties resolve to the first (lowest) index
-    return x.max(axis=ax), idx
-
-
-def _bw_reduce_max(g, xs, out, saved, attrs):
-    x = xs[0]
-    ax = _axis(attrs, x)
-    gx = np.zeros_like(x)
-    np.put_along_axis(gx, np.expand_dims(saved, ax), np.expand_dims(g, ax), axis=ax)
-    return (gx,)
-
-
-def _fw_softmax(xs, attrs):
-    (x,) = xs
-    ax = _axis(attrs, x)
-    z = x - x.max(axis=ax, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=ax, keepdims=True), None
-
-
-def _bw_softmax(g, xs, out, saved, attrs):
-    ax = _axis(attrs, xs[0])
-    inner = (g * out).sum(axis=ax, keepdims=True)
-    return (out * (g - inner),)
 
 
 def _fw_concat(xs, attrs):
@@ -335,19 +318,6 @@ def _bw_mse_loss(g, xs, out, saved, attrs):
     p, t = xs
     gp = (2.0 / p.size) * (p - t) * g
     return gp, -gp
-
-
-def _fw_hinge_margin_loss(xs, attrs):
-    s_pos, s_neg = xs
-    if s_pos.shape != s_neg.shape:
-        raise ShapeError(f"hinge_margin_loss shapes disagree: {s_pos.shape} vs {s_neg.shape}")
-    m = s_neg - s_pos + float(attrs["delta"])
-    return np.asarray(np.maximum(m, 0.0).mean()), m
-
-
-def _bw_hinge_margin_loss(g, xs, out, saved, attrs):
-    active = (saved > 0.0) * (g / saved.size)
-    return -active, active
 
 
 def _check_offsets(offsets, total):
@@ -463,17 +433,11 @@ _PRIMITIVES = {
     "matmul": (_fw_matmul, _bw_matmul),
     "add": (_fw_add, _bw_add),
     "scalar_scale": (_fw_scalar_scale, _bw_scalar_scale),
-    "relu": (_fw_relu, _bw_relu),
-    "tanh": (_fw_tanh, _bw_tanh),
-    "sigmoid": (_fw_sigmoid, _bw_sigmoid),
-    "elu": (_fw_elu, _bw_elu),
+    **{act: _activation_primitive(act) for act in ("relu", "tanh", "sigmoid", "elu")},
+    "dense": (_fw_dense, _bw_dense),
     "reduce_sum": (_fw_reduce_sum, _bw_reduce_sum),
-    "reduce_max": (_fw_reduce_max, _bw_reduce_max),
-    "reduce_mean": (_fw_reduce_mean, _bw_reduce_mean),
-    "softmax": (_fw_softmax, _bw_softmax),
     "concat": (_fw_concat, _bw_concat),
     "mse_loss": (_fw_mse_loss, _bw_mse_loss),
-    "hinge_margin_loss": (_fw_hinge_margin_loss, _bw_hinge_margin_loss),
     "set_softmax_nll": (_fw_set_softmax_nll, _bw_set_softmax_nll),
     "segment_sum": (_fw_segment_sum, _bw_segment_sum),
     "segment_mean": (_fw_segment_mean, _bw_segment_mean),
@@ -497,7 +461,8 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...] | list[Tensor], attrs:
     arrays = tuple(t.data for t in inputs)
     out, saved = fw(arrays, attrs)
     out = np.asarray(out, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    # dense checks its pre-activation instead (see _fw_dense)
+    if kind != "dense" and not np.all(np.isfinite(out)):
         raise NonFiniteError(f"primitive {kind!r} produced non-finite values")
     result = Tensor.__new__(Tensor)
     result.data = out
@@ -637,24 +602,17 @@ def sigmoid(x: Tensor) -> Tensor:
     return apply_primitive("sigmoid", (x,))
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    return apply_primitive("elu", (x,), {"alpha": alpha})
+def elu(x: Tensor) -> Tensor:
+    return apply_primitive("elu", (x,))
+
+
+def dense(x: Tensor, W: Tensor, b: Tensor, act: str) -> Tensor:
+    """``act(x @ W + b)`` as one tape node."""
+    return apply_primitive("dense", (x, W, b), {"act": act})
 
 
 def reduce_sum(x: Tensor, axis: int) -> Tensor:
     return apply_primitive("reduce_sum", (x,), {"axis": axis})
-
-
-def reduce_max(x: Tensor, axis: int) -> Tensor:
-    return apply_primitive("reduce_max", (x,), {"axis": axis})
-
-
-def reduce_mean(x: Tensor, axis: int) -> Tensor:
-    return apply_primitive("reduce_mean", (x,), {"axis": axis})
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    return apply_primitive("softmax", (x,), {"axis": axis})
 
 
 def concat(xs, axis: int) -> Tensor:
@@ -663,10 +621,6 @@ def concat(xs, axis: int) -> Tensor:
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return apply_primitive("mse_loss", (pred, target))
-
-
-def hinge_margin_loss(s_pos: Tensor, s_neg: Tensor, delta: float) -> Tensor:
-    return apply_primitive("hinge_margin_loss", (s_pos, s_neg), {"delta": delta})
 
 
 def set_softmax_nll(scores: Tensor, offsets, targets) -> Tensor:

@@ -137,7 +137,7 @@ class DenseLayer:
         return self.W.data.shape[1]
 
     def forward(self, x: Tensor) -> Tensor:
-        return NONLINEARITIES[self.nonlinearity](ad.add(ad.matmul(x, self.W), self.b))
+        return ad.dense(x, self.W, self.b, self.nonlinearity)
 
     def params(self) -> list[Tensor]:
         return [self.W, self.b]
@@ -294,7 +294,7 @@ class EquivariantLayer:
         # maxpool-normalized
         mx = ad.segment_broadcast(ad.segment_max(x, offsets), offsets)
         centered = ad.add(x, ad.scalar_scale(mx, -1.0))
-        return sigma(ad.add(ad.matmul(centered, self.Lambda), self.beta))
+        return ad.dense(centered, self.Lambda, self.beta, self.nonlinearity)
 
     def params(self) -> list[Tensor]:
         out = []

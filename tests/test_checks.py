@@ -1,5 +1,8 @@
 """The property battery itself: green end to end, readable summaries."""
 
+import numpy as np
+
+from setnn import autodiff as ad
 from setnn import checks
 
 
@@ -22,3 +25,13 @@ def test_summary_table_formats_pass_and_fail():
     assert lines[0].startswith("PASS  alpha")
     assert lines[1].startswith("FAIL  betagamma")
     assert "2 failures" in lines[1]
+
+
+def test_gradient_cases_cover_every_primitive():
+    """A primitive cannot be registered without a finite-difference case."""
+    kinds = set()
+    for _, f, params, _ in checks._gradient_cases(np.random.default_rng(0)):
+        with ad.Tape() as tape:
+            f(params)
+        kinds |= {node.kind for node in tape.nodes}
+    assert kinds - {"leaf"} == set(ad.PRIMITIVE_KINDS)
