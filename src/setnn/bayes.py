@@ -46,8 +46,8 @@ class BetaBinomialModel:
         bm = np.asarray(beta_minus, dtype=np.float64)
         if bp.ndim != 1 or bp.shape != bm.shape:
             raise BayesSetError(f"prior vectors must be equal-length 1-D, got {bp.shape} and {bm.shape}")
-        if np.any(bp <= 0) or np.any(bm <= 0):
-            raise BayesSetError("pseudo-counts must be strictly positive")
+        if not (np.all((bp > 0) & np.isfinite(bp)) and np.all((bm > 0) & np.isfinite(bm))):
+            raise BayesSetError("pseudo-counts must be finite and strictly positive")
         self.beta_plus = bp
         self.beta_minus = bm
 
@@ -66,38 +66,54 @@ class BetaBinomialModel:
 
 
 def as_binary_matrix(items, d: int) -> np.ndarray:
-    """Validate and stack items into an (n, d) 0/1 integer matrix."""
+    """Validate and stack items into an (n, d) 0/1 integer matrix.
+
+    Entries must equal 0 or 1 exactly (bools and 0.0/1.0 floats qualify); the
+    test runs on the values as given, before the integer cast, so a fractional
+    or NaN bit is rejected rather than truncated.
+    """
     if len(items) == 0:
         return np.zeros((0, d), dtype=np.int64)
-    mat = np.asarray(items, dtype=np.int64)
+    try:
+        mat = np.asarray(items)
+    except ValueError as exc:  # ragged rows
+        raise BayesSetError(f"items must be vectors of width {d}: {exc}") from exc
     if mat.ndim == 1:
         mat = mat[None, :]
     if mat.ndim != 2 or mat.shape[1] != d:
         raise BayesSetError(f"items must be vectors of width {d}, got shape {mat.shape}")
-    if not np.isin(mat, (0, 1)).all():
+    if not ((mat == 0) | (mat == 1)).all():
         raise BayesSetError("item entries must be 0 or 1")
-    return mat
+    return mat.astype(np.int64, copy=False)
 
 
 def _counts(X: np.ndarray) -> tuple[int, np.ndarray]:
     return X.shape[0], X.sum(axis=0)
 
 
-def score_item(model: BetaBinomialModel, X, x) -> float:
-    """Count-form candidate score; zero against an empty query set.
+def _item_scores(model: BetaBinomialModel, Xm: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Count-form scores of every row of the validated (n, d) matrix `cand`
+    against the validated query matrix `Xm`, in one pass.
 
     Per coordinate the score is log((beta_plus + M_plus) / (beta + M)) minus
     the prior log-rate log(beta_plus / beta) when the candidate bit is 1, and
-    the mirrored expression in beta_minus/M_minus when it is 0.
+    the mirrored expression in beta_minus/M_minus when it is 0. Each row is
+    summed along the contiguous last axis, which numpy sums exactly as it sums
+    a lone 1-D row, so a candidate's score does not depend on the pool around it.
     """
-    Xm = as_binary_matrix(X, model.d)
-    xv = as_binary_matrix([x], model.d)[0]
     M, m_plus = _counts(Xm)
     beta = model.beta
     m_minus = M - m_plus
     on = np.log(model.beta_plus + m_plus) - np.log(beta + M) - np.log(model.beta_plus) + np.log(beta)
     off = np.log(model.beta_minus + m_minus) - np.log(beta + M) - np.log(model.beta_minus) + np.log(beta)
-    return float(np.where(xv == 1, on, off).sum())
+    return np.where(cand == 1, on, off).sum(axis=1)
+
+
+def score_item(model: BetaBinomialModel, X, x) -> float:
+    """Count-form candidate score; zero against an empty query set."""
+    Xm = as_binary_matrix(X, model.d)
+    xv = as_binary_matrix([x], model.d)
+    return float(_item_scores(model, Xm, xv)[0])
 
 
 def log_marginal_likelihood(model: BetaBinomialModel, X) -> float:
@@ -156,10 +172,9 @@ def expand(model: BetaBinomialModel, X, candidates, k: int) -> list[tuple[int, f
         raise BayesSetError("candidate pool is empty")
     if not 1 <= k <= n:
         raise BayesSetError(f"k must lie in 1..{n}, got {k}")
-    Xm = as_binary_matrix(X, model.d)
-    scores = [score_item(model, Xm, cand[i]) for i in range(n)]
-    order = sorted(range(n), key=lambda i: -scores[i])  # sorted() is stable
-    return [(i, scores[i]) for i in order[:k]]
+    scores = _item_scores(model, as_binary_matrix(X, model.d), cand)
+    order = np.argsort(-scores, kind="stable")[:k]  # stable: ties keep input order
+    return list(zip(order.tolist(), scores[order].tolist()))
 
 
 def margin_loss(s_pos: float, s_neg: float, delta: float) -> float:

@@ -9,7 +9,8 @@ Five suites, one per structural guarantee the library makes:
   with central finite differences;
 * powersum-roundtrip: the sum-of-powers embedding inverts, the countable
   encoding is injective, and the closed-form models match direct references;
-* bayes-oracle: both scoring routes of the Beta-Binomial model agree.
+* bayes-oracle: both scoring routes of the Beta-Binomial model agree, and
+  ``expand`` ranks exactly as per-candidate scoring does.
 
 Each suite runs on its own deterministic generator derived from the battery
 seed, returns a CheckResult rather than raising, and is independent of the
@@ -267,7 +268,8 @@ def check_powersum(seed: int = 0, trials: int = 200) -> CheckResult:
 
 
 def check_bayes(seed: int = 0, trials: int = 1000) -> CheckResult:
-    """Count-form scores equal their log-Gamma forms on random triples."""
+    """Count-form scores equal their log-Gamma forms on random triples, and
+    ``expand`` rankings equal a stable sort of per-candidate scores."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 14]))
     failures = []
@@ -284,8 +286,30 @@ def check_bayes(seed: int = 0, trials: int = 1000) -> CheckResult:
         st = bayes.score_set_telescoped(model, X)
         if abs(s - st) > 1e-9 * max(1.0, abs(st)):
             failures.append(f"score_set trial {t}: {s!r} vs {st!r}")
+    # expand scores the whole pool in one pass; it must rank exactly as a
+    # stable sort of per-candidate score_item calls, on pools with duplicates
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 15]))
+    pools = 4
+    for t in range(pools):
+        d = int(rng.integers(1, 41))
+        model = BetaBinomialModel(rng.uniform(0.1, 5.0, size=d), rng.uniform(0.1, 5.0, size=d))
+        X = rng.integers(0, 2, size=(int(rng.integers(0, 9)), d))
+        n = int(rng.integers(1, 201))
+        C = rng.integers(0, 2, size=(n, d))
+        dup = rng.random(n) < 0.2
+        C[dup] = C[rng.integers(0, n, size=n)[dup]]
+        ranked = bayes.expand(model, X, C, n)
+        ref = [bayes.score_item(model, X, c) for c in C]
+        want = sorted(range(n), key=lambda i: -ref[i])
+        if ranked != [(i, ref[i]) for i in want]:
+            failures.append(f"expand pool {t}: ranking differs from stable sort of score_item")
+        for i, score in ranked[:5]:
+            b = bayes.score_item_oracle(model, X, C[i])
+            if abs(score - b) > 1e-9 * max(1.0, abs(b)):
+                failures.append(f"expand pool {t} candidate {i}: {score!r} vs oracle {b!r}")
     return _result("bayes-oracle", started, failures,
-                   f"{trials} random triples: both scoring routes agree within 1e-9")
+                   f"{trials} random triples: both scoring routes agree within 1e-9; "
+                   f"{pools} expand rankings equal per-candidate scoring")
 
 
 SUITES = {

@@ -52,7 +52,7 @@ __all__ = [
 
 TASKS = ("population", "digit-sum", "outlier")
 
-LOSSES = ("mse", "set-softmax-nll", "margin")
+LOSSES = ("mse", "set-softmax-nll")
 
 _LOSS_FOR_TASK = {"population": "mse", "digit-sum": "mse", "outlier": "set-softmax-nll"}
 
@@ -115,10 +115,6 @@ class TrainConfig:
             self.loss = _LOSS_FOR_TASK[self.task]
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.loss == "margin":
-            raise ConfigError(
-                "the margin loss belongs to set-expansion scoring (bayes.margin_loss), not to these tasks"
-            )
         if self.loss != _LOSS_FOR_TASK[self.task]:
             raise ConfigError(f"loss {self.loss!r} is incompatible with task {self.task!r}")
         self.phi_widths = tuple(int(w) for w in self.phi_widths)

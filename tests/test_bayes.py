@@ -24,6 +24,11 @@ def test_model_validation():
         BetaBinomialModel([1.0, 0.0], [1.0, 1.0])
     with pytest.raises(BayesSetError):
         BetaBinomialModel([1.0], [1.0, 1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BayesSetError):
+            BetaBinomialModel([1.0, bad], [1.0, 1.0])
+        with pytest.raises(BayesSetError):
+            BetaBinomialModel([1.0, 1.0], [bad, 1.0])
     m = BetaBinomialModel.uniform(3)
     np.testing.assert_array_equal(m.beta, [2.0, 2.0, 2.0])
 
@@ -34,6 +39,27 @@ def test_binary_matrix_validation():
     with pytest.raises(BayesSetError):
         as_binary_matrix([[0, 1, 1]], 2)
     assert as_binary_matrix([], 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("items", [
+    [[0.5, 1]],
+    np.array([[0.7, 1.9]]),
+    [[0, float("nan")]],
+    [[0, 1], [0, 1, 1], [1, 0]],
+    [[0, 1], [1]],
+], ids=["half", "fractional-array", "nan", "ragged-long", "ragged-short"])
+def test_binary_matrix_rejects_non_bits_and_ragged_rows(items):
+    # a fractional bit must not be truncated to 0 by the integer cast
+    with pytest.raises(BayesSetError):
+        as_binary_matrix(items, 2)
+
+
+def test_binary_matrix_accepts_exact_bits_of_any_dtype():
+    want = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    for items in ([[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], np.array([[False, True], [True, False]])):
+        got = as_binary_matrix(items, 2)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 def test_score_item_empty_query_is_zero():
@@ -170,6 +196,25 @@ def test_expand_full_k_and_stable_ties():
     ranked = expand(m, X, candidates, k=3)
     assert len(ranked) == 3
     assert [i for i, _ in ranked[:2]] == [0, 1]  # equal scores keep input order
+
+
+def test_expand_same_bits_as_per_candidate_scores():
+    """expand scores the pool in one pass; every score must equal score_item's
+    bit for bit and the order must be a stable descending sort of them."""
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        d = int(rng.integers(1, 251))
+        n = int(rng.integers(1, 3001))
+        model = BetaBinomialModel(rng.uniform(0.1, 5.0, d), rng.uniform(0.1, 5.0, d))
+        X = rng.integers(0, 2, (0 if trial == 0 else int(rng.integers(1, 30)), d))
+        C = rng.integers(0, 2, (n, d))
+        dup = rng.random(n) < 0.2
+        C[dup] = C[rng.integers(0, n, n)[dup]]
+        ranked = expand(model, X, C, k=n)
+        ref = [score_item(model, X, c) for c in C]
+        assert ranked == [(i, ref[i]) for i in sorted(range(n), key=lambda i: -ref[i])]
+        top = expand(model, X, C, k=max(1, n // 3))
+        assert top == ranked[: len(top)]
 
 
 def test_expand_validation():

@@ -181,6 +181,15 @@ def test_expand_without_query_rows_is_a_usage_error(tmp_path, capsys):
     assert "query" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row, message", [([0.6, 1], "0 or 1"), ([1, 0, 1], "width 2")],
+                         ids=["fractional", "ragged"])
+def test_expand_rejects_bad_candidate_bits(tmp_path, capsys, bad_row, message):
+    data = tmp_path / "cand.jsonl"
+    _write_expand_file(data, [[1, 0]], [("a", [1, 0]), ("bad", bad_row), ("b", [0, 1])])
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_expand_accepts_prior_parameters(tmp_path, capsys):
     data = tmp_path / "cand.jsonl"
     _write_expand_file(data, [[1, 0], [1, 0]], [("a", [1, 0]), ("b", [0, 1])])
