@@ -58,17 +58,15 @@ class Tensor:
     a new tape is re-registered as a fresh leaf there.
     """
 
-    __slots__ = ("data", "node_id", "tape", "is_param", "name")
+    __slots__ = ("data", "node_id", "tape")
 
-    def __init__(self, data, is_param: bool = False, name: str | None = None):
+    def __init__(self, data):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
         self.node_id: int | None = None
         self.tape: "Tape | None" = None
-        self.is_param = is_param
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,23 +80,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
-
-    # Small amount of operator sugar; everything routes through the tape.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return apply_primitive("add", (self, other))
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return apply_primitive("add", (self, apply_primitive("scalar_scale", (other,), {"alpha": -1.0})))
-
-    def __mul__(self, alpha: float) -> "Tensor":
-        return apply_primitive("scalar_scale", (self,), {"alpha": float(alpha)})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return apply_primitive("matmul", (self, other))
+        return f"Tensor(shape={self.data.shape})"
 
 
 class _Node:
@@ -149,9 +131,6 @@ class Tape:
         if t.tape is self and t.node_id is not None:
             return t.node_id
         return self._register_leaf(t)
-
-    def leaf_ids(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.kind == "leaf"]
 
 
 def active_tape() -> Tape | None:
@@ -468,8 +447,6 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...] | list[Tensor], attrs:
     result.data = out
     result.node_id = None
     result.tape = None
-    result.is_param = False
-    result.name = None
     tape = active_tape()
     if tape is not None:
         ids = tuple(tape.ensure_leaf(t) for t in inputs)

@@ -154,7 +154,7 @@ def _off_kink_dense():
 def _gradient_cases(rng: np.random.Generator):
     """(name, f, params, smooth) per primitive; f closes over fixed data."""
     off = (0, 2, 5, 9)
-    p = lambda shape, scale=1.0: Tensor(rng.normal(scale=scale, size=shape), is_param=True)
+    p = lambda shape, scale=1.0: Tensor(rng.normal(scale=scale, size=shape))
     cases = []
 
     def case(name, params, fn, smooth=True):
@@ -164,12 +164,12 @@ def _gradient_cases(rng: np.random.Generator):
     case("add-bias", (p((3, 4)), p((4,))), ad.add)
     case("add-full", (p((3, 4)), p((3, 4))), ad.add)
     case("scalar_scale", (p((3, 4)),), lambda x: ad.scalar_scale(x, -1.7))
-    case("relu", (Tensor(_separated(rng, (3, 4)) - 0.6, is_param=True),), ad.relu, smooth=False)
+    case("relu", (Tensor(_separated(rng, (3, 4)) - 0.6),), ad.relu, smooth=False)
     case("tanh", (p((3, 4)),), ad.tanh)
     case("sigmoid", (p((3, 4)),), ad.sigmoid)
-    case("elu", (Tensor(_separated(rng, (3, 4)) - 0.6, is_param=True),), ad.elu, smooth=False)
+    case("elu", (Tensor(_separated(rng, (3, 4)) - 0.6),), ad.elu, smooth=False)
     for act in NONLINEARITIES:
-        case(f"dense-{act}", [Tensor(a, is_param=True) for a in _off_kink_dense()],
+        case(f"dense-{act}", [Tensor(a) for a in _off_kink_dense()],
              lambda x, W, b, act=act: ad.dense(x, W, b, act), smooth=act not in ("relu", "elu"))
     case("reduce_sum", (p((4, 3)),), lambda x: ad.reduce_sum(x, 0))
     case("concat", (p((3, 2)), p((3, 3)), p((3, 1))), lambda *xs: ad.concat(xs, 1))
@@ -178,7 +178,7 @@ def _gradient_cases(rng: np.random.Generator):
          lambda x: ad.set_softmax_nll(x, off, (1, 0, 3)))
     case("segment_sum", (p((9, 3)),), lambda x: ad.segment_sum(x, off))
     case("segment_mean", (p((9, 3)),), lambda x: ad.segment_mean(x, off))
-    case("segment_max", (Tensor(_separated(rng, (9, 3)), is_param=True),),
+    case("segment_max", (Tensor(_separated(rng, (9, 3))),),
          lambda x: ad.segment_max(x, off), smooth=False)
     case("segment_broadcast", (p((3, 4)),),
          lambda x: ad.segment_broadcast(x, (0, 2, 5, 9)))

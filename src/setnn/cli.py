@@ -1,7 +1,9 @@
 """Command-line surface: gen / train / eval / expand / check.
 
 Exit codes: 0 on success, 1 when a check or run fails (battery failure,
-divergence), 2 for usage errors (unknown flags, bad config, missing files).
+divergence), 2 for usage errors (unknown flags, bad config, missing files)
+and bad input data (malformed or invalid dataset lines, a model whose input
+width does not fit the data).
 
 ``gen`` writes a JSONL dataset (gzipped if the path ends in .gz). ``train``
 reads one, trains per an optional config JSON plus flag overrides, and writes
@@ -20,6 +22,7 @@ import sys
 import numpy as np
 
 from setnn import bayes, checks
+from setnn.autodiff import ShapeError
 from setnn.layers import model_from_json, model_to_json
 from setnn.tasks import (
     POPULATION_KINDS,
@@ -127,7 +130,7 @@ def _cmd_train(args) -> int:
         raise UsageError("train requires --data and --out")
     try:
         dataset = load_jsonl(args.data)
-    except (OSError, TaskError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, TaskError) as exc:
         raise UsageError(f"cannot load dataset {args.data}: {exc}") from exc
     config = _train_config(args, dataset)
     try:
@@ -165,6 +168,8 @@ def _cmd_eval(args) -> int:
         record = evaluate(model, dataset, task)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
+    except ShapeError as exc:
+        raise UsageError(f"model {args.model} does not fit dataset {args.data}: {exc}") from exc
     text = metrics_to_csv([record], include_timing=args.timing)
     print(text, end="")
     if args.out:
@@ -184,6 +189,8 @@ def _cmd_expand(args) -> int:
                     continue
                 obj = json.loads(line)
                 bits = obj["bits"]
+                if not isinstance(bits, list):
+                    raise TypeError(f"bits must be a list of 0/1 values, got {bits!r}")
                 if obj.get("query"):
                     query.append(bits)
                 else:

@@ -73,7 +73,7 @@ class SetBatch:
             raise ShapeError(f"elements must be (total, D), got {self.elements.shape}")
         off = np.asarray(offsets, dtype=np.int64)
         if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != self.elements.shape[0]:
-            raise ShapeError(f"offsets must span [0, {self.elements.shape[0]}]")
+            raise ShapeError(f"offsets must span [0, {self.elements.shape[0]}] with at least one set")
         if np.any(np.diff(off) <= 0):
             raise ShapeError("every set must be non-empty")
         self.offsets = off
@@ -86,7 +86,26 @@ class SetBatch:
 
     @classmethod
     def from_sets(cls, sets, condition=None) -> "SetBatch":
+        """Pack per-set ``(n_i, D)`` arrays (a 1-D array is one element).
+
+        The only packer of per-set arrays. A set that is empty, has zero
+        width or differs in width from set 0 raises a ShapeError that names
+        it; its index is also in the error's ``set_index``.
+        """
         mats = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sets]
+        if not mats:
+            raise ShapeError("no sets to pack")
+        width = mats[0].shape[-1]
+        for i, m in enumerate(mats):
+            if m.ndim != 2 or m.size == 0:
+                problem = f"must be a non-empty (n, D) matrix with D >= 1, got shape {m.shape}"
+            elif m.shape[1] != width:
+                problem = f"has width {m.shape[1]} but set 0 has width {width}"
+            else:
+                continue
+            err = ShapeError(f"set {i} {problem}")
+            err.set_index = i
+            raise err
         offsets = np.concatenate([[0], np.cumsum([m.shape[0] for m in mats])])
         return cls(np.concatenate(mats, axis=0), offsets, condition)
 
@@ -104,26 +123,41 @@ class SetBatch:
     def set_at(self, i: int) -> np.ndarray:
         return self.elements[self.offsets[i]:self.offsets[i + 1]]
 
+    def gather(self, indices) -> "SetBatch":
+        """The sets at ``indices``, in that order, as a new batch (a copy)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        starts = self.offsets[:-1][idx]
+        sizes = self.offsets[1:][idx] - starts
+        offsets = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        rows = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
+        cond = None if self.condition is None else self.condition[idx]
+        return SetBatch(np.take(self.elements, rows, axis=0), offsets, cond)
+
+    def slice(self, lo: int, hi: int) -> "SetBatch":
+        """Sets ``lo`` to ``hi - 1`` as a batch sharing this batch's arrays."""
+        if not 0 <= lo < hi <= self.num_sets:
+            raise ShapeError(f"set range [{lo}, {hi}) is not inside [0, {self.num_sets})")
+        first, last = self.offsets[lo], self.offsets[hi]
+        cond = None if self.condition is None else self.condition[lo:hi]
+        return SetBatch(self.elements[first:last], self.offsets[lo:hi + 1] - first, cond)
+
     def permuted(self, rng: np.random.Generator) -> tuple["SetBatch", list[np.ndarray]]:
         """Independently permute the rows of every set; returns the permuted
         batch and the per-set permutations used."""
-        perms = []
-        parts = []
-        for i in range(self.num_sets):
-            block = self.set_at(i)
-            p = rng.permutation(block.shape[0])
-            perms.append(p)
-            parts.append(block[p])
+        sizes = self.sizes()
+        perms = [rng.permutation(m) for m in sizes]
+        rows = np.concatenate(perms) + np.repeat(self.offsets[:-1], sizes)
         cond = None if self.condition is None else self.condition.copy()
-        return SetBatch(np.concatenate(parts, axis=0), self.offsets.copy(), cond), perms
+        return SetBatch(self.elements[rows], self.offsets.copy(), cond), perms
 
 
 class DenseLayer:
     def __init__(self, W, b, nonlinearity: str = "linear"):
         if nonlinearity not in NONLINEARITIES:
             raise ShapeError(f"unknown nonlinearity {nonlinearity!r}")
-        self.W = W if isinstance(W, Tensor) else Tensor(W, is_param=True)
-        self.b = b if isinstance(b, Tensor) else Tensor(b, is_param=True)
+        self.W = W if isinstance(W, Tensor) else Tensor(W)
+        self.b = b if isinstance(b, Tensor) else Tensor(b)
         if self.W.data.ndim != 2 or self.b.data.shape != (self.W.data.shape[1],):
             raise ShapeError(f"dense layer wants W (in,out) and b (out,), got {self.W.shape} / {self.b.shape}")
         self.nonlinearity = nonlinearity
@@ -249,17 +283,17 @@ class EquivariantLayer:
         else:
             if Lambda is None:
                 raise ShapeError(f"{variant} needs a Lambda matrix")
-            self.Lambda = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda, is_param=True)
+            self.Lambda = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
             if self.Lambda.data.ndim != 2:
                 raise ShapeError("Lambda must be a (D, D') matrix")
             d_out = self.Lambda.data.shape[1]
-            self.beta = beta if isinstance(beta, Tensor) else Tensor(np.zeros(d_out) if beta is None else beta, is_param=True)
+            self.beta = beta if isinstance(beta, Tensor) else Tensor(np.zeros(d_out) if beta is None else beta)
             if self.beta.data.shape != (d_out,):
                 raise ShapeError(f"beta must be ({d_out},)")
             if variant == "full-lambda-gamma":
                 if Gamma is None:
                     raise ShapeError("full-lambda-gamma needs a Gamma matrix")
-                self.Gamma = Gamma if isinstance(Gamma, Tensor) else Tensor(Gamma, is_param=True)
+                self.Gamma = Gamma if isinstance(Gamma, Tensor) else Tensor(Gamma)
                 if self.Gamma.data.shape != self.Lambda.data.shape:
                     raise ShapeError("Gamma must match Lambda's shape")
 

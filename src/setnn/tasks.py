@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from setnn.autodiff import ShapeError
 from setnn.layers import SetBatch
 
 __all__ = [
@@ -51,7 +52,11 @@ _MIN_EIGENVALUE = 1e-6
 
 
 class TaskError(ValueError):
-    pass
+    """Bad task parameters or data; ``set_index`` names the offending set, if any."""
+
+    def __init__(self, message: str, set_index: int | None = None):
+        super().__init__(message)
+        self.set_index = set_index
 
 
 @dataclass(frozen=True)
@@ -92,41 +97,63 @@ class GaussianTaskSpec:
 
 @dataclass
 class LabeledSetDataset:
-    """Sets with one target each: scalars or per-set element indices."""
+    """Sets packed in one :class:`SetBatch`, with one target per set.
 
-    sets: list[np.ndarray]
+    Targets are scalars, or with ``meta["target_kind"] == "index"`` the row of
+    one element within its set. The dataset is validated once, here: finite
+    elements, one finite target per set, and index targets that are integers
+    in ``[0, set size)``. A failure raises a TaskError naming the first bad set.
+    """
+
+    batch: SetBatch
     targets: np.ndarray
     meta: dict = field(default_factory=dict)
     per_set_meta: list[dict] | None = None
 
     def __post_init__(self):
-        if len(self.sets) != len(self.targets):
-            raise TaskError(f"{len(self.sets)} sets but {len(self.targets)} targets")
-        if not np.all(np.isfinite(np.asarray(self.targets, dtype=np.float64))):
-            raise TaskError("targets must be finite")
-        if self.per_set_meta is not None and len(self.per_set_meta) != len(self.sets):
+        n = self.batch.num_sets
+        targets = np.asarray(self.targets, dtype=np.float64)
+        if targets.shape != (n,):
+            raise TaskError(f"{n} sets need one target each, got targets of shape {targets.shape}")
+        if self.per_set_meta is not None and len(self.per_set_meta) != n:
             raise TaskError("per-set metadata length mismatch")
+        if not np.all(np.isfinite(self.batch.elements)):
+            row = int(np.argmin(np.isfinite(self.batch.elements).all(axis=1)))
+            i = int(np.searchsorted(self.batch.offsets, row, side="right")) - 1
+            raise TaskError(f"set {i} has a non-finite element", i)
+        index_targets = self.meta.get("target_kind") == "index"
+        bad = ~np.isfinite(targets)
+        if index_targets:
+            bad |= (targets != np.floor(targets)) | (targets < 0) | (targets >= self.batch.sizes())
+        if bad.any():
+            i = int(np.argmax(bad))
+            want = f"an integer in [0, {self.batch.sizes()[i]})" if index_targets else "finite"
+            raise TaskError(f"set {i} has target {targets[i]:g}; it must be {want}", i)
+        self.targets = targets.astype(np.int64) if index_targets else targets
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self.batch.num_sets
 
     @property
     def element_dim(self) -> int:
-        return self.sets[0].shape[1]
+        return self.batch.width
 
     def to_set_batch(self, indices=None) -> SetBatch:
+        """The whole batch, a ``slice(lo, hi)`` of it sharing its arrays, or the
+        sets at an index array gathered into a copy."""
         if indices is None:
-            return SetBatch.from_sets(self.sets)
-        return SetBatch.from_sets([self.sets[i] for i in indices])
+            return self.batch
+        if isinstance(indices, slice):
+            return self.batch.slice(indices.start, indices.stop)
+        return self.batch.gather(indices)
 
     def subset(self, indices) -> "LabeledSetDataset":
         """New dataset holding the selected sets (copies, original untouched)."""
-        idx = list(indices)
+        idx = np.asarray(indices, dtype=np.int64)
         meta = dict(self.meta)
         meta["num_sets"] = len(idx)
         per_set = None if self.per_set_meta is None else [dict(self.per_set_meta[i]) for i in idx]
-        return LabeledSetDataset([self.sets[i].copy() for i in idx],
-                                 self.targets[idx].copy(), meta, per_set)
+        return LabeledSetDataset(self.batch.gather(idx), self.targets[idx], meta, per_set)
 
 
 def _set_rng(seed: int, index: int) -> np.random.Generator:
@@ -229,7 +256,7 @@ def gen_population_task(spec: GaussianTaskSpec) -> LabeledSetDataset:
     }
     if spec.alpha_fixed is not None:
         meta["alpha_fixed"] = spec.alpha_fixed
-    return LabeledSetDataset(sets, targets, meta, per_set)
+    return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta, per_set)
 
 
 def gen_digit_sum(num_sets: int, max_set_size: int, set_size_at_test: int | None, seed: int) -> LabeledSetDataset:
@@ -261,7 +288,7 @@ def gen_digit_sum(num_sets: int, max_set_size: int, set_size_at_test: int | None
         "seed": seed,
         "target_kind": "scalar",
     }
-    return LabeledSetDataset(sets, targets, meta)
+    return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta)
 
 
 def gen_outlier_sets(num_sets: int, set_size: int, d: int, shift: float, seed: int) -> LabeledSetDataset:
@@ -298,7 +325,7 @@ def gen_outlier_sets(num_sets: int, set_size: int, d: int, shift: float, seed: i
         "seed": seed,
         "target_kind": "index",
     }
-    return LabeledSetDataset(sets, targets, meta)
+    return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta)
 
 
 # --- serialization ------------------------------------------------------------
@@ -313,7 +340,7 @@ def save_jsonl(dataset: LabeledSetDataset, path: str) -> None:
         if dataset.per_set_meta is not None:
             line_meta.update(dataset.per_set_meta[i])
         target = int(dataset.targets[i]) if index_targets else float(dataset.targets[i])
-        obj = {"elements": dataset.sets[i].tolist(), "target": target, "meta": line_meta}
+        obj = {"elements": dataset.batch.set_at(i).tolist(), "target": target, "meta": line_meta}
         buf.write(json.dumps(obj, separators=(",", ":"), sort_keys=True))
         buf.write("\n")
     payload = buf.getvalue().encode()
@@ -334,26 +361,41 @@ _DATASET_META_KEYS = {
 
 
 def load_jsonl(path: str) -> LabeledSetDataset:
+    """Read a dataset written by :func:`save_jsonl`. Any malformed or invalid
+    line raises a TaskError that names it."""
     opener = gzip.open if path.endswith(".gz") else open
     sets = []
-    raw_targets = []
+    targets = []
     per_set = []
-    meta: dict = {}
-    with opener(path, "rt") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            sets.append(np.asarray(obj["elements"], dtype=np.float64))
-            raw_targets.append(obj["target"])
-            per_set.append(obj["meta"])
+    line_numbers = []
+    try:
+        with opener(path, "rt") as f:
+            for number, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    sets.append(np.asarray(obj["elements"], dtype=np.float64))
+                    targets.append(float(obj["target"]))
+                    if not isinstance(obj["meta"], dict):
+                        raise TypeError("meta must be a JSON object")
+                except KeyError as exc:
+                    raise TaskError(f"{path} line {number}: missing field {exc}") from exc
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise TaskError(f"{path} line {number}: {exc}") from exc
+                per_set.append(obj["meta"])
+                line_numbers.append(number)
+    except (EOFError, UnicodeDecodeError) as exc:  # truncated gzip, binary junk
+        raise TaskError(f"{path}: {exc}") from exc
     if not sets:
         raise TaskError(f"{path} contains no sets")
     task = per_set[0].get("task")
-    keys = _DATASET_META_KEYS.get(task, tuple(per_set[0]))
+    keys = _DATASET_META_KEYS.get(task, tuple(per_set[0])) if isinstance(task, str) else tuple(per_set[0])
     meta = {k: per_set[0][k] for k in keys if k in per_set[0]}
     extras = [{k: v for k, v in m.items() if k not in keys} for m in per_set]
     if all(not e for e in extras):
         extras = None
-    dtype = np.int64 if meta.get("target_kind") == "index" else np.float64
-    return LabeledSetDataset(sets, np.asarray(raw_targets, dtype=dtype), meta, extras)
+    try:
+        return LabeledSetDataset(SetBatch.from_sets(sets), np.array(targets), meta, extras)
+    except (ShapeError, TaskError) as exc:
+        raise TaskError(f"{path} line {line_numbers[exc.set_index]}: {exc}") from exc

@@ -52,10 +52,6 @@ __all__ = [
 
 TASKS = ("population", "digit-sum", "outlier")
 
-LOSSES = ("mse", "set-softmax-nll")
-
-_LOSS_FOR_TASK = {"population": "mse", "digit-sum": "mse", "outlier": "set-softmax-nll"}
-
 _EVAL_CHUNK = 256
 
 METRICS_HEADER = "epoch,train_loss,eval_metric,wall_seconds"
@@ -88,12 +84,10 @@ class TrainConfig:
 
     ``phi_widths``/``rho_widths``/``pool`` describe the regression model,
     ``equivariant_widths``/``equivariant_variant`` the selection model; the
-    irrelevant group is ignored for a given task. An empty ``loss`` picks the
-    task's canonical loss.
+    irrelevant group is ignored for a given task. The task fixes the loss.
     """
 
     task: str
-    loss: str = ""
     phi_widths: tuple[int, ...] = (64, 64, 64)
     rho_widths: tuple[int, ...] = (64, 32, 1)
     pool: str = "sum"
@@ -111,12 +105,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not self.loss:
-            self.loss = _LOSS_FOR_TASK[self.task]
-        if self.loss not in LOSSES:
-            raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.loss != _LOSS_FOR_TASK[self.task]:
-            raise ConfigError(f"loss {self.loss!r} is incompatible with task {self.task!r}")
         self.phi_widths = tuple(int(w) for w in self.phi_widths)
         self.rho_widths = tuple(int(w) for w in self.rho_widths)
         self.equivariant_widths = tuple(int(w) for w in self.equivariant_widths)
@@ -238,8 +226,6 @@ def _check_dataset(config: TrainConfig, dataset: LabeledSetDataset) -> None:
     task = dataset.meta.get("task")
     if task is not None and task != config.task:
         raise ConfigError(f"config task {config.task!r} but dataset task {task!r}")
-    if len(dataset) < 1:
-        raise ConfigError("dataset is empty")
     index_targets = dataset.meta.get("target_kind") == "index"
     if (config.task == "outlier") != index_targets:
         raise ConfigError("target kind does not match the configured task")
@@ -255,11 +241,11 @@ def _element_scores(model, batch: SetBatch) -> Tensor:
 
 
 def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray) -> Tensor:
-    if config.loss == "mse":
-        pred = model.forward(batch)
-        return ad.mse_loss(pred, Tensor(targets.reshape(-1, 1)))
-    scores = _element_scores(model, batch)
-    return ad.set_softmax_nll(scores, batch.offsets, targets)
+    if config.task == "outlier":
+        scores = _element_scores(model, batch)
+        return ad.set_softmax_nll(scores, batch.offsets, targets)
+    pred = model.forward(batch)
+    return ad.mse_loss(pred, Tensor(targets.reshape(-1, 1)))
 
 
 def train(config: TrainConfig, dataset: LabeledSetDataset,
@@ -267,8 +253,8 @@ def train(config: TrainConfig, dataset: LabeledSetDataset,
     """Run the configured training; returns (model, per-epoch MetricsRecords).
 
     The eval metric of each record is computed on ``eval_dataset`` when given,
-    else on the training dataset. The dataset is never mutated; every batch
-    is assembled from copies.
+    else on the training dataset. The dataset is never mutated: training
+    batches are gathered copies, and evaluation reads slices of the dataset.
     """
     _check_dataset(config, dataset)
     if eval_dataset is not None:
@@ -310,17 +296,16 @@ def train(config: TrainConfig, dataset: LabeledSetDataset,
 def _predictions(model, dataset: LabeledSetDataset) -> np.ndarray:
     preds = np.empty(len(dataset))
     for lo in range(0, len(dataset), _EVAL_CHUNK):
-        idx = range(lo, min(lo + _EVAL_CHUNK, len(dataset)))
-        out = model.forward(dataset.to_set_batch(idx))
-        preds[lo:lo + len(idx)] = out.data.reshape(-1)
+        hi = min(lo + _EVAL_CHUNK, len(dataset))
+        out = model.forward(dataset.to_set_batch(slice(lo, hi)))
+        preds[lo:hi] = out.data.reshape(-1)
     return preds
 
 
 def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
     picks = np.empty(len(dataset), dtype=np.int64)
     for lo in range(0, len(dataset), _EVAL_CHUNK):
-        idx = range(lo, min(lo + _EVAL_CHUNK, len(dataset)))
-        batch = dataset.to_set_batch(idx)
+        batch = dataset.to_set_batch(slice(lo, min(lo + _EVAL_CHUNK, len(dataset))))
         scores = _element_scores(model, batch).data.reshape(-1)
         for j in range(batch.num_sets):
             seg = scores[batch.offsets[j]:batch.offsets[j + 1]]
@@ -333,6 +318,8 @@ def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
     for digit-sum, selection accuracy for outlier. Runs eagerly (no tape)."""
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    if task != "outlier" and isinstance(model, EquivariantStack):
+        raise ConfigError(f"task {task!r} needs one prediction per set, but the model scores elements")
     started = time.perf_counter()
     if task == "outlier":
         metric = float(np.mean(_selections(model, dataset) == dataset.targets))

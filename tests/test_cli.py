@@ -74,7 +74,7 @@ def test_gen_population_with_config(tmp_path, capsys):
     capsys.readouterr()
     ds = load_jsonl(str(out))
     assert ds.element_dim == 4
-    assert all(10 <= s.shape[0] <= 20 for s in ds.sets)
+    assert all(10 <= m <= 20 for m in ds.batch.sizes())
 
 
 def test_train_eval_roundtrip(tmp_path, capsys):
@@ -134,7 +134,42 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     code = cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                          "--config", str(cfg), "--epochs", "1"])
     assert code == 2
-    assert "margin" in capsys.readouterr().err
+    assert "unknown config fields: ['loss']" in capsys.readouterr().err
+
+
+_SCALAR_META = {"task": "digit-sum", "target_kind": "scalar"}
+_INDEX_META = {"task": "outlier", "target_kind": "index"}
+
+
+@pytest.mark.parametrize("meta, second", [
+    (_SCALAR_META, {"elements": [[1.0, 0.0, 1.0]], "target": 1.0}),
+    (_SCALAR_META, {"elements": [], "target": 0.0}),
+    (_SCALAR_META, {"elements": [[1.0, float("nan")]], "target": 1.0}),
+    (_INDEX_META, {"elements": [[1.0, 0.0], [0.0, 1.0]], "target": 2}),
+], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range"])
+def test_train_rejects_bad_data_at_the_boundary(tmp_path, capsys, meta, second):
+    data = tmp_path / "bad.jsonl"
+    first = {"elements": [[0.0, 1.0], [1.0, 0.0]], "target": 1, "meta": meta}
+    data.write_text(json.dumps(first) + "\n" + json.dumps({**second, "meta": meta}) + "\n")
+    code = cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--epochs", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load dataset") and "line 2" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("task_flag, message", [
+    (["--task", "outlier"], "element width 10"),
+    ([], "needs one prediction per set"),
+], ids=["width", "model-kind"])
+def test_eval_rejects_a_model_that_does_not_fit_the_data(tmp_path, capsys, task_flag, message):
+    outlier, digits, model = tmp_path / "o.jsonl", tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "8", "--out", str(outlier)]) == 0
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8", "--out", str(digits)]) == 0
+    assert cli_dispatch(["train", "--data", str(outlier), "--out", str(model), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(digits), *task_flag]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_missing_model_is_a_usage_error(tmp_path, capsys):
@@ -188,6 +223,13 @@ def test_expand_rejects_bad_candidate_bits(tmp_path, capsys, bad_row, message):
     _write_expand_file(data, [[1, 0]], [("a", [1, 0]), ("bad", bad_row), ("b", [0, 1])])
     assert cli_dispatch(["expand", "--data", str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_expand_rejects_a_query_row_without_a_bit_list(tmp_path, capsys):
+    data = tmp_path / "cand.jsonl"
+    data.write_text(json.dumps({"bits": 5, "query": True}) + "\n" + json.dumps({"id": "a", "bits": [1, 0]}) + "\n")
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert "bits must be a list" in capsys.readouterr().err
 
 
 def test_expand_accepts_prior_parameters(tmp_path, capsys):

@@ -41,6 +41,45 @@ def test_setbatch_accessors():
     assert b.set_at(1).shape == (5, 3)
 
 
+@pytest.mark.parametrize("sets, bad", [
+    ([np.ones((2, 3)), []], 1),               # atleast_2d([]) is a (1, 0) row
+    ([np.ones((2, 3)), np.zeros((0, 3))], 1),  # no elements
+    ([np.zeros((2, 0)), np.zeros((2, 0))], 0),  # zero width
+    ([np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2))], 2),  # ragged widths
+    ([np.ones((2, 3)), np.ones((2, 3, 1))], 1),  # not a matrix
+], ids=["empty-list", "no-rows", "zero-width", "ragged-width", "3-d"])
+def test_from_sets_rejects_and_names_the_bad_set(sets, bad):
+    with pytest.raises(ShapeError, match=f"set {bad} ") as info:
+        SetBatch.from_sets(sets)
+    assert info.value.set_index == bad
+    with pytest.raises(ShapeError, match="no sets"):
+        SetBatch.from_sets([])
+
+
+def test_gather_and_slice_match_the_packed_sets():
+    rng = np.random.default_rng(5)
+    sets = [rng.normal(size=(int(m), 3)) for m in rng.integers(1, 9, size=7)]
+    cond = rng.normal(size=(7, 2))
+    batch = SetBatch.from_sets(sets, condition=cond)
+    picked = [5, 0, 5, 3]
+    gathered = batch.gather(picked)
+    expected = SetBatch.from_sets([sets[i] for i in picked], condition=cond[picked])
+    np.testing.assert_array_equal(gathered.elements, expected.elements)
+    np.testing.assert_array_equal(gathered.offsets, expected.offsets)
+    np.testing.assert_array_equal(gathered.condition, expected.condition)
+    assert not np.shares_memory(gathered.elements, batch.elements)
+
+    part = batch.slice(2, 6)
+    expected = SetBatch.from_sets(sets[2:6], condition=cond[2:6])
+    np.testing.assert_array_equal(part.elements, expected.elements)
+    np.testing.assert_array_equal(part.offsets, expected.offsets)
+    np.testing.assert_array_equal(part.condition, expected.condition)
+    assert np.shares_memory(part.elements, batch.elements)
+    for lo, hi in ((3, 3), (-1, 2), (0, 8)):
+        with pytest.raises(ShapeError):
+            batch.slice(lo, hi)
+
+
 def test_identity_model_pure_sum_and_max():
     batch = SetBatch.from_sets([np.array([[1.0], [2.0], [3.0]])])
     model = InvariantModel([], "sum", [])

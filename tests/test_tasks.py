@@ -1,6 +1,13 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from setnn.layers import SetBatch
 from setnn.tasks import (
     GaussianTaskSpec,
     LabeledSetDataset,
@@ -13,6 +20,11 @@ from setnn.tasks import (
     load_jsonl,
     save_jsonl,
 )
+
+
+def _sets(ds):
+    """The dataset's sets, each a view of its packed batch."""
+    return [ds.batch.set_at(i) for i in range(len(ds))]
 
 
 def test_spec_validation():
@@ -51,7 +63,7 @@ def test_rotation_dataset_shapes_and_meta():
     spec = GaussianTaskSpec(kind="rotation", num_sets=5, seed=11, set_size_range=(30, 60))
     ds = gen_population_task(spec)
     assert len(ds) == 5
-    assert all(30 <= s.shape[0] <= 60 and s.shape[1] == 2 for s in ds.sets)
+    assert all(30 <= s.shape[0] <= 60 and s.shape[1] == 2 for s in _sets(ds))
     assert ds.meta["kind"] == "rotation"
     assert all(0.0 <= m["alpha"] <= np.pi for m in ds.per_set_meta)
 
@@ -71,7 +83,7 @@ def test_correlation_alpha_fixed_zero_gives_zero_mi():
                             set_size_range=(5, 9), alpha_fixed=0.0)
     ds = gen_population_task(spec)
     np.testing.assert_allclose(ds.targets, 0.0, atol=1e-12)
-    assert ds.sets[0].shape[1] == 6
+    assert _sets(ds)[0].shape[1] == 6
 
 
 def test_rank1_and_random_targets_are_nonnegative_total_correlation():
@@ -89,7 +101,7 @@ def test_rotation_plugin_estimate_consistency():
     ds = gen_population_task(spec)
     devs = []
     for i in range(len(ds)):
-        var = ds.sets[i][:, 0].var(ddof=1)
+        var = _sets(ds)[i][:, 0].var(ddof=1)
         devs.append(abs(0.5 * np.log(2.0 * np.pi * np.e * var) - ds.targets[i]))
     assert float(np.mean(devs)) <= 0.05
 
@@ -98,38 +110,38 @@ def test_population_determinism():
     spec = GaussianTaskSpec(kind="random", num_sets=4, seed=77, d=6, set_size_range=(5, 9))
     a = gen_population_task(spec)
     b = gen_population_task(spec)
-    assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
+    assert all(np.array_equal(x, y) for x, y in zip(_sets(a), _sets(b)))
     np.testing.assert_array_equal(a.targets, b.targets)
 
 
 def test_digit_sum_encoding_and_targets():
     ds = gen_digit_sum(50, 10, None, seed=5)
-    for s, t in zip(ds.sets, ds.targets):
+    for s, t in zip(_sets(ds), ds.targets):
         assert s.shape[1] == 10
         assert set(np.unique(s)) <= {0.0, 1.0}
         np.testing.assert_array_equal(s.sum(axis=1), np.ones(s.shape[0]))
         assert t == s.argmax(axis=1).sum()
         assert 1 <= s.shape[0] <= 10
-    assert any(s.shape[0] < 10 for s in ds.sets)
+    assert any(s.shape[0] < 10 for s in _sets(ds))
 
 
 def test_digit_sum_fixed_test_size():
     ds = gen_digit_sum(10, 10, 37, seed=5)
-    assert all(s.shape[0] == 37 for s in ds.sets)
+    assert all(s.shape[0] == 37 for s in _sets(ds))
     assert ds.meta["set_size_at_test"] == 37
 
 
 def test_digit_sum_determinism():
     a = gen_digit_sum(20, 10, None, seed=8)
     b = gen_digit_sum(20, 10, None, seed=8)
-    assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
+    assert all(np.array_equal(x, y) for x, y in zip(_sets(a), _sets(b)))
     np.testing.assert_array_equal(a.targets, b.targets)
     assert not np.array_equal(a.targets, gen_digit_sum(20, 10, None, seed=9).targets)
 
 
 def test_outlier_construction():
     ds = gen_outlier_sets(30, set_size=8, d=4, shift=3.0, seed=2)
-    assert all(s.shape == (8, 4) for s in ds.sets)
+    assert all(s.shape == (8, 4) for s in _sets(ds))
     assert np.all((ds.targets >= 0) & (ds.targets < 8))
     assert ds.targets.dtype == np.int64
     # the planted index must vary across sets
@@ -150,7 +162,7 @@ def test_outlier_heuristic_recovers_planted_index():
     planted outlier nearly always."""
     ds = gen_outlier_sets(200, set_size=8, d=8, shift=6.0, seed=31)
     hits = 0
-    for s, t in zip(ds.sets, ds.targets):
+    for s, t in zip(_sets(ds), ds.targets):
         centroid = s.mean(axis=0)
         hits += int(np.linalg.norm(s - centroid, axis=1).argmax() == t)
     assert hits / 200 >= 0.99
@@ -159,7 +171,7 @@ def test_outlier_heuristic_recovers_planted_index():
 def test_permuting_a_set_tracks_its_target():
     ds = gen_outlier_sets(5, set_size=6, d=3, shift=4.0, seed=13)
     rng = np.random.default_rng(0)
-    for s, t in zip(ds.sets, ds.targets):
+    for s, t in zip(_sets(ds), ds.targets):
         perm = rng.permutation(6)
         permuted = s[perm]
         new_target = int(np.where(perm == t)[0][0])
@@ -173,7 +185,7 @@ def test_jsonl_roundtrip_plain_and_gzip(tmp_path):
         save_jsonl(ds, path)
         back = load_jsonl(path)
         assert len(back) == len(ds)
-        for a, b in zip(ds.sets, back.sets):
+        for a, b in zip(_sets(ds), _sets(back)):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.targets, ds.targets)
         assert back.meta == ds.meta
@@ -205,12 +217,25 @@ def test_load_empty_file_errors(tmp_path):
         load_jsonl(str(path))
 
 
+def test_load_rejects_truncated_and_undecodable_files(tmp_path):
+    ds = gen_digit_sum(20, 6, None, seed=1)
+    whole = tmp_path / "whole.jsonl.gz"
+    save_jsonl(ds, str(whole))
+    cut = tmp_path / "cut.jsonl.gz"
+    cut.write_bytes(whole.read_bytes()[:-12])
+    junk = tmp_path / "junk.jsonl"
+    junk.write_bytes(b"\xff\xfe\x00garbage\n")
+    for path in (cut, junk):
+        with pytest.raises(TaskError, match=path.name):
+            load_jsonl(str(path))
+
+
 def test_prefix_sets_are_stable_under_dataset_growth():
     """The first K sets of a larger generation equal the K-set generation,
     so one run can be split into matched train/test halves."""
     small = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=55, set_size_range=(5, 9)))
     big = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=7, seed=55, set_size_range=(5, 9)))
-    for a, b in zip(small.sets, big.sets):
+    for a, b in zip(_sets(small), _sets(big)):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(small.targets, big.targets[:4])
 
@@ -219,14 +244,100 @@ def test_subset_copies_and_relabels():
     ds = gen_outlier_sets(6, set_size=4, d=2, shift=1.0, seed=3)
     sub = ds.subset([4, 1])
     assert len(sub) == 2 and sub.meta["num_sets"] == 2
-    np.testing.assert_array_equal(sub.sets[0], ds.sets[4])
+    np.testing.assert_array_equal(_sets(sub)[0], _sets(ds)[4])
     np.testing.assert_array_equal(sub.targets, ds.targets[[4, 1]])
-    sub.sets[0][0, 0] = 99.0
-    assert ds.sets[4][0, 0] != 99.0
+    _sets(sub)[0][0, 0] = 99.0
+    assert _sets(ds)[4][0, 0] != 99.0
 
 
 def test_dataset_validation():
+    one = SetBatch.from_sets([np.zeros((2, 2))])
     with pytest.raises(TaskError):
-        LabeledSetDataset([np.zeros((2, 2))], np.array([1.0, 2.0]))
+        LabeledSetDataset(one, np.array([1.0, 2.0]))
     with pytest.raises(TaskError):
-        LabeledSetDataset([np.zeros((2, 2))], np.array([np.inf]))
+        LabeledSetDataset(one, np.array([np.inf]))
+    with pytest.raises(TaskError, match="one target each"):
+        LabeledSetDataset(one, np.array([[1.0]]))
+    with pytest.raises(TaskError, match="metadata"):
+        LabeledSetDataset(one, np.array([1.0]), {}, [{}, {}])
+
+    three = SetBatch.from_sets([np.zeros((2, 2)), np.ones((3, 2)), np.ones((1, 2))])
+    scalar_cases = [
+        (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, np.nan], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]), [0.0, 0.0, 0.0], 1),
+        (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [-np.inf, 1.0]]), [0.0, 0.0, 0.0], 2),
+        (three.elements, [0.0, np.nan, 0.0], 1),
+    ]
+    for elements, targets, bad in scalar_cases:
+        with pytest.raises(TaskError, match=f"set {bad} ") as info:
+            LabeledSetDataset(SetBatch(elements, three.offsets), np.array(targets))
+        assert info.value.set_index == bad
+
+    index = {"target_kind": "index"}
+    for targets, bad in (([0, 3, 0], 1), ([0, 0, 1], 2), ([-1, 0, 0], 0), ([0, 1.5, 0], 1)):
+        with pytest.raises(TaskError, match=f"set {bad} .*integer in") as info:
+            LabeledSetDataset(three, np.array(targets), index)
+        assert info.value.set_index == bad
+    ok = LabeledSetDataset(three, np.array([1.0, 2.0, 0.0]), index)
+    assert ok.targets.dtype == np.int64 and ok.targets.tolist() == [1, 2, 0]
+    assert LabeledSetDataset(three, np.array([1, 2, 3])).targets.dtype == np.float64
+
+
+def _write_lines(path, objs):
+    with open(path, "w") as f:
+        for obj in objs:
+            f.write(json.dumps(obj) + "\n")
+
+
+@pytest.mark.parametrize("second, message", [
+    ({"elements": [[1.0, 2.0, 3.0]], "target": 1.0}, "set 1 has width 3 but set 0 has width 2"),
+    ({"elements": [], "target": 1.0}, "set 1 must be a non-empty"),
+    ({"elements": [[1.0, float("nan")]], "target": 1.0}, "non-finite element"),
+    ({"elements": [[1.0, 2.0]], "target": float("inf")}, "must be finite"),
+    ({"elements": [[1.0, 2.0], [3]], "target": 1.0}, "inhomogeneous"),
+    ({"elements": [[1.0, 2.0]], "target": [1.0]}, "line 3"),
+    ({"elements": [[1.0, 2.0]], "target": 10 ** 400}, "line 3"),
+    ({"elements": [[1.0, 2.0]]}, "missing field 'target'"),
+    ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": 4}, "meta must be a JSON object"),
+], ids=["ragged", "empty", "nan-element", "inf-target", "ragged-rows", "list-target", "huge-target",
+        "no-target", "meta-not-object"])
+def test_load_names_the_bad_line(tmp_path, second, message):
+    meta = {"task": "digit-sum", "target_kind": "scalar"}
+    path = tmp_path / "bad.jsonl"
+    good = {"elements": [[0.0, 1.0]], "target": 1.0, "meta": meta}
+    with open(path, "w") as f:  # a blank line, so set 1 is on line 3
+        f.write(json.dumps(good) + "\n\n" + json.dumps({"meta": meta, **second}) + "\n")
+    with pytest.raises(TaskError, match="line 3") as info:
+        load_jsonl(str(path))
+    assert message in str(info.value)
+
+
+_numbers = st.one_of(st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none())
+_nested = st.recursive(_numbers, lambda inner: st.lists(inner, max_size=4), max_leaves=16)
+_matrix = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(_numbers, min_size=width, max_size=width), min_size=1, max_size=4))
+_line = st.one_of(
+    st.fixed_dictionaries({"elements": _matrix | _nested, "target": _numbers | _nested,
+                           "meta": st.fixed_dictionaries({}, optional={
+                               "task": st.sampled_from(["outlier", "digit-sum", "population"]) | _nested,
+                               "target_kind": st.sampled_from(["index", "scalar"]) | _nested})}),
+    _nested,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, min_size=0, max_size=4))
+def test_load_jsonl_fuzz_loads_a_valid_dataset_or_raises_task_error(objs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.jsonl")
+        _write_lines(path, objs)
+        try:
+            ds = load_jsonl(path)
+        except TaskError:
+            return
+    assert len(ds) == len(objs)
+    assert ds.batch.width >= 1 and np.all(ds.batch.sizes() >= 1)
+    assert np.all(np.isfinite(ds.batch.elements)) and np.all(np.isfinite(ds.targets))
+    assert ds.targets.shape == (len(ds),)
+    if ds.meta.get("target_kind") == "index":
+        assert ds.targets.dtype == np.int64
+        assert np.all((ds.targets >= 0) & (ds.targets < ds.batch.sizes()))
