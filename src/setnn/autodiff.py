@@ -7,8 +7,8 @@ active tape the same calls are plain eager numpy evaluation.
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), its parts for the layers that compose them
-differently, reductions, segment pooling over ragged batches, and the two
-loss heads used by the training driver. All arrays are float64; any primitive
+differently, segment pooling over ragged batches, and the two loss heads used
+by the training driver. All arrays are float64; any primitive
 producing a NaN/Inf raises immediately rather than letting it propagate.
 """
 
@@ -147,17 +147,15 @@ def active_tape() -> Tape | None:
 
 def _fw_matmul(xs, attrs):
     a, b = xs
-    if b.ndim != 2 or a.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports (N,K)@(K,P) or (K,)@(K,P), got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul supports (N,K)@(K,P), got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     return a @ b, None
 
 
 def _bw_matmul(g, xs, out, saved, attrs):
     a, b = xs
-    if a.ndim == 1:
-        return b @ g, np.outer(a, g)
     return g @ b.T, a.T @ g
 
 
@@ -250,39 +248,6 @@ def _bw_dense(g, xs, out, saved, attrs):
     x, W, _ = xs
     g = _ACTIVATIONS[attrs["act"]][1](g, out)
     return g @ W.T, x.T @ g, g.sum(axis=0)
-
-
-def _axis(attrs, x):
-    ax = int(attrs["axis"])
-    if not -x.ndim <= ax < x.ndim:
-        raise ShapeError(f"axis {ax} out of range for shape {x.shape}")
-    return ax % x.ndim
-
-
-def _fw_reduce_sum(xs, attrs):
-    (x,) = xs
-    return x.sum(axis=_axis(attrs, x)), None
-
-
-def _bw_reduce_sum(g, xs, out, saved, attrs):
-    x = xs[0]
-    ax = _axis(attrs, x)
-    return (np.broadcast_to(np.expand_dims(g, ax), x.shape).copy(),)
-
-
-def _fw_concat(xs, attrs):
-    ax = int(attrs["axis"])
-    nd = xs[0].ndim
-    for x in xs[1:]:
-        if x.ndim != nd:
-            raise ShapeError("concat inputs must have equal rank")
-    return np.concatenate(xs, axis=ax), None
-
-
-def _bw_concat(g, xs, out, saved, attrs):
-    ax = int(attrs["axis"])
-    sizes = [x.shape[ax] for x in xs]
-    return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=ax))
 
 
 def _fw_mse_loss(xs, attrs):
@@ -414,8 +379,6 @@ _PRIMITIVES = {
     "scalar_scale": (_fw_scalar_scale, _bw_scalar_scale),
     **{act: _activation_primitive(act) for act in ("relu", "tanh", "sigmoid", "elu")},
     "dense": (_fw_dense, _bw_dense),
-    "reduce_sum": (_fw_reduce_sum, _bw_reduce_sum),
-    "concat": (_fw_concat, _bw_concat),
     "mse_loss": (_fw_mse_loss, _bw_mse_loss),
     "set_softmax_nll": (_fw_set_softmax_nll, _bw_set_softmax_nll),
     "segment_sum": (_fw_segment_sum, _bw_segment_sum),
@@ -586,14 +549,6 @@ def elu(x: Tensor) -> Tensor:
 def dense(x: Tensor, W: Tensor, b: Tensor, act: str) -> Tensor:
     """``act(x @ W + b)`` as one tape node."""
     return apply_primitive("dense", (x, W, b), {"act": act})
-
-
-def reduce_sum(x: Tensor, axis: int) -> Tensor:
-    return apply_primitive("reduce_sum", (x,), {"axis": axis})
-
-
-def concat(xs, axis: int) -> Tensor:
-    return apply_primitive("concat", tuple(xs), {"axis": axis})
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

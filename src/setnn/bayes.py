@@ -30,7 +30,6 @@ __all__ = [
     "score_set",
     "score_set_telescoped",
     "expand",
-    "margin_loss",
 ]
 
 
@@ -175,10 +174,3 @@ def expand(model: BetaBinomialModel, X, candidates, k: int) -> list[tuple[int, f
     scores = _item_scores(model, as_binary_matrix(X, model.d), cand)
     order = np.argsort(-scores, kind="stable")[:k]  # stable: ties keep input order
     return list(zip(order.tolist(), scores[order].tolist()))
-
-
-def margin_loss(s_pos: float, s_neg: float, delta: float) -> float:
-    """Hinge on the score gap: max(0, s_neg - s_pos + delta)."""
-    if delta < 0:
-        raise BayesSetError(f"delta must be non-negative, got {delta}")
-    return max(0.0, s_neg - s_pos + delta)

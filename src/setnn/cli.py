@@ -16,6 +16,8 @@ same JSONL file. ``check`` runs the property battery and prints its table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 
@@ -38,16 +40,15 @@ from setnn.train import ConfigError, TrainConfig, TrainingDiverged, evaluate, me
 
 GEN_TASKS = POPULATION_KINDS + ("digit-sum", "outlier")
 
-_GEN_DEFAULTS = {
-    "digit-sum": {"max_set_size": 10, "set_size_at_test": 0},
-    "outlier": {"set_size": 16, "d": 8, "shift": 4.0},
-}
+_GENERATORS = {"digit-sum": gen_digit_sum, "outlier": gen_outlier_sets}
 
-_GEN_KEYS = {
-    "digit-sum": ("max_set_size", "set_size_at_test"),
-    "outlier": ("set_size", "d", "shift"),
-    "population": ("d", "set_size_range", "alpha_fixed"),
-}
+
+def _gen_keys(task: str) -> set[str]:
+    """Generator config fields: the parameters the generator has defaults for."""
+    if task in POPULATION_KINDS:
+        return {f.name for f in dataclasses.fields(GaussianTaskSpec) if f.default is not dataclasses.MISSING}
+    params = inspect.signature(_GENERATORS[task]).parameters.values()
+    return {p.name for p in params if p.default is not p.empty}
 
 
 class UsageError(ValueError):
@@ -65,32 +66,21 @@ def _load_json(path: str, what: str) -> dict:
     return obj
 
 
-def _gen_overrides(task: str, config_path: str | None) -> dict:
-    kind = "population" if task in POPULATION_KINDS else task
-    overrides = dict(_GEN_DEFAULTS.get(task, {}))
-    if config_path:
-        obj = _load_json(config_path, "generator config")
-        unknown = set(obj) - set(_GEN_KEYS[kind])
-        if unknown:
-            raise UsageError(f"unknown generator config fields for {task}: {sorted(unknown)}")
-        overrides.update(obj)
-    return overrides
-
-
 def _cmd_gen(args) -> int:
     if args.out is None:
         raise UsageError("gen requires --out")
-    ov = _gen_overrides(args.task, args.config)
+    ov = _load_json(args.config, "generator config") if args.config else {}
+    unknown = set(ov) - _gen_keys(args.task)
+    if unknown:
+        raise UsageError(f"unknown generator config fields for {args.task}: {sorted(unknown)}")
     try:
         if args.task in POPULATION_KINDS:
             if "set_size_range" in ov:
                 ov["set_size_range"] = tuple(ov["set_size_range"])
             dataset = gen_population_task(GaussianTaskSpec(kind=args.task, num_sets=args.n,
                                                            seed=args.seed, **ov))
-        elif args.task == "digit-sum":
-            dataset = gen_digit_sum(args.n, ov["max_set_size"], ov["set_size_at_test"], args.seed)
         else:
-            dataset = gen_outlier_sets(args.n, ov["set_size"], ov["d"], ov["shift"], args.seed)
+            dataset = _GENERATORS[args.task](args.n, seed=args.seed, **ov)
     except (TaskError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     save_jsonl(dataset, args.out)

@@ -1,9 +1,8 @@
 """Set architectures: ragged batches, invariant models, equivariant layers.
 
 An invariant model applies a per-element dense stack, pools each set with a
-commutative reduction, optionally concatenates a per-set condition vector,
-then applies a second dense stack. Its output depends only on the multiset of
-elements, which the test suite verifies behaviorally.
+commutative reduction, then applies a second dense stack. Its output depends
+only on the multiset of elements, which the test suite verifies behaviorally.
 
 Equivariant layers act on the rows of one set and commute with row
 permutations. Three weight-sharing variants are provided:
@@ -37,8 +36,6 @@ __all__ = [
     "InvariantModel",
     "EquivariantLayer",
     "EquivariantStack",
-    "invariant_forward",
-    "equivariant_forward",
     "build_theta",
     "commutes_with_all_permutations",
     "commutant_dimension",
@@ -63,11 +60,10 @@ class SetBatch:
 
     Set ``i`` occupies rows ``offsets[i]:offsets[i+1]``. Offsets must start at
     0, end at the total row count, and be strictly increasing; empty sets are
-    rejected. ``condition`` optionally carries one meta-information row per
-    set.
+    rejected.
     """
 
-    def __init__(self, elements, offsets, condition=None):
+    def __init__(self, elements, offsets):
         self.elements = np.ascontiguousarray(np.asarray(elements, dtype=np.float64))
         if self.elements.ndim != 2:
             raise ShapeError(f"elements must be (total, D), got {self.elements.shape}")
@@ -77,15 +73,9 @@ class SetBatch:
         if np.any(np.diff(off) <= 0):
             raise ShapeError("every set must be non-empty")
         self.offsets = off
-        self.condition = None
-        if condition is not None:
-            cond = np.ascontiguousarray(np.asarray(condition, dtype=np.float64))
-            if cond.ndim != 2 or cond.shape[0] != self.num_sets:
-                raise ShapeError(f"condition must be (num_sets, D_z), got {cond.shape}")
-            self.condition = cond
 
     @classmethod
-    def from_sets(cls, sets, condition=None) -> "SetBatch":
+    def from_sets(cls, sets) -> "SetBatch":
         """Pack per-set ``(n_i, D)`` arrays (a 1-D array is one element).
 
         The only packer of per-set arrays. A set that is empty, has zero
@@ -107,7 +97,7 @@ class SetBatch:
             err.set_index = i
             raise err
         offsets = np.concatenate([[0], np.cumsum([m.shape[0] for m in mats])])
-        return cls(np.concatenate(mats, axis=0), offsets, condition)
+        return cls(np.concatenate(mats, axis=0), offsets)
 
     @property
     def num_sets(self) -> int:
@@ -131,16 +121,14 @@ class SetBatch:
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         rows = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
-        cond = None if self.condition is None else self.condition[idx]
-        return SetBatch(np.take(self.elements, rows, axis=0), offsets, cond)
+        return SetBatch(np.take(self.elements, rows, axis=0), offsets)
 
     def slice(self, lo: int, hi: int) -> "SetBatch":
         """Sets ``lo`` to ``hi - 1`` as a batch sharing this batch's arrays."""
         if not 0 <= lo < hi <= self.num_sets:
             raise ShapeError(f"set range [{lo}, {hi}) is not inside [0, {self.num_sets})")
         first, last = self.offsets[lo], self.offsets[hi]
-        cond = None if self.condition is None else self.condition[lo:hi]
-        return SetBatch(self.elements[first:last], self.offsets[lo:hi + 1] - first, cond)
+        return SetBatch(self.elements[first:last], self.offsets[lo:hi + 1] - first)
 
     def permuted(self, rng: np.random.Generator) -> tuple["SetBatch", list[np.ndarray]]:
         """Independently permute the rows of every set; returns the permuted
@@ -148,8 +136,7 @@ class SetBatch:
         sizes = self.sizes()
         perms = [rng.permutation(m) for m in sizes]
         rows = np.concatenate(perms) + np.repeat(self.offsets[:-1], sizes)
-        cond = None if self.condition is None else self.condition.copy()
-        return SetBatch(self.elements[rows], self.offsets.copy(), cond), perms
+        return SetBatch(self.elements[rows], self.offsets.copy()), perms
 
 
 class DenseLayer:
@@ -197,45 +184,28 @@ _POOLS = {"sum": ad.segment_sum, "max": ad.segment_max, "mean": ad.segment_mean}
 class InvariantModel:
     """Per-element dense stack, commutative pooling, then a per-set stack."""
 
-    def __init__(self, phi: list[DenseLayer], pool: str, rho: list[DenseLayer], condition_mode: str = "none", condition_width: int = 0):
+    def __init__(self, phi: list[DenseLayer], pool: str, rho: list[DenseLayer]):
         if pool not in _POOLS:
             raise ShapeError(f"pool must be one of {sorted(_POOLS)}, got {pool!r}")
-        if condition_mode not in ("none", "concat-after-pool"):
-            raise ShapeError(f"unknown condition_mode {condition_mode!r}")
         self.phi = list(phi)
         self.pool = pool
         self.rho = list(rho)
-        self.condition_mode = condition_mode
-        self.condition_width = int(condition_width)
         for a, b in zip(self.phi, self.phi[1:]):
             if a.out_width != b.in_width:
                 raise ShapeError(f"phi widths disagree: {a.out_width} -> {b.in_width}")
         for a, b in zip(self.rho, self.rho[1:]):
             if a.out_width != b.in_width:
                 raise ShapeError(f"rho widths disagree: {a.out_width} -> {b.in_width}")
-        if self.phi and self.rho:
-            expected = self.phi[-1].out_width + (self.condition_width if condition_mode != "none" else 0)
-            if self.rho[0].in_width != expected:
-                raise ShapeError(f"rho input width {self.rho[0].in_width} != pooled width {expected}")
+        if self.phi and self.rho and self.rho[0].in_width != self.phi[-1].out_width:
+            raise ShapeError(f"rho input width {self.rho[0].in_width} != pooled width {self.phi[-1].out_width}")
 
     def forward(self, batch: SetBatch) -> Tensor:
         if self.phi and batch.width != self.phi[0].in_width:
             raise ShapeError(f"element width {batch.width} != phi input {self.phi[0].in_width}")
-        if self.condition_mode == "concat-after-pool":
-            if batch.condition is None:
-                raise ShapeError("model conditions on z but batch has no condition")
-            if batch.condition.shape[1] != self.condition_width:
-                raise ShapeError(f"condition width {batch.condition.shape[1]} != {self.condition_width}")
-        elif batch.condition is not None and self.condition_width:
-            raise ShapeError("batch carries a condition the model does not use")
-
         h = Tensor(batch.elements)
         for layer in self.phi:
             h = layer.forward(h)
-        pooled = _POOLS[self.pool](h, batch.offsets)
-        if self.condition_mode == "concat-after-pool":
-            pooled = ad.concat([pooled, Tensor(batch.condition)], axis=1)
-        out = pooled
+        out = _POOLS[self.pool](h, batch.offsets)
         for layer in self.rho:
             out = layer.forward(out)
         return out
@@ -305,12 +275,6 @@ class EquivariantLayer:
     def out_width(self) -> int | None:
         return None if self.Lambda is None else self.Lambda.data.shape[1]
 
-    def theta(self, M: int) -> np.ndarray:
-        """Materialize the tied dense matrix for the scalar variant."""
-        if self.variant != "scalar-lambda-gamma":
-            raise ShapeError("theta is defined for the scalar variant only")
-        return build_theta(self.lam, self.gam, M)
-
     def forward(self, x: Tensor, offsets) -> Tensor:
         """Apply to a flat (total, D) matrix, pooling within each segment."""
         sigma = NONLINEARITIES[self.nonlinearity]
@@ -354,22 +318,6 @@ class EquivariantStack:
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
-
-
-def invariant_forward(model: InvariantModel, batch: SetBatch) -> Tensor:
-    return model.forward(batch)
-
-
-def equivariant_forward(layer, x) -> np.ndarray:
-    """Apply a layer or stack to one set given as an (M, D) matrix.
-
-    A 1-D input is treated as a column of M scalar elements; the result is
-    returned with the same rank.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    mat = arr.reshape(-1, 1) if arr.ndim == 1 else arr
-    out = layer.forward(Tensor(mat), [0, mat.shape[0]]).data
-    return out.reshape(-1) if arr.ndim == 1 else out
 
 
 def build_theta(lam: float, gam: float, M: int) -> np.ndarray:
@@ -427,21 +375,18 @@ def commutant_dimension(M: int) -> int:
 # --- random model factories (shared by the property battery and tests) -----
 
 
-def random_invariant_model(rng: np.random.Generator, in_width: int, out_width: int = 1,
-                           with_condition: bool = False, condition_width: int = 0) -> InvariantModel:
+def random_invariant_model(rng: np.random.Generator, in_width: int, out_width: int = 1) -> InvariantModel:
     hidden = [int(rng.integers(1, 17)) for _ in range(int(rng.integers(1, 3)))]
     phi_widths = [in_width] + hidden
     act = str(rng.choice(["relu", "tanh", "sigmoid", "elu"]))
     phi = dense_stack(rng, phi_widths, act, final=act)
     pool = str(rng.choice(["sum", "max", "mean"]))
-    mode = "concat-after-pool" if with_condition else "none"
-    rho_in = phi_widths[-1] + (condition_width if with_condition else 0)
-    rho_widths = [rho_in] + [int(rng.integers(1, 17)) for _ in range(int(rng.integers(0, 2)))] + [out_width]
+    rho_widths = [phi_widths[-1]] + [int(rng.integers(1, 17)) for _ in range(int(rng.integers(0, 2)))] + [out_width]
     rho = dense_stack(rng, rho_widths, act)
     # non-zero biases so the models are not accidentally odd/even functions
     for layer in phi + rho:
         layer.b.data[...] = rng.normal(scale=0.1, size=layer.b.data.shape)
-    return InvariantModel(phi, pool, rho, condition_mode=mode, condition_width=condition_width if with_condition else 0)
+    return InvariantModel(phi, pool, rho)
 
 
 def random_equivariant_stack(rng: np.random.Generator, in_width: int, max_depth: int = 4) -> EquivariantStack:
@@ -474,15 +419,39 @@ def random_equivariant_stack(rng: np.random.Generator, in_width: int, max_depth:
 #
 # One JSON document per model: an architecture descriptor plus parameter
 # arrays. Floats are emitted with repr semantics, which round-trips binary64
-# exactly, so save -> load -> save is byte-identical.
+# exactly, so save -> load -> save is byte-identical. Loading is a boundary:
+# any malformed document raises a ShapeError or another ValueError.
 
 
 def _dense_to_obj(layer: DenseLayer) -> dict:
     return {"W": layer.W.data.tolist(), "b": layer.b.data.tolist(), "nonlinearity": layer.nonlinearity}
 
 
-def _dense_from_obj(obj: dict) -> DenseLayer:
-    return DenseLayer(np.asarray(obj["W"]), np.asarray(obj["b"]), obj["nonlinearity"])
+def _field(obj, key: str, kind: type | None = None):
+    """``obj[key]``, of type ``kind`` if given; a ShapeError names what is wrong."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"model entries must be JSON objects, got {type(obj).__name__}")
+    if key not in obj:
+        raise ShapeError(f"model entry has no {key!r}")
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ShapeError(f"model field {key!r} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _floats(obj, key: str, ndim: int) -> np.ndarray:
+    """``obj[key]`` as a finite float64 array of rank ``ndim``."""
+    try:
+        arr = np.asarray(_field(obj, key), dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ShapeError(f"model field {key!r} is not numeric: {exc}") from exc
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        raise ShapeError(f"model field {key!r} must be a finite rank-{ndim} array, got shape {arr.shape}")
+    return arr
+
+
+def _dense_from_obj(obj) -> DenseLayer:
+    return DenseLayer(_floats(obj, "W", 2), _floats(obj, "b", 1), _field(obj, "nonlinearity", str))
 
 
 def _equivariant_layer_to_obj(layer: EquivariantLayer) -> dict:
@@ -498,15 +467,16 @@ def _equivariant_layer_to_obj(layer: EquivariantLayer) -> dict:
     return obj
 
 
-def _equivariant_layer_from_obj(obj: dict) -> EquivariantLayer:
-    kw = {"pool": obj["pool"], "nonlinearity": obj["nonlinearity"]}
-    if obj["variant"] == "scalar-lambda-gamma":
-        return EquivariantLayer(obj["variant"], lam=obj["lam"], gam=obj["gam"], **kw)
+def _equivariant_layer_from_obj(obj) -> EquivariantLayer:
+    variant = _field(obj, "variant", str)
+    kw = {"pool": _field(obj, "pool", str), "nonlinearity": _field(obj, "nonlinearity", str)}
+    if variant == "scalar-lambda-gamma":
+        return EquivariantLayer(variant, lam=_floats(obj, "lam", 0), gam=_floats(obj, "gam", 0), **kw)
     return EquivariantLayer(
-        obj["variant"],
-        Lambda=np.asarray(obj["Lambda"]),
-        Gamma=np.asarray(obj["Gamma"]) if "Gamma" in obj else None,
-        beta=np.asarray(obj["beta"]),
+        variant,
+        Lambda=_floats(obj, "Lambda", 2),
+        Gamma=_floats(obj, "Gamma", 2) if variant == "full-lambda-gamma" else None,
+        beta=_floats(obj, "beta", 1),
         **kw,
     )
 
@@ -516,8 +486,9 @@ def model_to_json(model) -> str:
         doc = {
             "type": "invariant",
             "pool": model.pool,
-            "condition_mode": model.condition_mode,
-            "condition_width": model.condition_width,
+            # kept so saved models keep their bytes; no other value loads
+            "condition_mode": "none",
+            "condition_width": 0,
             "phi": [_dense_to_obj(l) for l in model.phi],
             "rho": [_dense_to_obj(l) for l in model.rho],
         }
@@ -530,14 +501,16 @@ def model_to_json(model) -> str:
 
 def model_from_json(text: str):
     doc = json.loads(text)
-    if doc["type"] == "invariant":
+    model_type = _field(doc, "type")
+    if model_type == "invariant":
+        if doc.get("condition_mode") != "none" or doc.get("condition_width") != 0:
+            raise ShapeError("invariant models take no per-set condition: "
+                             'want "condition_mode": "none" and "condition_width": 0')
         return InvariantModel(
-            [_dense_from_obj(o) for o in doc["phi"]],
-            doc["pool"],
-            [_dense_from_obj(o) for o in doc["rho"]],
-            condition_mode=doc["condition_mode"],
-            condition_width=doc["condition_width"],
+            [_dense_from_obj(o) for o in _field(doc, "phi", list)],
+            _field(doc, "pool", str),
+            [_dense_from_obj(o) for o in _field(doc, "rho", list)],
         )
-    if doc["type"] == "equivariant_stack":
-        return EquivariantStack([_equivariant_layer_from_obj(o) for o in doc["layers"]])
-    raise ShapeError(f"unknown model type {doc['type']!r}")
+    if model_type == "equivariant_stack":
+        return EquivariantStack([_equivariant_layer_from_obj(o) for o in _field(doc, "layers", list)])
+    raise ShapeError(f"unknown model type {model_type!r}")

@@ -37,8 +37,6 @@ __all__ = [
     "invert",
     "closed_form_eval",
     "closed_form_reference",
-    "rescale_to_unit",
-    "rescale_from_unit",
     "MAX_SET_SIZE",
 ]
 
@@ -274,23 +272,6 @@ def invert(Z: PowerSumVector) -> SortedSample:
     if roots[0] < -_CLIP_SLACK or roots[-1] > 1.0 + _CLIP_SLACK:
         raise PowerSumError(f"recovered roots [{roots[0]}, {roots[-1]}] fall outside [0,1]")
     return SortedSample(np.clip(roots, 0.0, 1.0))
-
-
-def rescale_to_unit(values, lo: float, hi: float) -> np.ndarray:
-    """Affine map of values from [lo, hi] onto [0,1]."""
-    if not hi > lo:
-        raise PowerSumError(f"need hi > lo, got [{lo}, {hi}]")
-    v = np.asarray(values, dtype=np.float64)
-    if np.any(v < lo) or np.any(v > hi):
-        raise PowerSumError(f"values exceed the declared bounds [{lo}, {hi}]")
-    return (v - lo) / (hi - lo)
-
-
-def rescale_from_unit(values, lo: float, hi: float) -> np.ndarray:
-    if not hi > lo:
-        raise PowerSumError(f"need hi > lo, got [{lo}, {hi}]")
-    v = np.asarray(values, dtype=np.float64)
-    return lo + v * (hi - lo)
 
 
 # --- worked closed forms ------------------------------------------------------

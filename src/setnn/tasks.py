@@ -259,7 +259,8 @@ def gen_population_task(spec: GaussianTaskSpec) -> LabeledSetDataset:
     return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta, per_set)
 
 
-def gen_digit_sum(num_sets: int, max_set_size: int, set_size_at_test: int | None, seed: int) -> LabeledSetDataset:
+def gen_digit_sum(num_sets: int, max_set_size: int = 10, set_size_at_test: int | None = 0, *,
+                  seed: int) -> LabeledSetDataset:
     """One-hot digit sets labeled by their sum.
 
     With ``set_size_at_test`` None or 0, set sizes are uniform on
@@ -291,7 +292,8 @@ def gen_digit_sum(num_sets: int, max_set_size: int, set_size_at_test: int | None
     return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta)
 
 
-def gen_outlier_sets(num_sets: int, set_size: int, d: int, shift: float, seed: int) -> LabeledSetDataset:
+def gen_outlier_sets(num_sets: int, set_size: int = 16, d: int = 8, shift: float = 4.0, *,
+                     seed: int) -> LabeledSetDataset:
     """Sets of Gaussian vectors with one mean-shifted element to find.
 
     Every element shares a per-set random mean; the outlier's mean is offset
@@ -353,6 +355,8 @@ def save_jsonl(dataset: LabeledSetDataset, path: str) -> None:
             f.write(payload)
 
 
+_ABSENT = object()
+
 _DATASET_META_KEYS = {
     "population": ("task", "kind", "d", "element_dim", "num_sets", "seed", "set_size_range", "target_kind", "alpha_fixed"),
     "digit-sum": ("task", "max_set_size", "set_size_at_test", "num_sets", "seed", "target_kind"),
@@ -362,7 +366,8 @@ _DATASET_META_KEYS = {
 
 def load_jsonl(path: str) -> LabeledSetDataset:
     """Read a dataset written by :func:`save_jsonl`. Any malformed or invalid
-    line raises a TaskError that names it."""
+    line raises a TaskError that names it, as does a line whose dataset keys
+    (or whose ``task`` or ``target_kind``) differ from the first line's."""
     opener = gzip.open if path.endswith(".gz") else open
     sets = []
     targets = []
@@ -389,9 +394,15 @@ def load_jsonl(path: str) -> LabeledSetDataset:
         raise TaskError(f"{path}: {exc}") from exc
     if not sets:
         raise TaskError(f"{path} contains no sets")
-    task = per_set[0].get("task")
-    keys = _DATASET_META_KEYS.get(task, tuple(per_set[0])) if isinstance(task, str) else tuple(per_set[0])
-    meta = {k: per_set[0][k] for k in keys if k in per_set[0]}
+    first = per_set[0]
+    task = first.get("task")
+    keys = _DATASET_META_KEYS.get(task, tuple(first)) if isinstance(task, str) else tuple(first)
+    meta = {k: first[k] for k in keys if k in first}
+    checked = sorted(set(keys) | {"task", "target_kind"})
+    for m, number in zip(per_set[1:], line_numbers[1:]):
+        differ = [k for k in checked if m.get(k, _ABSENT) != first.get(k, _ABSENT)]
+        if differ:
+            raise TaskError(f"{path} line {number}: dataset fields {differ} differ from line {line_numbers[0]}")
     extras = [{k: v for k, v in m.items() if k not in keys} for m in per_set]
     if all(not e for e in extras):
         extras = None

@@ -11,7 +11,6 @@ from setnn.bayes import (
     as_binary_matrix,
     expand,
     log_marginal_likelihood,
-    margin_loss,
     score_item,
     score_item_oracle,
     score_set,
@@ -223,11 +222,3 @@ def test_expand_validation():
         expand(m, [[1, 0]], [], k=1)
     with pytest.raises(BayesSetError):
         expand(m, [[1, 0]], [[1, 0]], k=2)
-
-
-def test_margin_loss_examples():
-    assert margin_loss(1.0, 0.2, 0.5) == 0.0
-    assert margin_loss(0.2, 1.0, 0.5) == pytest.approx(1.3)
-    assert margin_loss(0.5, 0.5, 0.0) == 0.0
-    with pytest.raises(BayesSetError):
-        margin_loss(0.0, 0.0, -0.1)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -62,6 +63,16 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
                              "--seed", "9", "--out", str(out)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_digit_sum_golden_sha256(tmp_path, capsys):
+    """digit-sum generation uses integer draws and np.eye only, so its bytes
+    are pinned everywhere."""
+    out = tmp_path / "d.jsonl"
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9bf4d925ec2e36ccc64eebf35cfba088e4bdd813a28a3d15acc9ec1f2f85ef0a"
 
 
 def test_gen_population_with_config(tmp_path, capsys):
@@ -156,6 +167,35 @@ def test_train_rejects_bad_data_at_the_boundary(tmp_path, capsys, meta, second):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load dataset") and "line 2" in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_train_and_eval_reject_a_line_that_changes_the_task(tmp_path, capsys):
+    data, model = tmp_path / "mixed.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    lines = data.read_text().splitlines()
+    second = json.loads(lines[1])
+    second["meta"].update(task="population", target_kind="scalar")
+    second["target"] = 1.0
+    lines[1] = json.dumps(second)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--epochs", "1"]) == 2
+    assert "line 2: dataset fields ['target_kind', 'task'] differ from line 1" in capsys.readouterr().err
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", '{"type": "invariant", "pool": "sum", "phi": 5, "rho": []}',
+                                  '{"type": "equivariant_stack", "layers": [5]}'],
+                         ids=["list", "phi-number", "layer-number"])
+def test_eval_rejects_a_malformed_model(tmp_path, capsys, text):
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "4", "--out", str(data)]) == 0
+    model.write_text(text)
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load inputs")
 
 
 @pytest.mark.parametrize("task_flag, message", [

@@ -18,8 +18,6 @@ from setnn.powersum import (
     newton_girard,
     poly_roots,
     power_sums,
-    rescale_from_unit,
-    rescale_to_unit,
 )
 
 
@@ -161,16 +159,6 @@ def test_continuity_probe():
     x2 = np.sort(x + rng.uniform(-delta, delta, 6))
     moved = np.max(np.abs(invert(embed(x2)).values - invert(embed(x)).values))
     assert moved <= 100 * delta
-
-
-def test_rescale_helpers():
-    v = rescale_to_unit([-2.0, 0.0, 6.0], -2.0, 6.0)
-    np.testing.assert_allclose(v, [0.0, 0.25, 1.0])
-    np.testing.assert_allclose(rescale_from_unit(v, -2.0, 6.0), [-2.0, 0.0, 6.0])
-    with pytest.raises(PowerSumError):
-        rescale_to_unit([0.0], 1.0, 1.0)
-    with pytest.raises(PowerSumError):
-        rescale_to_unit([7.0], -2.0, 6.0)
 
 
 def test_closed_form_mean_exact():
