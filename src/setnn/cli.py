@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a check or run fails (battery failure,
 divergence), 2 for usage errors (unknown flags, bad config, missing files)
 and bad input data (malformed or invalid dataset lines, a model whose input
-width does not fit the data).
+width does not fit the data or whose weights overflow on it).
 
 ``gen`` writes a JSONL dataset (gzipped if the path ends in .gz). ``train``
 reads one, trains per an optional config JSON plus flag overrides, and writes
@@ -19,12 +19,13 @@ import argparse
 import dataclasses
 import inspect
 import json
+import re
 import sys
 
 import numpy as np
 
 from setnn import bayes, checks
-from setnn.autodiff import ShapeError
+from setnn.autodiff import NonFiniteError, ShapeError
 from setnn.layers import model_from_json, model_to_json
 from setnn.tasks import (
     POPULATION_KINDS,
@@ -53,6 +54,11 @@ def _gen_keys(task: str) -> set[str]:
 
 class UsageError(ValueError):
     pass
+
+
+# Characters that would break an unquoted ``rank,id,score`` row: the field
+# separator, the quote, and everything ``str.splitlines`` treats as a line end.
+_CSV_UNSAFE = re.compile('[,"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]')
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -160,6 +166,8 @@ def _cmd_eval(args) -> int:
         raise UsageError(str(exc)) from exc
     except ShapeError as exc:
         raise UsageError(f"model {args.model} does not fit dataset {args.data}: {exc}") from exc
+    except NonFiniteError as exc:
+        raise UsageError(f"model {args.model} overflows on dataset {args.data}: {exc}") from exc
     text = metrics_to_csv([record], include_timing=args.timing)
     print(text, end="")
     if args.out:
@@ -184,15 +192,20 @@ def _cmd_expand(args) -> int:
                 if obj.get("query"):
                     query.append(bits)
                 else:
-                    ids.append(obj.get("id", len(ids)))
+                    ident = str(obj.get("id", len(ids)))
+                    if _CSV_UNSAFE.search(ident):
+                        raise ValueError(f"id {ident!r} holds a comma, quote or line break")
+                    ids.append(ident)
                     candidates.append(bits)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot read candidates {args.data}: {exc}") from exc
     if not query:
         raise UsageError('no query rows: mark at least one line with "query": true')
     if not candidates:
         raise UsageError("no candidate rows to rank")
     d = len(query[0])
+    if d == 0:
+        raise UsageError("bits rows are empty: need at least one bit per row")
     if args.model:
         obj = _load_json(args.model, "scorer parameters")
         try:

@@ -1,10 +1,19 @@
 """End-to-end tests for the command-line surface."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setnn.cli import cli_dispatch
 from setnn.tasks import load_jsonl
@@ -212,6 +221,21 @@ def test_eval_rejects_a_model_that_does_not_fit_the_data(tmp_path, capsys, task_
     assert message in capsys.readouterr().err
 
 
+def test_eval_rejects_a_model_that_overflows_on_the_data(tmp_path, capsys):
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "4", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    doc = json.loads(model.read_text())
+    for layer in doc["phi"]:
+        layer["W"] = np.full(np.shape(layer["W"]), 1e308).tolist()
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model") and "non-finite" in err
+
+
 def test_eval_missing_model_is_a_usage_error(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "4",
@@ -270,6 +294,91 @@ def test_expand_rejects_a_query_row_without_a_bit_list(tmp_path, capsys):
     data.write_text(json.dumps({"bits": 5, "query": True}) + "\n" + json.dumps({"id": "a", "bits": [1, 0]}) + "\n")
     assert cli_dispatch(["expand", "--data", str(data)]) == 2
     assert "bits must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", '"a"'], ids=["comma", "newline", "quote"])
+def test_expand_rejects_an_id_that_would_break_the_csv(tmp_path, capsys, name):
+    data = tmp_path / "cand.jsonl"
+    _write_expand_file(data, [[1, 0]], [("a", [1, 0]), (name, [0, 1])])
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read candidates")
+
+
+@pytest.mark.parametrize("line", [b"[" * 100000 + b"]" * 100000, b'{"bits": [1, 0], "id": "\xff"}'],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_expand_rejects_an_unreadable_line(tmp_path, capsys, line):
+    data = tmp_path / "cand.jsonl"
+    data.write_bytes(json.dumps({"bits": [1, 0], "query": True}).encode() + b"\n" + line + b"\n")
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read candidates")
+
+
+def test_expand_rejects_rows_without_bits(tmp_path, capsys):
+    data = tmp_path / "cand.jsonl"
+    _write_expand_file(data, [[]], [("a", []), ("b", [])])
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert "at least one bit" in capsys.readouterr().err
+
+
+_json_leaf = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True) | st.text(max_size=4)
+_json_value = st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _expand_lines(draw):
+    """JSONL text of well-formed expand rows, some of them replaced by junk."""
+    width = draw(st.integers(0, 3))
+    ident = st.text(st.sampled_from('ab,"\n\r'), max_size=3) | st.integers() | _json_value
+    row = st.fixed_dictionaries({"bits": st.lists(st.integers(0, 1), min_size=width, max_size=width)},
+                                optional={"query": st.booleans(), "id": ident})
+    lines = [json.dumps(r) for r in draw(st.lists(row, min_size=2, max_size=6))]
+    junk = (st.text(max_size=8) | _json_value.map(json.dumps)
+            | st.fixed_dictionaries({"bits": _json_value, "query": _json_value}).map(json.dumps))
+    for _ in range(draw(st.integers(0, 2))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(junk)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expand_lines(), st.none() | st.integers(-1, 4))
+def test_expand_reader_fuzz_ranks_or_exits_2(text, k):
+    """Any input file either yields a well-formed ranking CSV of its own
+    candidates, scored over at least one bit, or a usage error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "cand.jsonl")
+        with open(data, "w", encoding="utf-8") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_dispatch(["expand", "--data", data] + ([] if k is None else ["--k", str(k)]))
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            return
+        assert code == 0
+        with open(data) as f:
+            docs = [json.loads(line) for line in f if line.strip()]
+    assert all(doc["bits"] for doc in docs)
+    candidates = [doc for doc in docs if not doc.get("query")]
+    names = {str(doc.get("id", i)) for i, doc in enumerate(candidates)}
+    rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+    assert out.getvalue().count("\n") == len(rows)
+    assert rows[0] == ["rank", "id", "score"]
+    assert len(rows) >= 2 and all(len(r) == 3 and r[1] in names for r in rows[1:])
+    assert [int(r[0]) for r in rows[1:]] == list(range(1, len(rows)))
+    scores = [float(r[2]) for r in rows[1:]]
+    assert scores == sorted(scores, reverse=True) and all(np.isfinite(scores))
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "setnn", "--help"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert "usage: setnn" in done.stdout
+    done = subprocess.run([sys.executable, "-m", "setnn", "bogus"], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
 
 
 def test_expand_accepts_prior_parameters(tmp_path, capsys):
