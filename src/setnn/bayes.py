@@ -43,17 +43,17 @@ class BetaBinomialModel:
     def __init__(self, beta_plus, beta_minus):
         bp = np.asarray(beta_plus, dtype=np.float64)
         bm = np.asarray(beta_minus, dtype=np.float64)
-        if bp.ndim != 1 or bp.shape != bm.shape:
-            raise BayesSetError(f"prior vectors must be equal-length 1-D, got {bp.shape} and {bm.shape}")
+        if bp.ndim != 1 or bp.shape != bm.shape or bp.size == 0:
+            raise BayesSetError(f"prior vectors must be equal-length, non-empty 1-D, got {bp.shape} and {bm.shape}")
         if not (np.all((bp > 0) & np.isfinite(bp)) and np.all((bm > 0) & np.isfinite(bm))):
             raise BayesSetError("pseudo-counts must be finite and strictly positive")
         self.beta_plus = bp
         self.beta_minus = bm
 
     @classmethod
-    def uniform(cls, d: int, value: float = 1.0) -> "BetaBinomialModel":
+    def uniform(cls, d: int) -> "BetaBinomialModel":
         """The default prior: one pseudo-observation of each outcome."""
-        return cls(np.full(d, value), np.full(d, value))
+        return cls(np.ones(d), np.ones(d))
 
     @property
     def d(self) -> int:

@@ -69,14 +69,14 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / scale)) if a.size else 0.0
 
 
-def check_invariance(seed: int = 0, trials: int = 100) -> CheckResult:
+def check_invariance(seed: int = 0) -> CheckResult:
     """Random pooled models on random sets: permuting every set leaves the
     outputs unchanged within 1e-6 relative."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     failures = []
     worst = 0.0
-    for t in range(trials):
+    for t in range(100):
         in_width = int(rng.integers(1, 9))
         model = random_invariant_model(rng, in_width, out_width=int(rng.integers(1, 4)))
         sizes = rng.integers(1, 51, size=3)
@@ -87,22 +87,20 @@ def check_invariance(seed: int = 0, trials: int = 100) -> CheckResult:
         if err > 1e-6:
             failures.append(f"trial {t}: relative deviation {err:.3e} > 1e-6")
     return _result("invariance", started, failures,
-                   f"{trials} random models within 1e-6 (worst {worst:.2e})")
+                   f"100 random models within 1e-6 (worst {worst:.2e})")
 
 
 def _stack_tolerance(stack) -> float:
-    loose = any(l.pool in ("sum", "mean") and l.variant != "maxpool-normalized"
-                for l in stack.layers)
-    return 1e-9 if loose else 1e-12
+    return 1e-9 if any(l.pool in ("sum", "mean") for l in stack.layers) else 1e-12
 
 
-def check_equivariance(seed: int = 0, trials: int = 100) -> CheckResult:
+def check_equivariance(seed: int = 0) -> CheckResult:
     """Random equivariant stacks: forward of a permuted set equals the
     permuted forward; the permutation commutant has dimension 2."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     failures = []
-    for t in range(trials):
+    for t in range(100):
         in_width = int(rng.integers(1, 7))
         stack = random_equivariant_stack(rng, in_width)
         m = int(rng.integers(1, 13))
@@ -120,7 +118,7 @@ def check_equivariance(seed: int = 0, trials: int = 100) -> CheckResult:
         if dim != 2:
             failures.append(f"commutant dimension at M={m} is {dim}, want 2")
     return _result("equivariance", started, failures,
-                   f"{trials} random stacks commute; commutant dimension 2 for M in 2..6")
+                   "100 random stacks commute; commutant dimension 2 for M in 2..6")
 
 
 def _separated(rng: np.random.Generator, shape, gap: float = 0.1) -> np.ndarray:
@@ -218,15 +216,16 @@ def _gapped_sample(rng: np.random.Generator, m: int, min_gap: float = 1e-3) -> S
             return SortedSample(vals)
 
 
-def check_powersum(seed: int = 0, trials: int = 200) -> CheckResult:
-    """Embedding roundtrip at 1e-6, injective countable encoding over all
-    subsets of a 12-element universe, closed forms against references."""
+def check_powersum(seed: int = 0) -> CheckResult:
+    """Embedding roundtrip at 1e-6 for sets of 2..12 values at least 1e-3
+    apart, injective countable encoding over all subsets of a 12-element
+    universe, closed forms against references."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
     failures = []
     worst = 0.0
-    for t in range(trials):
-        m = int(rng.integers(2, 9))
+    for t in range(200):
+        m = int(rng.integers(2, 13))
         sample = _gapped_sample(rng, m)
         err = float(np.max(np.abs(invert(embed(sample)).values - sample.values)))
         worst = max(worst, err)
@@ -256,17 +255,17 @@ def check_powersum(seed: int = 0, trials: int = 200) -> CheckResult:
         if not errs[0] >= errs[1] >= errs[2]:
             failures.append(f"smooth max error not decreasing: {errs}")
     return _result("powersum-roundtrip", started, failures,
-                   f"{trials} roundtrips within 1e-6 (worst {worst:.2e}); "
+                   f"200 roundtrips (M = 2..12) within 1e-6 (worst {worst:.2e}); "
                    "4096 subset encodings distinct; closed forms match references")
 
 
-def check_bayes(seed: int = 0, trials: int = 1000) -> CheckResult:
+def check_bayes(seed: int = 0) -> CheckResult:
     """Count-form scores equal their log-Gamma forms on random triples, and
     ``expand`` rankings equal a stable sort of per-candidate scores."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 14]))
     failures = []
-    for t in range(trials):
+    for t in range(1000):
         d = int(rng.integers(1, 7))
         model = BetaBinomialModel(rng.uniform(0.1, 5.0, size=d), rng.uniform(0.1, 5.0, size=d))
         X = rng.integers(0, 2, size=(int(rng.integers(1, 7)), d)).astype(np.float64)
@@ -301,7 +300,7 @@ def check_bayes(seed: int = 0, trials: int = 1000) -> CheckResult:
             if abs(score - b) > 1e-9 * max(1.0, abs(b)):
                 failures.append(f"expand pool {t} candidate {i}: {score!r} vs oracle {b!r}")
     return _result("bayes-oracle", started, failures,
-                   f"{trials} random triples: both scoring routes agree within 1e-9; "
+                   "1000 random triples: both scoring routes agree within 1e-9; "
                    f"{pools} expand rankings equal per-candidate scoring")
 
 

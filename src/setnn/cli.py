@@ -65,7 +65,7 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as f:
             obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bytes
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{what} {path} must hold a JSON object")
@@ -179,26 +179,33 @@ def _cmd_eval(args) -> int:
 def _cmd_expand(args) -> int:
     if args.data is None:
         raise UsageError("expand requires --data")
-    query, candidates, ids = [], [], []
     try:
         with open(args.data) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                bits = obj["bits"]
-                if not isinstance(bits, list):
-                    raise TypeError(f"bits must be a list of 0/1 values, got {bits!r}")
-                if obj.get("query"):
-                    query.append(bits)
-                else:
-                    ident = str(obj.get("id", len(ids)))
-                    if _CSV_UNSAFE.search(ident):
-                        raise ValueError(f"id {ident!r} holds a comma, quote or line break")
-                    ids.append(ident)
-                    candidates.append(bits)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            lines = f.readlines()
+    except (OSError, ValueError) as exc:  # missing file, undecodable bytes
         raise UsageError(f"cannot read candidates {args.data}: {exc}") from exc
+    query, candidates, ids = [], [], []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            bits = obj["bits"]
+            if not isinstance(bits, list):
+                raise TypeError(f"bits must be a list of 0/1 values, got {bits!r}")
+            is_query = obj.get("query", False)
+            if not isinstance(is_query, bool):
+                raise TypeError(f"query must be true or false, got {is_query!r}")
+            if is_query:
+                query.append(bits)
+            else:
+                ident = str(obj.get("id", len(ids)))
+                if _CSV_UNSAFE.search(ident):
+                    raise ValueError(f"id {ident!r} holds a comma, quote or line break")
+                ids.append(ident)
+                candidates.append(bits)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise UsageError(f"cannot read candidates {args.data} line {number}: {exc}") from exc
     if not query:
         raise UsageError('no query rows: mark at least one line with "query": true')
     if not candidates:
@@ -233,45 +240,56 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = checks.run_all(seed=args.seed if args.seed is not None else 0)
+    results = checks.run_all(seed=args.seed)
     print(checks.summary_table(results))
     return 0 if all(r.passed for r in results) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring only the flags its handler reads."""
     parser = argparse.ArgumentParser(prog="setnn", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = {
-        "gen": (_cmd_gen, "generate a synthetic dataset"),
-        "train": (_cmd_train, "train a model on a dataset"),
-        "eval": (_cmd_eval, "evaluate a saved model"),
-        "expand": (_cmd_expand, "rank candidate bit-vectors against a query set"),
-        "check": (_cmd_check, "run the property battery"),
-    }
-    for name, (fn, help_text) in specs.items():
+    def command(name: str, fn, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if name == "gen":
-            p.add_argument("--task", required=True, choices=GEN_TASKS)
-            p.add_argument("--n", type=int, required=True, help="number of sets")
-        else:
-            p.add_argument("--task", choices=("population", "digit-sum", "outlier"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help="output path")
-        p.add_argument("--config", help="JSON config path")
-        if name == "train":
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--batch", type=int)
-        if name in ("train", "eval"):
-            p.add_argument("--timing", action="store_true",
-                           help="record real wall seconds (breaks byte determinism)")
-        if name in ("eval", "expand"):
-            p.add_argument("--model", help="model JSON path")
-        if name in ("train", "eval", "expand"):
-            p.add_argument("--data", help="dataset JSONL path")
-        if name == "expand":
-            p.add_argument("--k", type=int, help="how many candidates to keep")
+        return p
+
+    train_tasks = ("population", "digit-sum", "outlier")
+    timing_help = "record real wall seconds (breaks byte determinism)"
+
+    p = command("gen", _cmd_gen, "generate a synthetic dataset")
+    p.add_argument("--task", required=True, choices=GEN_TASKS)
+    p.add_argument("--n", type=int, required=True, help="number of sets")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output path")
+    p.add_argument("--config", help="generator config JSON path")
+
+    p = command("train", _cmd_train, "train a model on a dataset")
+    p.add_argument("--data", help="dataset JSONL path")
+    p.add_argument("--out", help="model JSON path")
+    p.add_argument("--config", help="train config JSON path")
+    p.add_argument("--task", choices=train_tasks)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--seed", type=int, help="overrides the config's seed when given")
+    p.add_argument("--timing", action="store_true", help=timing_help)
+
+    p = command("eval", _cmd_eval, "evaluate a saved model")
+    p.add_argument("--model", help="model JSON path")
+    p.add_argument("--data", help="dataset JSONL path")
+    p.add_argument("--task", choices=train_tasks)
+    p.add_argument("--out", help="metrics CSV path")
+    p.add_argument("--timing", action="store_true", help=timing_help)
+
+    p = command("expand", _cmd_expand, "rank candidate bit-vectors against a query set")
+    p.add_argument("--data", help="bit-vector JSONL path")
+    p.add_argument("--model", help="prior JSON path")
+    p.add_argument("--k", type=int, help="how many candidates to keep")
+    p.add_argument("--out", help="ranking CSV path")
+
+    p = command("check", _cmd_check, "run the property battery")
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -281,8 +299,6 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -225,7 +225,8 @@ class InvariantModel:
 class EquivariantLayer:
     """One permutation-equivariant layer; see the module docstring for the
     three variants. ``pool`` selects the cross-element reduction for the two
-    lambda-gamma variants (``maxpool-normalized`` always uses max)."""
+    lambda-gamma variants; ``maxpool-normalized`` always uses max and takes
+    no other value."""
 
     VARIANTS = ("scalar-lambda-gamma", "full-lambda-gamma", "maxpool-normalized")
 
@@ -237,6 +238,8 @@ class EquivariantLayer:
             raise ShapeError(f"unknown nonlinearity {nonlinearity!r}")
         if pool not in ("sum", "max", "mean"):
             raise ShapeError(f"pool must be sum/max/mean, got {pool!r}")
+        if variant == "maxpool-normalized" and pool != "max":
+            raise ShapeError(f"maxpool-normalized pools by max, got pool {pool!r}")
         self.variant = variant
         self.pool = pool
         self.nonlinearity = nonlinearity
@@ -327,8 +330,9 @@ def build_theta(lam: float, gam: float, M: int) -> np.ndarray:
     return lam * np.eye(M) + gam * np.ones((M, M))
 
 
-def commutes_with_all_permutations(theta: np.ndarray, tol: float = 1e-12) -> bool:
-    """Exhaustively check theta @ P == P @ theta over all M! permutations."""
+def commutes_with_all_permutations(theta: np.ndarray) -> bool:
+    """Exhaustively check theta @ P == P @ theta, within 1e-12, over all M!
+    permutations."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise ShapeError(f"theta must be square, got {theta.shape}")
@@ -340,7 +344,7 @@ def commutes_with_all_permutations(theta: np.ndarray, tol: float = 1e-12) -> boo
         inv = np.empty(M, dtype=np.int64)
         inv[p] = np.arange(M)
         # P @ theta permutes rows; theta @ P permutes columns by the inverse
-        if np.max(np.abs(theta[p, :] - theta[:, inv])) > tol:
+        if np.max(np.abs(theta[p, :] - theta[:, inv])) > 1e-12:
             return False
     return True
 
@@ -389,8 +393,8 @@ def random_invariant_model(rng: np.random.Generator, in_width: int, out_width: i
     return InvariantModel(phi, pool, rho)
 
 
-def random_equivariant_stack(rng: np.random.Generator, in_width: int, max_depth: int = 4) -> EquivariantStack:
-    depth = int(rng.integers(1, max_depth + 1))
+def random_equivariant_stack(rng: np.random.Generator, in_width: int) -> EquivariantStack:
+    depth = int(rng.integers(1, 5))
     layers = []
     width = in_width
     for _ in range(depth):
@@ -500,7 +504,10 @@ def model_to_json(model) -> str:
 
 
 def model_from_json(text: str):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ShapeError(f"model document is nested too deeply: {exc}") from exc
     model_type = _field(doc, "type")
     if model_type == "invariant":
         if doc.get("condition_mode") != "none" or doc.get("condition_width") != 0:

@@ -386,7 +386,7 @@ def load_jsonl(path: str) -> LabeledSetDataset:
                         raise TypeError("meta must be a JSON object")
                 except KeyError as exc:
                     raise TaskError(f"{path} line {number}: missing field {exc}") from exc
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError, OverflowError, RecursionError) as exc:
                     raise TaskError(f"{path} line {number}: {exc}") from exc
                 per_set.append(obj["meta"])
                 line_numbers.append(number)

@@ -7,27 +7,28 @@ sets; the gradient of each step is averaged over the sets in the batch.
 Optimization is Adam with fixed defaults, a fixed epoch budget, and no early
 stopping, so a (config, dataset) pair fully determines the run.
 
-The architecture is described by the config: regression tasks use a
-per-element dense stack, a pooling reduction, and a per-set dense stack; the
-outlier task scores elements with a stack of permutation-equivariant layers
-followed by a softmax across each set. Setting ``pooled_baseline`` swaps the
-equivariant stack for a pool-first model with identical layer shapes (hence
-identical parameter count) whose score is necessarily constant within a set,
-the collapse control for the selection task.
+The task fixes the architecture, at fixed widths (the module constants
+``PHI_WIDTHS``, ``RHO_WIDTHS`` and ``EQUIVARIANT_WIDTHS``): regression tasks
+use a per-element dense stack, the configured pooling reduction, and a
+per-set dense stack; the outlier task scores elements with a stack of
+``maxpool-normalized`` permutation-equivariant layers followed by a softmax
+across each set. Setting ``pooled_baseline`` swaps the equivariant stack for
+a pool-first model with identical layer shapes (hence identical parameter
+count) whose score is necessarily constant within a set, the collapse control
+for the selection task.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from setnn import autodiff as ad
 from setnn.autodiff import Tape, Tensor
 from setnn.layers import (
-    DenseLayer,
     EquivariantLayer,
     EquivariantStack,
     InvariantModel,
@@ -53,6 +54,10 @@ __all__ = [
 TASKS = ("population", "digit-sum", "outlier")
 
 _EVAL_CHUNK = 256
+
+PHI_WIDTHS = (64, 64, 64)
+RHO_WIDTHS = (64, 32, 1)
+EQUIVARIANT_WIDTHS = (64, 64, 1)
 
 METRICS_HEADER = "epoch,train_loss,eval_metric,wall_seconds"
 
@@ -82,22 +87,15 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Everything that determines a training run except the dataset.
 
-    ``phi_widths``/``rho_widths``/``pool`` describe the regression model,
-    ``equivariant_widths``/``equivariant_variant`` the selection model; the
-    irrelevant group is ignored for a given task. The task fixes the loss.
+    ``pool`` is the regression model's set reduction; ``pooled_baseline``
+    swaps the outlier model for its pool-first control. The task fixes the
+    loss and the architecture.
     """
 
     task: str
-    phi_widths: tuple[int, ...] = (64, 64, 64)
-    rho_widths: tuple[int, ...] = (64, 32, 1)
     pool: str = "sum"
-    equivariant_widths: tuple[int, ...] = (64, 64, 1)
-    equivariant_variant: str = "maxpool-normalized"
     pooled_baseline: bool = False
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
@@ -105,41 +103,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        self.phi_widths = tuple(int(w) for w in self.phi_widths)
-        self.rho_widths = tuple(int(w) for w in self.rho_widths)
-        self.equivariant_widths = tuple(int(w) for w in self.equivariant_widths)
-        for name in ("phi_widths", "rho_widths", "equivariant_widths"):
-            widths = getattr(self, name)
-            if not widths or any(w < 1 for w in widths):
-                raise ConfigError(f"{name} must be positive, got {widths}")
-        if self.task != "outlier" and self.rho_widths[-1] != 1:
-            raise ConfigError("regression models must end in a single output unit")
-        if self.task == "outlier" and self.equivariant_widths[-1] != 1:
-            raise ConfigError("selection models must end in a single score per element")
         if self.pool not in ("sum", "max", "mean"):
             raise ConfigError(f"pool must be sum/max/mean, got {self.pool!r}")
-        if self.equivariant_variant not in ("full-lambda-gamma", "maxpool-normalized"):
-            raise ConfigError(
-                "equivariant_variant must be full-lambda-gamma or maxpool-normalized "
-                "(the scalar variant has no trainable parameters)"
-            )
         if self.pooled_baseline and self.task != "outlier":
             raise ConfigError("pooled_baseline applies to the outlier task only")
-        for name in ("step_size", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1)")
+        if self.step_size <= 0:
+            raise ConfigError("step_size must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -172,15 +146,16 @@ def metrics_to_csv(records, include_timing: bool = False) -> str:
 
 
 class Adam(object):
-    """Adam with step-count bias correction; state keyed by parameter order."""
+    """Adam with step-count bias correction; state keyed by parameter order.
+    The moment decays and the denominator's epsilon are the usual defaults."""
 
-    def __init__(self, params: list[Tensor], step_size: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, params: list[Tensor], step_size: float = 1e-3):
         self.params = list(params)
         self.step_size = float(step_size)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -204,21 +179,19 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
     if element_dim < 1:
         raise ConfigError(f"element_dim must be positive, got {element_dim}")
     if config.task in ("population", "digit-sum"):
-        phi = dense_stack(rng, [element_dim, *config.phi_widths], "relu", final="relu")
-        rho = dense_stack(rng, [config.phi_widths[-1], *config.rho_widths], "relu", final="linear")
+        phi = dense_stack(rng, [element_dim, *PHI_WIDTHS], "relu", final="relu")
+        rho = dense_stack(rng, [PHI_WIDTHS[-1], *RHO_WIDTHS], "relu", final="linear")
         return InvariantModel(phi, config.pool, rho)
     if config.pooled_baseline:
-        rho = dense_stack(rng, [element_dim, *config.equivariant_widths], "tanh", final="linear")
+        rho = dense_stack(rng, [element_dim, *EQUIVARIANT_WIDTHS], "tanh", final="linear")
         return InvariantModel([], "max", rho)
     layers = []
-    widths = [element_dim, *config.equivariant_widths]
+    widths = [element_dim, *EQUIVARIANT_WIDTHS]
     for i in range(len(widths) - 1):
         act = "tanh" if i < len(widths) - 2 else "linear"
         Lambda = glorot_uniform(rng, widths[i], widths[i + 1])
-        kw = {"beta": np.zeros(widths[i + 1]), "nonlinearity": act, "pool": "max"}
-        if config.equivariant_variant == "full-lambda-gamma":
-            kw["Gamma"] = glorot_uniform(rng, widths[i], widths[i + 1])
-        layers.append(EquivariantLayer(config.equivariant_variant, Lambda=Lambda, **kw))
+        layers.append(EquivariantLayer("maxpool-normalized", Lambda=Lambda, beta=np.zeros(widths[i + 1]),
+                                       nonlinearity=act))
     return EquivariantStack(layers)
 
 
@@ -262,7 +235,7 @@ def train(config: TrainConfig, dataset: LabeledSetDataset,
     rng = np.random.default_rng(config.seed)
     model = build_model(config, dataset.element_dim, rng)
     params = model.params()
-    opt = Adam(params, config.step_size, config.beta1, config.beta2, config.epsilon)
+    opt = Adam(params, config.step_size)
     n = len(dataset)
     records: list[MetricsRecord] = []
     for epoch in range(1, config.epochs + 1):

@@ -23,6 +23,8 @@ def test_model_validation():
         BetaBinomialModel([1.0, 0.0], [1.0, 1.0])
     with pytest.raises(BayesSetError):
         BetaBinomialModel([1.0], [1.0, 1.0])
+    with pytest.raises(BayesSetError, match="non-empty"):
+        BetaBinomialModel.uniform(0)
     for bad in (np.nan, np.inf):
         with pytest.raises(BayesSetError):
             BetaBinomialModel([1.0, bad], [1.0, 1.0])

@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 from setnn.cli import cli_dispatch
 from setnn.tasks import load_jsonl
 
+# one JSON line too deeply nested for the standard library's parser
+_NESTED_TOO_DEEP = "[" * 100000 + "]" * 100000
+
 
 def test_no_arguments_is_a_usage_error(capsys):
     assert cli_dispatch([]) == 2
@@ -145,16 +148,34 @@ def test_train_timing_flag_records_wall_seconds(tmp_path, capsys):
     assert float(row.split(",")[-1]) > 0.0
 
 
+def test_train_config_seed_equals_the_seed_flag(tmp_path, capsys):
+    data, cfg = tmp_path / "train.jsonl", tmp_path / "cfg.json"
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "16", "--seed", "5", "--out", str(data)]) == 0
+    cfg.write_text(json.dumps({"seed": 7, "epochs": 1}))
+    runs = {"config": ["--config", str(cfg)], "flag": ["--seed", "7", "--epochs", "1"],
+            "default": ["--epochs", "1"]}
+    models = {}
+    for tag, flags in runs.items():
+        out = tmp_path / f"{tag}.json"
+        assert cli_dispatch(["train", "--data", str(data), "--out", str(out), *flags]) == 0
+        models[tag] = out.read_bytes()
+    capsys.readouterr()
+    assert models["config"] == models["flag"]
+    assert models["config"] != models["default"]
+
+
 def test_train_rejects_bad_config(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8",
                          "--seed", "5", "--out", str(data)]) == 0
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"loss": "margin"}))
-    code = cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                         "--config", str(cfg), "--epochs", "1"])
-    assert code == 2
-    assert "unknown config fields: ['loss']" in capsys.readouterr().err
+    for text, message in ((json.dumps({"loss": "margin"}), "unknown config fields: ['loss']"),
+                          (_NESTED_TOO_DEEP, "cannot read train config")):
+        cfg.write_text(text)
+        code = cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                             "--config", str(cfg), "--epochs", "1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 _SCALAR_META = {"task": "digit-sum", "target_kind": "scalar"}
@@ -166,11 +187,13 @@ _INDEX_META = {"task": "outlier", "target_kind": "index"}
     (_SCALAR_META, {"elements": [], "target": 0.0}),
     (_SCALAR_META, {"elements": [[1.0, float("nan")]], "target": 1.0}),
     (_INDEX_META, {"elements": [[1.0, 0.0], [0.0, 1.0]], "target": 2}),
-], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range"])
+    (_SCALAR_META, _NESTED_TOO_DEEP),
+], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range", "nested-too-deep"])
 def test_train_rejects_bad_data_at_the_boundary(tmp_path, capsys, meta, second):
     data = tmp_path / "bad.jsonl"
     first = {"elements": [[0.0, 1.0], [1.0, 0.0]], "target": 1, "meta": meta}
-    data.write_text(json.dumps(first) + "\n" + json.dumps({**second, "meta": meta}) + "\n")
+    line = second if isinstance(second, str) else json.dumps({**second, "meta": meta})
+    data.write_text(json.dumps(first) + "\n" + line + "\n")
     code = cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--epochs", "1"])
     assert code == 2
     err = capsys.readouterr().err
@@ -196,8 +219,8 @@ def test_train_and_eval_reject_a_line_that_changes_the_task(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["[]", '{"type": "invariant", "pool": "sum", "phi": 5, "rho": []}',
-                                  '{"type": "equivariant_stack", "layers": [5]}'],
-                         ids=["list", "phi-number", "layer-number"])
+                                  '{"type": "equivariant_stack", "layers": [5]}', _NESTED_TOO_DEEP],
+                         ids=["list", "phi-number", "layer-number", "nested-too-deep"])
 def test_eval_rejects_a_malformed_model(tmp_path, capsys, text):
     data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "4", "--out", str(data)]) == 0
@@ -313,6 +336,17 @@ def test_expand_rejects_an_unreadable_line(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: cannot read candidates")
 
 
+@pytest.mark.parametrize("flag", ["false", 1, None], ids=["string", "number", "null"])
+def test_expand_rejects_a_query_flag_that_is_not_a_boolean(tmp_path, capsys, flag):
+    data = tmp_path / "cand.jsonl"
+    rows = [{"bits": [1, 0], "query": True}, {"id": "a", "bits": [1, 0], "query": flag},
+            {"id": "b", "bits": [0, 1]}]
+    data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read candidates") and "line 2: query must be true or false" in err
+
+
 def test_expand_rejects_rows_without_bits(tmp_path, capsys):
     data = tmp_path / "cand.jsonl"
     _write_expand_file(data, [[]], [("a", []), ("b", [])])
@@ -389,6 +423,27 @@ def test_expand_accepts_prior_parameters(tmp_path, capsys):
     assert cli_dispatch(["expand", "--data", str(data), "--model", str(prior)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[1].split(",")[1] == "a"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--seed"), ("eval", "--config"),
+    ("expand", "--task"), ("expand", "--seed"), ("expand", "--config"),
+    ("check", "--task"), ("check", "--out"), ("check", "--config"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command, flag):
+    data, model, cand = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "cand.jsonl"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    _write_expand_file(cand, [[1, 0]], [("a", [1, 0])])
+    argv = {"eval": ["eval", "--model", str(model), "--data", str(data)],
+            "expand": ["expand", "--data", str(cand)],
+            "check": ["check"]}[command]
+    value = {"--seed": "1", "--task": "outlier", "--out": str(tmp_path / "x"),
+             "--config": str(tmp_path / "missing.json")}[flag]
+    capsys.readouterr()
+    assert cli_dispatch(argv + [flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_check_runs_green(capsys):

@@ -195,6 +195,12 @@ def test_layer_constructor_validation():
         EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((3, 2)), Gamma=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("pool", ["sum", "mean"])
+def test_maxpool_normalized_takes_only_max_pool(pool):
+    with pytest.raises(ShapeError, match="pools by max"):
+        EquivariantLayer("maxpool-normalized", Lambda=np.zeros((3, 2)), pool=pool)
+
+
 # --- permutation algebra -----------------------------------------------------
 
 
@@ -325,10 +331,12 @@ def _edited(text: str, path: tuple, value) -> str:
     (_edited(_GOLDEN_STACK, ("layers", 0, "gam"), None), "'gam' must be a finite"),
     (_edited(_GOLDEN_STACK, ("layers", 1, "Gamma"), "x"), "could not convert"),
     (_edited(_GOLDEN_STACK, ("layers", 2, "variant"), 3), "'variant' must be a str"),
+    (_edited(_GOLDEN_STACK, ("layers", 2, "pool"), "sum"), "maxpool-normalized pools by max"),
+    ("[" * 100000 + "]" * 100000, "nested too deeply"),
 ], ids=["list", "string", "no-type", "unknown-type", "phi-number", "rho-object", "layer-list", "pool-list",
         "W-object", "W-vector", "b-nan", "b-huge", "nonlinearity-list", "condition-mode", "condition-width",
         "no-condition-mode", "layers-number", "layer-string", "lam-list", "gam-null", "Gamma-string",
-        "variant-number"])
+        "variant-number", "maxpool-pool", "nested-too-deep"])
 def test_model_from_json_rejects_malformed_documents(text, message):
     with pytest.raises(ValueError, match=message):
         model_from_json(text)

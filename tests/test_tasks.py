@@ -225,7 +225,9 @@ def test_load_rejects_truncated_and_undecodable_files(tmp_path):
     cut.write_bytes(whole.read_bytes()[:-12])
     junk = tmp_path / "junk.jsonl"
     junk.write_bytes(b"\xff\xfe\x00garbage\n")
-    for path in (cut, junk):
+    nested = tmp_path / "nested.jsonl"
+    nested.write_bytes(b"[" * 100000 + b"]" * 100000 + b"\n")
+    for path in (cut, junk, nested):
         with pytest.raises(TaskError, match=path.name):
             load_jsonl(str(path))
 

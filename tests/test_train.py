@@ -28,10 +28,12 @@ def test_config_validation():
             TrainConfig.from_dict({"task": "population", "loss": loss})
     with pytest.raises(ConfigError):
         TrainConfig(task="population", pooled_baseline=True)
-    with pytest.raises(ConfigError):
-        TrainConfig(task="population", rho_widths=(64, 2))
-    with pytest.raises(ConfigError):
-        TrainConfig(task="outlier", equivariant_variant="scalar-lambda-gamma")
+    # the architecture and Adam's constants are fixed, not configured
+    for name, value in (("phi_widths", [64, 64, 64]), ("rho_widths", [64, 2]),
+                        ("equivariant_widths", [64, 64, 1]), ("equivariant_variant", "full-lambda-gamma"),
+                        ("beta1", 0.9), ("beta2", 0.999), ("epsilon", 1e-8)):
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            TrainConfig.from_dict({"task": "outlier", name: value})
     with pytest.raises(ConfigError):
         TrainConfig(task="population", batch_size=0)
 
