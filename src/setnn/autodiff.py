@@ -314,9 +314,27 @@ def _seg_starts(xs, attrs):
     return x, off
 
 
+# One np.add.reduceat over a matrix that does not fit in cache runs about 3x
+# slower than the same sums taken over cache-sized groups of whole segments,
+# so segment sums go through groups of about this many rows. reduceat adds
+# each segment's rows one after another in either case: the bits are the same.
+_REDUCE_ROWS = 1024
+
+
+def _segment_sums(x, off):
+    """``np.add.reduceat(x, off[:-1], axis=0)`` for validated offsets."""
+    starts = off[:-1]
+    out = np.empty((starts.size, x.shape[1]))
+    # group g runs from the first segment starting at or after row g * _REDUCE_ROWS
+    groups = np.unique(np.searchsorted(starts, np.arange(0, off[-1] + _REDUCE_ROWS, _REDUCE_ROWS)))
+    for a, b in zip(groups[:-1], groups[1:]):
+        np.add.reduceat(x[off[a]:off[b]], starts[a:b] - off[a], axis=0, out=out[a:b])
+    return out
+
+
 def _fw_segment_sum(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    return np.add.reduceat(x, off[:-1], axis=0), off
+    return _segment_sums(x, off), off
 
 
 def _bw_segment_sum(g, xs, out, saved, attrs):
@@ -327,7 +345,7 @@ def _bw_segment_sum(g, xs, out, saved, attrs):
 def _fw_segment_mean(xs, attrs):
     x, off = _seg_starts(xs, attrs)
     counts = np.diff(off)
-    return np.add.reduceat(x, off[:-1], axis=0) / counts[:, None], off
+    return _segment_sums(x, off) / counts[:, None], off
 
 
 def _bw_segment_mean(g, xs, out, saved, attrs):
@@ -361,16 +379,14 @@ def _bw_segment_max(g, xs, out, saved, attrs):
 def _fw_segment_broadcast(xs, attrs):
     (x,) = xs
     off = np.asarray(attrs["offsets"], dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != off.size - 1:
+    if x.ndim != 2 or off.ndim != 1 or x.shape[0] != off.size - 1:
         raise ShapeError(f"segment_broadcast expects one row per segment, got {x.shape} for {off.size - 1} segments")
-    counts = np.diff(off)
-    if np.any(counts <= 0):
-        raise ShapeError("offsets must be strictly increasing (no empty segments)")
-    return np.repeat(x, counts, axis=0), off
+    off = _check_offsets(off, off[-1])
+    return np.repeat(x, np.diff(off), axis=0), off
 
 
 def _bw_segment_broadcast(g, xs, out, saved, attrs):
-    return (np.add.reduceat(g, saved[:-1], axis=0),)
+    return (_segment_sums(g, saved),)
 
 
 _PRIMITIVES = {

@@ -21,6 +21,7 @@ for the selection task.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -53,7 +54,15 @@ __all__ = [
 
 TASKS = ("population", "digit-sum", "outlier")
 
-_EVAL_CHUNK = 256
+# Evaluation runs the model over slices of whole sets, each the largest
+# multiple of _EVAL_SET_STEP sets within _EVAL_ROWS element rows (at least
+# _EVAL_SET_STEP sets), so that the (rows, 64) activations stay in cache; the
+# last slice takes the rest and has at least _EVAL_SET_STEP sets. BLAS rounds
+# a matrix's tail rows, and a one-row matrix, differently from its other rows;
+# these slices give every per-set row the place it has in one pass over the
+# whole dataset, so predictions do not depend on the slicing.
+_EVAL_ROWS = 2048
+_EVAL_SET_STEP = 16
 
 PHI_WIDTHS = (64, 64, 64)
 RHO_WIDTHS = (64, 32, 1)
@@ -105,12 +114,17 @@ class TrainConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.pool not in ("sum", "max", "mean"):
             raise ConfigError(f"pool must be sum/max/mean, got {self.pool!r}")
+        if not isinstance(self.pooled_baseline, bool):
+            raise ConfigError(f"pooled_baseline must be true or false, got {self.pooled_baseline!r}")
         if self.pooled_baseline and self.task != "outlier":
             raise ConfigError("pooled_baseline applies to the outlier task only")
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
+        step = self.step_size
+        if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step < math.inf:
+            raise ConfigError(f"step_size must be a positive finite number, got {step!r}")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -266,10 +280,22 @@ def train(config: TrainConfig, dataset: LabeledSetDataset,
     return model, records
 
 
+def _eval_slices(offsets: np.ndarray):
+    """Yield the ``(lo, hi)`` set ranges evaluation runs the model over."""
+    n = offsets.size - 1
+    lo = 0
+    while lo < n:
+        fit = int(np.searchsorted(offsets, offsets[lo] + _EVAL_ROWS, side="right")) - 1 - lo
+        hi = lo + max(_EVAL_SET_STEP, fit - fit % _EVAL_SET_STEP)
+        if hi + _EVAL_SET_STEP > n:
+            hi = n
+        yield lo, hi
+        lo = hi
+
+
 def _predictions(model, dataset: LabeledSetDataset) -> np.ndarray:
     preds = np.empty(len(dataset))
-    for lo in range(0, len(dataset), _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, len(dataset))
+    for lo, hi in _eval_slices(dataset.batch.offsets):
         out = model.forward(dataset.to_set_batch(slice(lo, hi)))
         preds[lo:hi] = out.data.reshape(-1)
     return preds
@@ -277,8 +303,8 @@ def _predictions(model, dataset: LabeledSetDataset) -> np.ndarray:
 
 def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
     picks = np.empty(len(dataset), dtype=np.int64)
-    for lo in range(0, len(dataset), _EVAL_CHUNK):
-        batch = dataset.to_set_batch(slice(lo, min(lo + _EVAL_CHUNK, len(dataset))))
+    for lo, hi in _eval_slices(dataset.batch.offsets):
+        batch = dataset.to_set_batch(slice(lo, hi))
         scores = _element_scores(model, batch).data.reshape(-1)
         for j in range(batch.num_sets):
             seg = scores[batch.offsets[j]:batch.offsets[j + 1]]

@@ -365,11 +365,37 @@ def test_segment_broadcast_then_sum_scales_by_counts(sizes, seed):
     np.testing.assert_allclose(back, pooled * np.asarray(sizes)[:, None], atol=1e-12)
 
 
+@pytest.mark.parametrize("sizes, width", [
+    ([3000, 5, 2500], 4),
+    ([1] * 3000 + [2] * 500, 3),
+    ([5000], 2),
+    (list(range(1, 120)), 1),
+], ids=["segments-larger-than-a-group", "many-tiny-segments", "one-set", "width-1"])
+def test_segment_reductions_equal_one_reduceat(sizes, width):
+    # the kernels sum in row groups; they must keep the bits of one reduceat
+    rng = np.random.default_rng(len(sizes))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    x = rng.normal(size=(offsets[-1], width))
+    sums = np.add.reduceat(x, offsets[:-1], axis=0)
+    assert np.array_equal(ad.segment_sum(Tensor(x), offsets).data, sums)
+    assert np.array_equal(ad.segment_mean(Tensor(x), offsets).data, sums / np.asarray(sizes)[:, None])
+
+    pooled = Tensor(rng.normal(size=(len(sizes), width)))
+    with Tape() as tape:
+        loss = ad.mse_loss(ad.segment_broadcast(pooled, offsets), Tensor(x))
+        grads = backprop(tape, loss)
+    g_spread = (2.0 / x.size) * (np.repeat(pooled.data, sizes, axis=0) - x) * np.asarray(1.0)
+    assert np.array_equal(grads[pooled.node_id].data, np.add.reduceat(g_spread, offsets[:-1], axis=0))
+
+
 def test_offsets_validation():
     x = Tensor(np.zeros((4, 2)))
     for bad in ([0, 2], [1, 4], [0, 2, 2, 4], [0, 5], [4, 0]):
         with pytest.raises(ShapeError):
             ad.segment_sum(x, bad)
+    for bad in ([1, 2, 3], [0, 2, 2], [0, 3, 1]):
+        with pytest.raises(ShapeError):
+            ad.segment_broadcast(Tensor(np.zeros((2, 2))), bad)
 
 
 def test_tape_reuse_across_tapes():

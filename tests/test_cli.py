@@ -166,11 +166,14 @@ def test_train_config_seed_equals_the_seed_flag(tmp_path, capsys):
 
 def test_train_rejects_bad_config(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
-    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8",
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "8",
                          "--seed", "5", "--out", str(data)]) == 0
     cfg = tmp_path / "cfg.json"
     for text, message in ((json.dumps({"loss": "margin"}), "unknown config fields: ['loss']"),
-                          (_NESTED_TOO_DEEP, "cannot read train config")):
+                          (_NESTED_TOO_DEEP, "cannot read train config"),
+                          (json.dumps({"batch_size": 2.5}), "error: batch_size must be an integer"),
+                          (json.dumps({"seed": 1.5}), "error: seed must be an integer"),
+                          (json.dumps({"pooled_baseline": "false"}), "error: pooled_baseline must be true or false")):
         cfg.write_text(text)
         code = cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                              "--config", str(cfg), "--epochs", "1"])

@@ -36,6 +36,13 @@ def test_config_validation():
             TrainConfig.from_dict({"task": "outlier", name: value})
     with pytest.raises(ConfigError):
         TrainConfig(task="population", batch_size=0)
+    # JSON gives every field its own type; a wrong one is refused, not coerced
+    for name, value in (("batch_size", 2.5), ("epochs", True), ("seed", 1.5), ("seed", -1),
+                        ("pooled_baseline", "false"), ("pooled_baseline", 0),
+                        ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", "0.1")):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig.from_dict({"task": "outlier", name: value})
+    TrainConfig(task="outlier", batch_size=np.int64(4), seed=np.int64(0), step_size=1)
 
 
 def test_config_default_loss_and_roundtrip():
@@ -221,10 +228,30 @@ def test_divergence_reports_location_and_norms():
 
 
 def test_evaluate_chunking_matches_single_batch():
-    from setnn.train import _predictions
+    """Evaluation slices the dataset; every prediction and pick must have the
+    bits of one forward pass over the whole dataset, whatever the set count
+    (each residue mod 16) and however the sets straddle the row budget."""
+    from setnn.train import _element_scores, _eval_slices, _predictions, _selections
 
-    ds = gen_digit_sum(300, 5, None, seed=51)
-    model = build_model(TrainConfig(task="digit-sum"), 10, np.random.default_rng(1))
-    chunked = _predictions(model, ds)
-    whole = model.forward(ds.to_set_batch()).data.reshape(-1)
-    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+    def check(model, ds):
+        assert len(list(_eval_slices(ds.batch.offsets))) > 1
+        whole = model.forward(ds.to_set_batch()).data.reshape(-1)
+        assert np.array_equal(_predictions(model, ds), whole)
+
+    pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=47, seed=51, set_size_range=(20, 500)))
+    for pool in ("sum", "mean", "max"):
+        model = build_model(TrainConfig(task="population", pool=pool), pop.element_dim, np.random.default_rng(1))
+        for n in range(32, 48):
+            check(model, pop.subset(np.arange(n)))
+    dig = gen_digit_sum(815, 10, None, seed=52)
+    model = build_model(TrainConfig(task="digit-sum"), 10, np.random.default_rng(2))
+    for n in range(800, 816):
+        check(model, dig.subset(np.arange(n)))
+
+    out = gen_outlier_sets(600, set_size=7, d=3, shift=3.0, seed=53)
+    model = build_model(TrainConfig(task="outlier"), 3, np.random.default_rng(3))
+    assert len(list(_eval_slices(out.batch.offsets))) > 1
+    scores = _element_scores(model, out.to_set_batch()).data.reshape(-1)
+    off = out.batch.offsets
+    whole = [np.argmax(scores[a:b]) for a, b in zip(off[:-1], off[1:])]
+    assert np.array_equal(_selections(model, out), whole)
