@@ -283,18 +283,15 @@ def _fw_set_softmax_nll(xs, attrs):
     nsets = off.size - 1
     if targets.shape != (nsets,):
         raise ShapeError(f"need one target per set, got {targets.shape} for {nsets} sets")
-    probs = np.empty_like(flat)
-    nll = 0.0
-    for s in range(nsets):
-        lo, hi = off[s], off[s + 1]
-        if not 0 <= targets[s] < hi - lo:
-            raise ShapeError(f"target {targets[s]} out of range for set {s} of size {hi - lo}")
-        seg = flat[lo:hi]
-        z = seg - seg.max()
-        e = np.exp(z)
-        p = e / e.sum()
-        probs[lo:hi] = p
-        nll -= np.log(p[targets[s]])
+    sizes = np.diff(off)
+    bad = np.flatnonzero((targets < 0) | (targets >= sizes))
+    if bad.size:
+        raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {sizes[bad[0]]}")
+    e = np.exp(flat - np.repeat(np.maximum.reduceat(flat, off[:-1]), sizes))
+    # ndarray.sum, not np.add.reduceat: the two add in different orders and
+    # disagree in the last bit for about half the set sizes past 5
+    probs = e / np.repeat([e[a:b].sum() for a, b in zip(off[:-1], off[1:])], sizes)
+    nll = sum(-np.log(probs[off[:-1] + targets]))  # in set order, from 0
     return np.asarray(nll / nsets), (probs, off, targets)
 
 
@@ -314,27 +311,39 @@ def _seg_starts(xs, attrs):
     return x, off
 
 
-# One np.add.reduceat over a matrix that does not fit in cache runs about 3x
-# slower than the same sums taken over cache-sized groups of whole segments,
-# so segment sums go through groups of about this many rows. reduceat adds
-# each segment's rows one after another in either case: the bits are the same.
+# One np.add.reduceat (or np.maximum.reduceat) over a matrix that does not fit
+# in cache runs about 3x slower than the same reductions taken over cache-sized
+# groups of whole segments, so the segment kernels go through groups of about
+# this many rows. Each segment is reduced within one group: the bits are the same.
 _REDUCE_ROWS = 1024
 
 
-def _segment_sums(x, off):
-    """``np.add.reduceat(x, off[:-1], axis=0)`` for validated offsets."""
+def _segment_reduce(ufunc, x, off):
+    """``ufunc.reduceat(x, off[:-1], axis=0)`` for validated offsets."""
     starts = off[:-1]
-    out = np.empty((starts.size, x.shape[1]))
+    out = np.empty((starts.size, x.shape[1]), dtype=x.dtype)
     # group g runs from the first segment starting at or after row g * _REDUCE_ROWS
     groups = np.unique(np.searchsorted(starts, np.arange(0, off[-1] + _REDUCE_ROWS, _REDUCE_ROWS)))
     for a, b in zip(groups[:-1], groups[1:]):
-        np.add.reduceat(x[off[a]:off[b]], starts[a:b] - off[a], axis=0, out=out[a:b])
+        ufunc.reduceat(x[off[a]:off[b]], starts[a:b] - off[a], axis=0, out=out[a:b])
     return out
+
+
+def segment_argmax(x, off):
+    """Row of each segment's first maximum in each column of a finite
+    ``(total, H)`` matrix, as ``(nsets, H)``; ``off`` is validated offsets.
+
+    The lowest row equal to the maximum wins (``-0.0 == 0.0``), the tie rule
+    of ``argmax``. Segment max pooling and outlier selection both use it.
+    """
+    top = np.repeat(_segment_reduce(np.maximum, x, off), np.diff(off), axis=0)
+    rows = np.where(x == top, np.arange(x.shape[0])[:, None], x.shape[0])
+    return _segment_reduce(np.minimum, rows, off)
 
 
 def _fw_segment_sum(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    return _segment_sums(x, off), off
+    return _segment_reduce(np.add, x, off), off
 
 
 def _bw_segment_sum(g, xs, out, saved, attrs):
@@ -345,7 +354,7 @@ def _bw_segment_sum(g, xs, out, saved, attrs):
 def _fw_segment_mean(xs, attrs):
     x, off = _seg_starts(xs, attrs)
     counts = np.diff(off)
-    return _segment_sums(x, off) / counts[:, None], off
+    return _segment_reduce(np.add, x, off) / counts[:, None], off
 
 
 def _bw_segment_mean(g, xs, out, saved, attrs):
@@ -355,24 +364,14 @@ def _bw_segment_mean(g, xs, out, saved, attrs):
 
 def _fw_segment_max(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    nsets = off.size - 1
-    out = np.empty((nsets, x.shape[1]))
-    argrows = np.empty((nsets, x.shape[1]), dtype=np.int64)
-    for s in range(nsets):
-        lo, hi = off[s], off[s + 1]
-        seg = x[lo:hi]
-        idx = seg.argmax(axis=0)  # first index on ties
-        argrows[s] = lo + idx
-        out[s] = seg[idx, np.arange(x.shape[1])]
-    return out, (off, argrows)
+    argrows = segment_argmax(x, off)
+    # not np.maximum.reduceat: of [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
+    return np.take_along_axis(x, argrows, axis=0), argrows
 
 
 def _bw_segment_max(g, xs, out, saved, attrs):
-    off, argrows = saved
     gx = np.zeros_like(xs[0])
-    cols = np.arange(gx.shape[1])
-    for s in range(off.size - 1):
-        gx[argrows[s], cols] += g[s]
+    gx[saved, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
     return (gx,)
 
 
@@ -386,7 +385,7 @@ def _fw_segment_broadcast(xs, attrs):
 
 
 def _bw_segment_broadcast(g, xs, out, saved, attrs):
-    return (_segment_sums(g, saved),)
+    return (_segment_reduce(np.add, g, saved),)
 
 
 _PRIMITIVES = {

@@ -67,12 +67,7 @@ class SetBatch:
         self.elements = np.ascontiguousarray(np.asarray(elements, dtype=np.float64))
         if self.elements.ndim != 2:
             raise ShapeError(f"elements must be (total, D), got {self.elements.shape}")
-        off = np.asarray(offsets, dtype=np.int64)
-        if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != self.elements.shape[0]:
-            raise ShapeError(f"offsets must span [0, {self.elements.shape[0]}] with at least one set")
-        if np.any(np.diff(off) <= 0):
-            raise ShapeError("every set must be non-empty")
-        self.offsets = off
+        self.offsets = ad._check_offsets(offsets, self.elements.shape[0])
 
     @classmethod
     def from_sets(cls, sets) -> "SetBatch":

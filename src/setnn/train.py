@@ -293,23 +293,25 @@ def _eval_slices(offsets: np.ndarray):
         lo = hi
 
 
+def _column(run, dataset: LabeledSetDataset) -> np.ndarray:
+    """``run`` over the evaluation slices, stacked. Evaluation reads one output
+    per set or per element, so a model with more is a ShapeError."""
+    out = np.concatenate([run(dataset.to_set_batch(slice(lo, hi))).data
+                          for lo, hi in _eval_slices(dataset.batch.offsets)])
+    if out.shape[1] != 1:
+        raise ad.ShapeError(f"model gives {out.shape[1]} outputs per row; evaluation needs 1")
+    return out
+
+
 def _predictions(model, dataset: LabeledSetDataset) -> np.ndarray:
-    preds = np.empty(len(dataset))
-    for lo, hi in _eval_slices(dataset.batch.offsets):
-        out = model.forward(dataset.to_set_batch(slice(lo, hi)))
-        preds[lo:hi] = out.data.reshape(-1)
-    return preds
+    return _column(model.forward, dataset)[:, 0]
 
 
 def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
-    picks = np.empty(len(dataset), dtype=np.int64)
-    for lo, hi in _eval_slices(dataset.batch.offsets):
-        batch = dataset.to_set_batch(slice(lo, hi))
-        scores = _element_scores(model, batch).data.reshape(-1)
-        for j in range(batch.num_sets):
-            seg = scores[batch.offsets[j]:batch.offsets[j + 1]]
-            picks[lo + j] = int(np.argmax(seg))  # ties resolve to the lowest index
-    return picks
+    """Each set's highest-scoring element; ties go to the lowest index."""
+    off = dataset.batch.offsets
+    scores = _column(lambda batch: _element_scores(model, batch), dataset)
+    return ad.segment_argmax(scores, off)[:, 0] - off[:-1]
 
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:

@@ -16,6 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setnn.cli import cli_dispatch
+from setnn.layers import (
+    EquivariantLayer,
+    EquivariantStack,
+    InvariantModel,
+    dense_stack,
+    glorot_uniform,
+    model_to_json,
+)
 from setnn.tasks import load_jsonl
 
 # one JSON line too deeply nested for the standard library's parser
@@ -247,6 +255,27 @@ def test_eval_rejects_a_model_that_does_not_fit_the_data(tmp_path, capsys, task_
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, task", [("invariant", "rotation"), ("invariant", "outlier"),
+                                        ("equivariant", "outlier")])
+def test_eval_rejects_a_model_with_more_than_one_output(tmp_path, capsys, kind, task):
+    """Evaluation reads one prediction per set or one score per element; a
+    width-3 output must not be read as interleaved columns."""
+    rng = np.random.default_rng(0)
+    if kind == "invariant":
+        model = InvariantModel(dense_stack(rng, [2, 4], "relu"), "max", dense_stack(rng, [4, 3], "linear"))
+    else:
+        model = EquivariantStack([EquivariantLayer("maxpool-normalized", Lambda=glorot_uniform(rng, 2, 3),
+                                                   beta=np.zeros(3), nonlinearity="linear")])
+    data, path, cfg = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "g.json"
+    cfg.write_text(json.dumps({"d": 2}))
+    assert cli_dispatch(["gen", "--task", task, "--n", "8", "--config", str(cfg), "--out", str(data)]) == 0
+    path.write_text(model_to_json(model))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "does not fit" in err and "3 outputs per row" in err
+
+
 def test_eval_rejects_a_model_that_overflows_on_the_data(tmp_path, capsys):
     data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "4", "--out", str(data)]) == 0
@@ -405,6 +434,63 @@ def test_expand_reader_fuzz_ranks_or_exits_2(text, k):
     assert [int(r[0]) for r in rows[1:]] == list(range(1, len(rows)))
     scores = [float(r[2]) for r in rows[1:]]
     assert scores == sorted(scores, reverse=True) and all(np.isfinite(scores))
+
+
+# Reads the core OpenBLAS picked at load time and its build string, from the
+# library numpy has mapped; prints nothing when either cannot be read.
+_BLAS_CORE_SCRIPT = """
+import ctypes, numpy
+try:
+    maps = open("/proc/self/maps").read().splitlines()
+except OSError:
+    maps = []
+for path in sorted({l.split()[-1] for l in maps if "openblas" in l and l.endswith(".so")}):
+    lib = ctypes.CDLL(path)
+    core = getattr(lib, "scipy_openblas_get_corename64_", None)
+    config = getattr(lib, "scipy_openblas_get_config64_", None)
+    if core is not None and config is not None:
+        core.restype = config.restype = ctypes.c_char_p
+        print(core().decode(), *config().decode().split()[1:2], sep="\\n")
+        break
+"""
+
+# sha256 of the outputs of the runs in the test below, as the per-set loops
+# that tests/test_first_maximum.py keeps as the reference wrote them; they
+# hold for the OpenBLAS core and version named here
+_GOLDEN_BLAS = ("SkylakeX", "0.3.31.188.0")
+_GOLDEN_SHA256 = {
+    "m.json": "8e859525a5de1c7e70b13cf8c51a43ad7d07165277847b41cd3497f6a939bb09",
+    "m.metrics.csv": "edc22f495d4425508f3ec015a9da94ea1c3dcb6c25972ce4ac1ecabf0951865e",
+    "e.csv": "e4c838d67b8d9c71d22875a8e9ab47556705c7aedcf4cdbde92bb3cf766a7dd3",
+    "b.json": "27a310465483f0407dc9ebc7d41c8c0a522e3068fca05e5349c52c73049cfefe",
+    "b.metrics.csv": "7a8904e60d5d328ce165a53e4eaf6134bea9ff68b32658dcccf4bec373fde39a",
+}
+
+
+def test_outlier_cli_outputs_match_golden_sha256(tmp_path):
+    """gen -> train -> eval on a small outlier file (two evaluation slices)
+    and a pooled-baseline train, on one BLAS thread: the bytes of the
+    set softmax, segment max and selection path are pinned."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(*args):
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    blas = tuple(run("-c", _BLAS_CORE_SCRIPT).split())
+    if blas != _GOLDEN_BLAS:
+        pytest.skip(f"golden hashes were recorded on OpenBLAS {_GOLDEN_BLAS}; "
+                    f"this run loads {blas or 'a library whose core cannot be read'}")
+    (tmp_path / "b.cfg").write_text(json.dumps({"pooled_baseline": True}))
+    run("-m", "setnn", "gen", "--task", "outlier", "--n", "160", "--seed", "11", "--out", "o.jsonl")
+    run("-m", "setnn", "train", "--data", "o.jsonl", "--out", "m.json", "--epochs", "2", "--batch", "16")
+    run("-m", "setnn", "eval", "--model", "m.json", "--data", "o.jsonl", "--out", "e.csv")
+    run("-m", "setnn", "train", "--data", "o.jsonl", "--out", "b.json", "--config", "b.cfg", "--epochs", "1")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _GOLDEN_SHA256}
+    assert digests == _GOLDEN_SHA256
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,0 +1,139 @@
+"""The first-maximum kernels against per-set loops kept here as the reference.
+
+`segment_max` (forward and backward), `set_softmax_nll` and the outlier
+task's element selection run as whole-array numpy; these loops are the
+per-set form they replaced. Both must agree bit for bit, sign of zero
+included, on ragged batches with ties and a signed-zero maximum.
+"""
+
+import numpy as np
+import pytest
+
+from setnn import autodiff as ad
+from setnn import train as tr
+from setnn.layers import SetBatch
+from setnn.tasks import LabeledSetDataset
+
+# set sizes below 8, at multiples of 8 and between them: the pairwise sum
+# behind ndarray.sum works in blocks of 8
+SIZES = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 40, 1, 40, 6, 4]
+
+
+def ref_segment_max(x, off):
+    nsets = off.size - 1
+    out = np.empty((nsets, x.shape[1]))
+    argrows = np.empty((nsets, x.shape[1]), dtype=np.int64)
+    for s in range(nsets):
+        lo, hi = off[s], off[s + 1]
+        seg = x[lo:hi]
+        idx = seg.argmax(axis=0)  # first index on ties
+        argrows[s] = lo + idx
+        out[s] = seg[idx, np.arange(x.shape[1])]
+    return out, argrows
+
+
+def ref_segment_max_grad(g, x, off, argrows):
+    gx = np.zeros_like(x)
+    cols = np.arange(gx.shape[1])
+    for s in range(off.size - 1):
+        gx[argrows[s], cols] += g[s]
+    return gx
+
+
+def ref_set_softmax_nll(flat, off, targets):
+    nsets = off.size - 1
+    probs = np.empty_like(flat)
+    nll = 0.0
+    for s in range(nsets):
+        lo, hi = off[s], off[s + 1]
+        seg = flat[lo:hi]
+        z = seg - seg.max()
+        e = np.exp(z)
+        p = e / e.sum()
+        probs[lo:hi] = p
+        nll -= np.log(p[targets[s]])
+    gx = probs.copy()
+    gx[off[:-1] + targets] -= 1.0
+    gx *= 1.0 / nsets
+    return np.asarray(nll / nsets), probs, gx
+
+
+def ref_selections(model, dataset):
+    picks = np.empty(len(dataset), dtype=np.int64)
+    for lo, hi in tr._eval_slices(dataset.batch.offsets):
+        batch = dataset.to_set_batch(slice(lo, hi))
+        scores = tr._element_scores(model, batch).data.reshape(-1)
+        for j in range(batch.num_sets):
+            seg = scores[batch.offsets[j]:batch.offsets[j + 1]]
+            picks[lo + j] = int(np.argmax(seg))
+    return picks
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def ragged(seed, width, repeats=1):
+    """Integer-valued entries (so ties are common) in sets of SIZES; set 2
+    has a -0.0 maximum ahead of a 0.0 one, set 3 a 0.0 ahead of a -0.0."""
+    rng = np.random.default_rng(seed)
+    sizes = np.tile(SIZES, repeats)
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    x = rng.integers(-3, 4, size=(off[-1], width)).astype(np.float64)
+    for s, first in ((2, -0.0), (3, 0.0)):
+        lo, hi = off[s], off[s + 1]
+        x[lo:hi] = -rng.integers(1, 4, size=(hi - lo, width))
+        x[lo + 1] = first
+        x[hi - 1] = -first
+    return x, off
+
+
+@pytest.mark.parametrize("width", [1, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_segment_max_matches_the_per_set_loop(width, seed):
+    x, off = ragged(seed, width, repeats=4)  # more rows than one reduction group
+    fw, bw = ad._PRIMITIVES["segment_max"]
+    attrs = {"offsets": tuple(off.tolist())}
+    out, saved = fw((x,), attrs)
+    ref_out, argrows = ref_segment_max(x, off)
+    assert same_bits(out, ref_out)
+    assert np.signbit(out[2]).all() and not np.signbit(out[3]).any()
+    rng = np.random.default_rng(seed + 10)
+    g = rng.integers(-2, 3, size=out.shape).astype(np.float64)
+    g[g == 0] = -0.0
+    gx = bw(g, (x,), out, saved, attrs)[0]
+    assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
+    assert not np.signbit(gx[gx == 0]).any()
+
+
+@pytest.mark.parametrize("shape", ["flat", "column"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_set_softmax_nll_matches_the_per_set_loop(shape, seed):
+    x, off = ragged(seed, 1, repeats=3)
+    flat = x[:, 0]
+    scores = flat if shape == "flat" else x
+    targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
+    fw, bw = ad._PRIMITIVES["set_softmax_nll"]
+    attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
+    value, saved = fw((scores,), attrs)
+    gx = bw(np.asarray(1.0), (scores,), value, saved, attrs)[0]
+    ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
+    assert same_bits(value, ref_value)
+    assert same_bits(saved[0], ref_probs)
+    assert same_bits(gx, ref_gx.reshape(scores.shape))
+
+
+def test_selections_match_the_per_set_loop(monkeypatch):
+    x, off = ragged(3, 2, repeats=12)
+    targets = np.zeros(off.size - 1, dtype=np.int64)
+    ds = LabeledSetDataset(SetBatch(x, off), targets, {"task": "outlier", "target_kind": "index"})
+    assert len(list(tr._eval_slices(off))) > 1
+    for cfg in (tr.TrainConfig(task="outlier"), tr.TrainConfig(task="outlier", pooled_baseline=True)):
+        model = tr.build_model(cfg, 2, np.random.default_rng(4))
+        assert np.array_equal(tr._selections(model, ds), ref_selections(model, ds))
+    # the first coordinate as the score: integer ties and a signed-zero maximum
+    monkeypatch.setattr(tr, "_element_scores", lambda model, batch: ad.Tensor(batch.elements[:, :1]))
+    picks = tr._selections(None, ds)
+    assert np.array_equal(picks, ref_selections(None, ds))
+    assert picks[2] == 1 and picks[3] == 1
