@@ -7,8 +7,8 @@ active tape the same calls are plain eager numpy evaluation.
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), its parts for the layers that compose them
-differently, segment pooling over ragged batches, and the two loss heads used
-by the training driver. All arrays are float64; any primitive
+differently, segment pooling and max-centering over ragged batches, and the
+two loss heads used by the training driver. All arrays are float64; any primitive
 producing a NaN/Inf raises immediately rather than letting it propagate.
 """
 
@@ -197,27 +197,11 @@ def _tanh(out):
     return np.tanh(out, out=out)
 
 
-def _sigmoid(out):
-    pos = out >= 0
-    ex = np.exp(out[~pos])
-    out[pos] = 1.0 / (1.0 + np.exp(-out[pos]))
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _elu(out):
-    neg = out < 0.0
-    out[neg] = np.expm1(out[neg])
-    return out
-
-
 _ACTIVATIONS = {
     "linear": (lambda out: out, lambda g, out: g),
     # derivative at exactly 0 is 0
     "relu": (_relu, lambda g, out: g * (out > 0.0)),
     "tanh": (_tanh, lambda g, out: g * (1.0 - out * out)),
-    "sigmoid": (_sigmoid, lambda g, out: g * out * (1.0 - out)),
-    "elu": (_elu, lambda g, out: g * np.where(out >= 0.0, 1.0, out + 1.0)),
 }
 
 
@@ -273,6 +257,14 @@ def _check_offsets(offsets, total):
     return off
 
 
+def _run_blocks(x, off):
+    """``x`` split at validated offsets into one ``(sets, size, ...)`` view per
+    maximal run of consecutive equal-size segments."""
+    sizes = np.diff(off)
+    bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), sizes.size]
+    return [x[off[a]:off[b]].reshape(b - a, sizes[a], *x.shape[1:]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _fw_set_softmax_nll(xs, attrs):
     (scores,) = xs
     flat = scores.reshape(-1) if scores.ndim == 2 and scores.shape[1] == 1 else scores
@@ -288,9 +280,10 @@ def _fw_set_softmax_nll(xs, attrs):
     if bad.size:
         raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {sizes[bad[0]]}")
     e = np.exp(flat - np.repeat(np.maximum.reduceat(flat, off[:-1]), sizes))
-    # ndarray.sum, not np.add.reduceat: the two add in different orders and
-    # disagree in the last bit for about half the set sizes past 5
-    probs = e / np.repeat([e[a:b].sum() for a, b in zip(off[:-1], off[1:])], sizes)
+    # row sums add pairwise as a 1-D ndarray.sum does; np.add.reduceat adds in
+    # another order and disagrees in the last bit for about half the sizes past 5
+    totals = np.concatenate([block.sum(axis=1) for block in _run_blocks(e, off)])
+    probs = e / np.repeat(totals, sizes)
     nll = sum(-np.log(probs[off[:-1] + targets]))  # in set order, from 0
     return np.asarray(nll / nsets), (probs, off, targets)
 
@@ -311,21 +304,20 @@ def _seg_starts(xs, attrs):
     return x, off
 
 
-# One np.add.reduceat (or np.maximum.reduceat) over a matrix that does not fit
-# in cache runs about 3x slower than the same reductions taken over cache-sized
-# groups of whole segments, so the segment kernels go through groups of about
-# this many rows. Each segment is reduced within one group: the bits are the same.
+# One np.add.reduceat over a matrix that does not fit in cache runs about 3x
+# slower than the same sums over cache-sized groups of whole segments, with the
+# same bits; block row sums or a per-segment ndarray.sum add in other orders.
 _REDUCE_ROWS = 1024
 
 
-def _segment_reduce(ufunc, x, off):
-    """``ufunc.reduceat(x, off[:-1], axis=0)`` for validated offsets."""
+def _segment_sums(x, off):
+    """``np.add.reduceat(x, off[:-1], axis=0)`` for validated offsets."""
     starts = off[:-1]
     out = np.empty((starts.size, x.shape[1]), dtype=x.dtype)
     # group g runs from the first segment starting at or after row g * _REDUCE_ROWS
     groups = np.unique(np.searchsorted(starts, np.arange(0, off[-1] + _REDUCE_ROWS, _REDUCE_ROWS)))
     for a, b in zip(groups[:-1], groups[1:]):
-        ufunc.reduceat(x[off[a]:off[b]], starts[a:b] - off[a], axis=0, out=out[a:b])
+        np.add.reduceat(x[off[a]:off[b]], starts[a:b] - off[a], axis=0, out=out[a:b])
     return out
 
 
@@ -333,17 +325,15 @@ def segment_argmax(x, off):
     """Row of each segment's first maximum in each column of a finite
     ``(total, H)`` matrix, as ``(nsets, H)``; ``off`` is validated offsets.
 
-    The lowest row equal to the maximum wins (``-0.0 == 0.0``), the tie rule
-    of ``argmax``. Segment max pooling and outlier selection both use it.
+    The lowest row equal to the maximum wins (``-0.0 == 0.0``): ``argmax`` over
+    each run block. Max pooling, max-centering and outlier selection use it.
     """
-    top = np.repeat(_segment_reduce(np.maximum, x, off), np.diff(off), axis=0)
-    rows = np.where(x == top, np.arange(x.shape[0])[:, None], x.shape[0])
-    return _segment_reduce(np.minimum, rows, off)
+    return np.concatenate([block.argmax(axis=1) for block in _run_blocks(x, off)]) + off[:-1, None]
 
 
 def _fw_segment_sum(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    return _segment_reduce(np.add, x, off), off
+    return _segment_sums(x, off), off
 
 
 def _bw_segment_sum(g, xs, out, saved, attrs):
@@ -354,7 +344,7 @@ def _bw_segment_sum(g, xs, out, saved, attrs):
 def _fw_segment_mean(xs, attrs):
     x, off = _seg_starts(xs, attrs)
     counts = np.diff(off)
-    return _segment_reduce(np.add, x, off) / counts[:, None], off
+    return _segment_sums(x, off) / counts[:, None], off
 
 
 def _bw_segment_mean(g, xs, out, saved, attrs):
@@ -366,13 +356,24 @@ def _fw_segment_max(xs, attrs):
     x, off = _seg_starts(xs, attrs)
     argrows = segment_argmax(x, off)
     # not np.maximum.reduceat: of [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
-    return np.take_along_axis(x, argrows, axis=0), argrows
+    return np.take_along_axis(x, argrows, axis=0), (argrows, off)
 
 
 def _bw_segment_max(g, xs, out, saved, attrs):
     gx = np.zeros_like(xs[0])
-    gx[saved, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
+    gx[saved[0], np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
     return (gx,)
+
+
+def _fw_segment_center(xs, attrs):
+    top, saved = _fw_segment_max(xs, attrs)
+    return xs[0] - np.repeat(top, np.diff(saved[1]), axis=0), saved
+
+
+def _bw_segment_center(g, xs, out, saved, attrs):
+    # the bits of backprop through add(x, scalar_scale(segment_broadcast(segment_max(x)), -1))
+    (gmax,) = _bw_segment_max(-_segment_sums(g, saved[1]), xs, None, saved, attrs)
+    return (g + gmax,)
 
 
 def _fw_segment_broadcast(xs, attrs):
@@ -385,20 +386,21 @@ def _fw_segment_broadcast(xs, attrs):
 
 
 def _bw_segment_broadcast(g, xs, out, saved, attrs):
-    return (_segment_reduce(np.add, g, saved),)
+    return (_segment_sums(g, saved),)
 
 
 _PRIMITIVES = {
     "matmul": (_fw_matmul, _bw_matmul),
     "add": (_fw_add, _bw_add),
     "scalar_scale": (_fw_scalar_scale, _bw_scalar_scale),
-    **{act: _activation_primitive(act) for act in ("relu", "tanh", "sigmoid", "elu")},
+    **{act: _activation_primitive(act) for act in ("relu", "tanh")},
     "dense": (_fw_dense, _bw_dense),
     "mse_loss": (_fw_mse_loss, _bw_mse_loss),
     "set_softmax_nll": (_fw_set_softmax_nll, _bw_set_softmax_nll),
     "segment_sum": (_fw_segment_sum, _bw_segment_sum),
     "segment_mean": (_fw_segment_mean, _bw_segment_mean),
     "segment_max": (_fw_segment_max, _bw_segment_max),
+    "segment_center": (_fw_segment_center, _bw_segment_center),
     "segment_broadcast": (_fw_segment_broadcast, _bw_segment_broadcast),
 }
 
@@ -554,14 +556,6 @@ def tanh(x: Tensor) -> Tensor:
     return apply_primitive("tanh", (x,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return apply_primitive("sigmoid", (x,))
-
-
-def elu(x: Tensor) -> Tensor:
-    return apply_primitive("elu", (x,))
-
-
 def dense(x: Tensor, W: Tensor, b: Tensor, act: str) -> Tensor:
     """``act(x @ W + b)`` as one tape node."""
     return apply_primitive("dense", (x, W, b), {"act": act})
@@ -585,6 +579,11 @@ def segment_mean(x: Tensor, offsets) -> Tensor:
 
 def segment_max(x: Tensor, offsets) -> Tensor:
     return apply_primitive("segment_max", (x,), {"offsets": tuple(int(o) for o in offsets)})
+
+
+def segment_center(x: Tensor, offsets) -> Tensor:
+    """``x`` minus its segment's first maximum, per row and column, as one tape node."""
+    return apply_primitive("segment_center", (x,), {"offsets": tuple(int(o) for o in offsets)})
 
 
 def segment_broadcast(x: Tensor, offsets) -> Tensor:

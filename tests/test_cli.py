@@ -467,10 +467,10 @@ _GOLDEN_SHA256 = {
 }
 
 
-def test_outlier_cli_outputs_match_golden_sha256(tmp_path):
-    """gen -> train -> eval on a small outlier file (two evaluation slices)
-    and a pooled-baseline train, on one BLAS thread: the bytes of the
-    set softmax, segment max and selection path are pinned."""
+def _golden_cli(tmp_path):
+    """A runner of ``python <args>`` in ``tmp_path`` on one BLAS thread that
+    returns stdout; skips the test unless OpenBLAS has the core and version
+    the golden hashes were recorded on."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -484,6 +484,14 @@ def test_outlier_cli_outputs_match_golden_sha256(tmp_path):
     if blas != _GOLDEN_BLAS:
         pytest.skip(f"golden hashes were recorded on OpenBLAS {_GOLDEN_BLAS}; "
                     f"this run loads {blas or 'a library whose core cannot be read'}")
+    return run
+
+
+def test_outlier_cli_outputs_match_golden_sha256(tmp_path):
+    """gen -> train -> eval on a small outlier file (two evaluation slices)
+    and a pooled-baseline train, on one BLAS thread: the bytes of the
+    set softmax, segment max and selection path are pinned."""
+    run = _golden_cli(tmp_path)
     (tmp_path / "b.cfg").write_text(json.dumps({"pooled_baseline": True}))
     run("-m", "setnn", "gen", "--task", "outlier", "--n", "160", "--seed", "11", "--out", "o.jsonl")
     run("-m", "setnn", "train", "--data", "o.jsonl", "--out", "m.json", "--epochs", "2", "--batch", "16")
@@ -491,6 +499,35 @@ def test_outlier_cli_outputs_match_golden_sha256(tmp_path):
     run("-m", "setnn", "train", "--data", "o.jsonl", "--out", "b.json", "--config", "b.cfg", "--epochs", "1")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _GOLDEN_SHA256}
     assert digests == _GOLDEN_SHA256
+
+
+# sha256 of the outputs of the max-pooled runs in the test below, as the
+# hit-mask segment_argmax (maximum, then lowest matching row, each by a
+# grouped reduceat) wrote them, on the OpenBLAS named above
+_MAX_POOL_SHA256 = {
+    "r.json": "63b8900d9cc825f31d4ab835f064243c93721d87218b7fa7de692ccfa93a39b5",
+    "r.metrics.csv": "c39db03410bde6a1d5c463855b5cc463fad2c6602092e22a71334c617169c91a",
+    "r.csv": "3ed064b467558917b508ec4ebc5c5eecd0e9952a1976c3fca2c62002f90a770b",
+    "d.json": "4982437db374cdaf8ca8af94248801a80f4ac8b7db8cb47e3b6aa6305d982b86",
+    "d.metrics.csv": "e9709bfe98c359d52386c19ba4d06220a8694e1ec48acec1824f04d018e51851",
+    "d.csv": "e2705eed2001482bc984cdb03857ad9ae33cf1aee928b19677581141bcf3257e",
+}
+
+
+def test_max_pool_cli_outputs_match_golden_sha256(tmp_path):
+    """gen -> train -> eval with ``{"pool": "max"}`` on rotation sets of
+    300-500 rows (one segment per run block) and digit-sum sets of 1-10 rows
+    (short ragged runs), on one BLAS thread: the bytes of max pooling over
+    large and ragged sets are pinned."""
+    run = _golden_cli(tmp_path)
+    (tmp_path / "p.cfg").write_text(json.dumps({"pool": "max"}))
+    for task, stem, n, seed, batch in (("rotation", "r", "40", "5", "8"), ("digit-sum", "d", "200", "7", "32")):
+        run("-m", "setnn", "gen", "--task", task, "--n", n, "--seed", seed, "--out", f"{stem}.jsonl")
+        run("-m", "setnn", "train", "--data", f"{stem}.jsonl", "--out", f"{stem}.json", "--config", "p.cfg",
+            "--epochs", "2", "--batch", batch)
+        run("-m", "setnn", "eval", "--model", f"{stem}.json", "--data", f"{stem}.jsonl", "--out", f"{stem}.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _MAX_POOL_SHA256}
+    assert digests == _MAX_POOL_SHA256
 
 
 def test_python_dash_m_runs_the_cli():

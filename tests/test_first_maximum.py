@@ -1,9 +1,11 @@
 """The first-maximum kernels against per-set loops kept here as the reference.
 
-`segment_max` (forward and backward), `set_softmax_nll` and the outlier
-task's element selection run as whole-array numpy; these loops are the
-per-set form they replaced. Both must agree bit for bit, sign of zero
-included, on ragged batches with ties and a signed-zero maximum.
+`segment_max` (forward and backward), `segment_center`, `set_softmax_nll` and
+the outlier task's element selection reduce each run of equal-size sets as
+one block; these loops are the per-set form they replaced, and
+`segment_center` must also match the four tape nodes it replaced. All must
+agree bit for bit, sign of zero included, on ragged batches and on long
+equal-size runs between ragged sets, with ties and a signed-zero maximum.
 """
 
 import numpy as np
@@ -17,6 +19,10 @@ from setnn.tasks import LabeledSetDataset
 # set sizes below 8, at multiples of 8 and between them: the pairwise sum
 # behind ndarray.sum works in blocks of 8
 SIZES = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 40, 1, 40, 6, 4]
+# long equal-size runs (blocks of many sets) between short ragged ones, a
+# large set, and a run of two single-row sets
+RUNS = [16] * 40 + [3, 3, 7] + [16] * 8 + [400] + [1, 1] + [5]
+LAYOUTS = [SIZES * 4, RUNS]  # SIZES * 4 has more rows than one reduction group
 
 
 def ref_segment_max(x, off):
@@ -69,16 +75,33 @@ def ref_selections(model, dataset):
     return picks
 
 
+def chain_center(x, off, g):
+    """``x - maxpool(x)`` and its gradient for the upstream gradient ``g`` as
+    the nodes segment_max -> segment_broadcast -> scalar_scale(-1) -> add
+    computed them, summed into the gradient of ``x`` in backprop's order."""
+    prim = ad._PRIMITIVES
+    attrs = {"offsets": tuple(off.tolist())}
+    top, max_saved = prim["segment_max"][0]((x,), attrs)
+    spread, spread_saved = prim["segment_broadcast"][0]((top,), attrs)
+    neg, _ = prim["scalar_scale"][0]((spread,), {"alpha": -1.0})
+    out, _ = prim["add"][0]((x, neg), {})
+    gx, gneg = prim["add"][1](g, (x, neg), out, None, {})
+    (gspread,) = prim["scalar_scale"][1](gneg, (spread,), neg, None, {"alpha": -1.0})
+    (gtop,) = prim["segment_broadcast"][1](gspread, (top,), spread, spread_saved, attrs)
+    (gmax,) = prim["segment_max"][1](gtop, (x,), top, max_saved, attrs)
+    return out, gx + gmax
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def ragged(seed, width, repeats=1):
-    """Integer-valued entries (so ties are common) in sets of SIZES; set 2
-    has a -0.0 maximum ahead of a 0.0 one, set 3 a 0.0 ahead of a -0.0."""
+def ragged(seed, width, sizes):
+    """Integer-valued entries (so ties are common) in sets of the given
+    sizes; set 2 has a -0.0 maximum ahead of a 0.0 one, set 3 a 0.0 ahead
+    of a -0.0."""
     rng = np.random.default_rng(seed)
-    sizes = np.tile(SIZES, repeats)
     off = np.concatenate([[0], np.cumsum(sizes)])
     x = rng.integers(-3, 4, size=(off[-1], width)).astype(np.float64)
     for s, first in ((2, -0.0), (3, 0.0)):
@@ -89,51 +112,93 @@ def ragged(seed, width, repeats=1):
     return x, off
 
 
-@pytest.mark.parametrize("width", [1, 64])
+def upstream(seed, shape):
+    """A gradient with inexact entries, so sums round, and with zeros of
+    both signs."""
+    rng = np.random.default_rng(seed + 10)
+    g = rng.integers(-2, 3, size=shape) * 0.1
+    g[(g == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("width", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_segment_max_matches_the_per_set_loop(width, seed):
-    x, off = ragged(seed, width, repeats=4)  # more rows than one reduction group
     fw, bw = ad._PRIMITIVES["segment_max"]
-    attrs = {"offsets": tuple(off.tolist())}
-    out, saved = fw((x,), attrs)
-    ref_out, argrows = ref_segment_max(x, off)
-    assert same_bits(out, ref_out)
-    assert np.signbit(out[2]).all() and not np.signbit(out[3]).any()
-    rng = np.random.default_rng(seed + 10)
-    g = rng.integers(-2, 3, size=out.shape).astype(np.float64)
-    g[g == 0] = -0.0
-    gx = bw(g, (x,), out, saved, attrs)[0]
-    assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
-    assert not np.signbit(gx[gx == 0]).any()
+    for sizes in LAYOUTS:
+        x, off = ragged(seed, width, sizes)
+        attrs = {"offsets": tuple(off.tolist())}
+        out, saved = fw((x,), attrs)
+        ref_out, argrows = ref_segment_max(x, off)
+        assert same_bits(out, ref_out)
+        assert np.signbit(out[2]).all() and not np.signbit(out[3]).any()
+        rng = np.random.default_rng(seed + 10)
+        g = rng.integers(-2, 3, size=out.shape).astype(np.float64)
+        g[g == 0] = -0.0
+        gx = bw(g, (x,), out, saved, attrs)[0]
+        assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
+        assert not np.signbit(gx[gx == 0]).any()
+
+
+@pytest.mark.parametrize("width", [1, 8, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_segment_center_matches_the_four_node_chain(width, seed):
+    fw, bw = ad._PRIMITIVES["segment_center"]
+    for sizes in LAYOUTS:
+        x, off = ragged(seed, width, sizes)
+        attrs = {"offsets": tuple(off.tolist())}
+        out, saved = fw((x,), attrs)
+        g = upstream(seed, x.shape)
+        gx = bw(g, (x,), out, saved, attrs)[0]
+        chain_out, chain_gx = chain_center(x, off, g)
+        assert same_bits(out, chain_out)
+        assert same_bits(gx, chain_gx)
+        # and the per-set loop with the chain's arithmetic
+        top, argrows = ref_segment_max(x, off)
+        assert same_bits(out, x + -1.0 * np.repeat(top, np.diff(off), axis=0))
+        sums = np.add.reduceat(-1.0 * g, off[:-1], axis=0)
+        assert same_bits(gx, g + ref_segment_max_grad(sums, x, off, argrows))
 
 
 @pytest.mark.parametrize("shape", ["flat", "column"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_softmax_nll_matches_the_per_set_loop(shape, seed):
-    x, off = ragged(seed, 1, repeats=3)
-    flat = x[:, 0]
-    scores = flat if shape == "flat" else x
-    targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
     fw, bw = ad._PRIMITIVES["set_softmax_nll"]
-    attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
-    value, saved = fw((scores,), attrs)
-    gx = bw(np.asarray(1.0), (scores,), value, saved, attrs)[0]
-    ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
-    assert same_bits(value, ref_value)
-    assert same_bits(saved[0], ref_probs)
-    assert same_bits(gx, ref_gx.reshape(scores.shape))
+    for sizes in LAYOUTS:
+        x, off = ragged(seed, 1, sizes)
+        flat = x[:, 0]
+        scores = flat if shape == "flat" else x
+        targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
+        attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
+        value, saved = fw((scores,), attrs)
+        gx = bw(np.asarray(1.0), (scores,), value, saved, attrs)[0]
+        ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
+        assert same_bits(value, ref_value)
+        assert same_bits(saved[0], ref_probs)
+        assert same_bits(gx, ref_gx.reshape(scores.shape))
 
 
 def test_selections_match_the_per_set_loop(monkeypatch):
-    x, off = ragged(3, 2, repeats=12)
-    targets = np.zeros(off.size - 1, dtype=np.int64)
-    ds = LabeledSetDataset(SetBatch(x, off), targets, {"task": "outlier", "target_kind": "index"})
-    assert len(list(tr._eval_slices(off))) > 1
-    for cfg in (tr.TrainConfig(task="outlier"), tr.TrainConfig(task="outlier", pooled_baseline=True)):
-        model = tr.build_model(cfg, 2, np.random.default_rng(4))
-        assert np.array_equal(tr._selections(model, ds), ref_selections(model, ds))
-    # the first coordinate as the score: integer ties and a signed-zero maximum
-    monkeypatch.setattr(tr, "_element_scores", lambda model, batch: ad.Tensor(batch.elements[:, :1]))
-    picks = tr._selections(None, ds)
-    assert np.array_equal(picks, ref_selections(None, ds))
-    assert picks[2] == 1 and picks[3] == 1
+    for sizes in (SIZES * 12, RUNS * 3):
+        x, off = ragged(3, 2, sizes)
+        targets = np.zeros(off.size - 1, dtype=np.int64)
+        ds = LabeledSetDataset(SetBatch(x, off), targets, {"task": "outlier", "target_kind": "index"})
+        assert len(list(tr._eval_slices(off))) > 1
+        for cfg in (tr.TrainConfig(task="outlier"), tr.TrainConfig(task="outlier", pooled_baseline=True)):
+            model = tr.build_model(cfg, 2, np.random.default_rng(4))
+            assert np.array_equal(tr._selections(model, ds), ref_selections(model, ds))
+        # the first coordinate as the score: integer ties and a signed-zero maximum
+        with monkeypatch.context() as m:
+            m.setattr(tr, "_element_scores", lambda model, batch: ad.Tensor(batch.elements[:, :1]))
+            picks = tr._selections(None, ds)
+            assert np.array_equal(picks, ref_selections(None, ds))
+        assert picks[2] == 1 and picks[3] == 1
+
+
+def test_run_block_row_sums_add_as_one_dimensional_sums():
+    """The set softmax divides by row sums of (sets, size) blocks in place of
+    one ndarray.sum per set; both add pairwise in the same order."""
+    rng = np.random.default_rng(5)
+    for size in [*range(1, 300), 400, 1000, 8193]:
+        e = np.exp(rng.normal(size=(3, size)))
+        assert same_bits(e.sum(axis=1), [row.sum() for row in e]), size

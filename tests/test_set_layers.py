@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setnn.autodiff import ShapeError, Tensor
+from setnn.autodiff import ShapeError, Tape, Tensor
 from setnn.layers import (
     DenseLayer,
     EquivariantLayer,
@@ -131,8 +131,11 @@ def test_scalar_variant_identity_and_sum_broadcast():
 
 def test_maxpool_normalized_hand_example():
     layer = EquivariantLayer("maxpool-normalized", Lambda=[[1.0]], beta=[0.0], nonlinearity="linear")
-    out = layer.forward(Tensor([[1.0], [2.0], [3.0]]), [0, 3]).data
+    with Tape() as tape:
+        out = layer.forward(Tensor([[1.0], [2.0], [3.0]]), [0, 3]).data
     np.testing.assert_allclose(out, [[-2.0], [-1.0], [0.0]])
+    # the centering and the dense layer are one tape node each
+    assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["segment_center", "dense"]
 
 
 def test_scalar_layer_matches_materialized_theta():
