@@ -2,8 +2,10 @@
 
 Every differentiable computation runs through :func:`apply_primitive`, which
 evaluates a primitive eagerly and, when a :class:`Tape` is active, records a
-node so :func:`backprop` can later sweep the graph in reverse. Without an
-active tape the same calls are plain eager numpy evaluation.
+node (and a leaf node for each input not yet on that tape). Without an active
+tape the same calls are plain eager numpy evaluation. ``backprop(tape, loss,
+wrt)`` sweeps the tape in reverse and returns one gradient array per tensor in
+``wrt``, in order; the caller never handles node ids.
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), its parts for the layers that compose them
@@ -55,7 +57,7 @@ class Tensor:
     """Dense float64 array, optionally attached to the active tape.
 
     `node_id` is only meaningful together with `tape`; a tensor re-used under
-    a new tape is re-registered as a fresh leaf there.
+    a new tape is recorded as a fresh leaf there.
     """
 
     __slots__ = ("data", "node_id", "tape")
@@ -71,13 +73,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -103,13 +98,11 @@ class Tape:
 
     Nodes are stored in the order they were created, so every node's inputs
     precede it and the reverse sweep in :func:`backprop` is a valid
-    topological order. `gradients` is populated by backprop with one entry
-    per leaf (inputs and parameters).
+    topological order.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.gradients: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -119,22 +112,13 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self, "tapes must be exited in LIFO order"
 
-    def _register_leaf(self, t: Tensor) -> int:
-        node = _Node("leaf", (), {}, None, (), t.data)
-        self.nodes.append(node)
-        nid = len(self.nodes) - 1
-        t.node_id = nid
-        t.tape = self
-        return nid
-
-    def ensure_leaf(self, t: Tensor) -> int:
-        if t.tape is self and t.node_id is not None:
-            return t.node_id
-        return self._register_leaf(t)
-
-
-def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    def _node_id(self, t: Tensor) -> int:
+        """``t``'s node on this tape, recorded as a leaf if it has none yet."""
+        if t.tape is not self:
+            self.nodes.append(_Node("leaf", (), {}, None, (), t.data))
+            t.node_id = len(self.nodes) - 1
+            t.tape = self
+        return t.node_id
 
 
 # ---------------------------------------------------------------------------
@@ -427,38 +411,38 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...] | list[Tensor], attrs:
     result.data = out
     result.node_id = None
     result.tape = None
-    tape = active_tape()
-    if tape is not None:
-        ids = tuple(tape.ensure_leaf(t) for t in inputs)
+    if _TAPE_STACK:
+        tape = _TAPE_STACK[-1]
+        ids = tuple(tape._node_id(t) for t in inputs)
         tape.nodes.append(_Node(kind, ids, attrs, saved, arrays, out))
         result.node_id = len(tape.nodes) - 1
         result.tape = tape
     return result
 
 
-def backprop(tape: Tape, loss: int | Tensor) -> dict[int, Tensor]:
-    """Reverse sweep from a scalar loss node; returns gradients for all leaves.
+def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
+    """Gradients of the scalar ``loss`` with respect to each tensor in ``wrt``.
 
-    The gradient of a leaf shared by several consumers (e.g. a weight applied
-    to every element of a set) accumulates one contribution per use.
-    Unreached leaves get zero gradients of matching shape. Intermediate
-    gradients are dropped as soon as they have been propagated.
+    Returns one float64 array per tensor of ``wrt``, in order, shaped like it.
+    A tensor the loss does not reach, or that is not on ``tape``, gets zeros.
+    The gradient of a tensor shared by several consumers (e.g. a weight applied
+    to every element of a set) accumulates one contribution per use. Other
+    intermediate gradients are dropped as soon as they have been propagated.
+    Raises AutodiffError if ``loss`` is not on ``tape`` and NonFiniteError if
+    a returned gradient holds NaN or Inf.
     """
-    loss_id = loss.node_id if isinstance(loss, Tensor) else int(loss)
-    if loss_id is None or not 0 <= loss_id < len(tape.nodes):
+    if loss.tape is not tape:
         raise AutodiffError("loss node is not on this tape")
-    if tape.nodes[loss_id].out_data.shape != ():
-        raise ShapeError(f"loss must be scalar, got shape {tape.nodes[loss_id].out_data.shape}")
+    if loss.data.shape != ():
+        raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
+    wanted = {t.node_id for t in wrt if t.tape is tape}
 
-    grads: dict[int, np.ndarray] = {loss_id: np.asarray(1.0)}
-    leaf = [n.kind == "leaf" for n in tape.nodes]
-    for nid in range(loss_id, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
+    grads: dict[int, np.ndarray] = {loss.node_id: np.asarray(1.0)}
+    for nid in range(loss.node_id, -1, -1):
         node = tape.nodes[nid]
-        if node.kind == "leaf":
+        if node.kind == "leaf" or nid not in grads:
             continue
+        g = grads[nid] if nid in wanted else grads.pop(nid)
         if any(i >= nid for i in node.inputs):
             raise AutodiffError(f"tape order violated at node {nid}")
         _, bw = _PRIMITIVES[node.kind]
@@ -470,19 +454,18 @@ def backprop(tape: Tape, loss: int | Tensor) -> dict[int, Tensor]:
                 grads[iid] = grads[iid] + ig
             else:
                 grads[iid] = ig
-        del grads[nid]
 
-    tape.gradients = {}
-    for nid, is_leaf in enumerate(leaf):
-        if not is_leaf:
-            continue
-        g = grads.get(nid)
+    out = []
+    for t in wrt:
+        g = grads.get(t.node_id) if t.tape is tape else None
         if g is None:
-            g = np.zeros_like(tape.nodes[nid].out_data)
-        if g.shape != tape.nodes[nid].out_data.shape:
-            raise ShapeError(f"gradient shape {g.shape} != leaf shape {tape.nodes[nid].out_data.shape}")
-        tape.gradients[nid] = Tensor(g)
-    return tape.gradients
+            g = np.zeros_like(t.data)
+        elif g.shape != t.shape:
+            raise ShapeError(f"gradient shape {g.shape} != tensor shape {t.shape}")
+        elif not np.all(np.isfinite(g)):
+            raise NonFiniteError("backprop produced a non-finite gradient")
+        out.append(g)
+    return out
 
 
 def grad_check(f, params: list[Tensor], step: float = 1e-5, seed: int = 0) -> float:
@@ -507,11 +490,7 @@ def grad_check(f, params: list[Tensor], step: float = 1e-5, seed: int = 0) -> fl
         raise NonDeterministicError("two evaluations of f at the same point differ")
 
     with Tape() as tape:
-        for p in params:
-            tape.ensure_leaf(p)
-        loss = f(params)
-        grads = backprop(tape, loss)
-    analytic = [grads[p.node_id].data for p in params]
+        analytic = backprop(tape, f(params), params)
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -263,14 +263,12 @@ def train(config: TrainConfig, dataset: LabeledSetDataset,
             targets = dataset.targets[idx]
             try:
                 with Tape() as tape:
-                    for p in params:
-                        tape.ensure_leaf(p)
                     loss = _batch_loss(config, model, batch, targets)
-                grads = ad.backprop(tape, loss)
+                grads = ad.backprop(tape, loss, params)
             except ad.NonFiniteError as exc:
                 norms = [float(np.linalg.norm(p.data)) for p in params]
                 raise TrainingDiverged(epoch, batch_index, norms) from exc
-            opt.step([grads[p.node_id].data for p in params])
+            opt.step(grads)
             loss_sum += float(loss.data) * idx.size
             sets_seen += idx.size
         metric = evaluate(model, eval_dataset if eval_dataset is not None else dataset,

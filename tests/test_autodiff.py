@@ -89,8 +89,8 @@ _ACTIVATION_REFERENCE = {
 def _dense_and_grads(build, x, W, b, target):
     with Tape() as tape:
         out = build(x, W, b)
-        grads = backprop(tape, ad.mse_loss(out, target))
-    return out.data, grads[x.node_id].data, grads[W.node_id].data, grads[b.node_id].data
+        grads = backprop(tape, ad.mse_loss(out, target), [x, W, b])
+    return (out.data, *grads)
 
 
 def _dense_reference(act, x, W, b, target):
@@ -144,8 +144,8 @@ def test_relu_grad_zero_at_zero():
     with Tape() as tape:
         # d loss / d relu(x) = 0.5 * (relu(x) + 1) is non-zero everywhere
         loss = ad.mse_loss(ad.relu(x), Tensor([-1.0, -1.0, -1.0, -1.0]))
-        grads = backprop(tape, loss)
-    np.testing.assert_array_equal(grads[x.node_id].data, [0.0, 0.0, 1.5, 2.0])
+    (gx,) = backprop(tape, loss, [x])
+    np.testing.assert_array_equal(gx, [0.0, 0.0, 1.5, 2.0])
 
 
 def test_segment_max_tie_goes_to_first_row():
@@ -153,8 +153,8 @@ def test_segment_max_tie_goes_to_first_row():
     with Tape() as tape:
         pooled = ad.segment_max(x, [0, 3])
         loss = ad.mse_loss(pooled, Tensor([[1.5]]))
-        grads = backprop(tape, loss)
-    np.testing.assert_array_equal(grads[x.node_id].data, [[1.0], [0.0], [0.0]])
+    (gx,) = backprop(tape, loss, [x])
+    np.testing.assert_array_equal(gx, [[1.0], [0.0], [0.0]])
 
 
 def test_backprop_requires_scalar_loss():
@@ -162,17 +162,87 @@ def test_backprop_requires_scalar_loss():
     with Tape() as tape:
         y = ad.relu(x)
         with pytest.raises(ShapeError):
-            backprop(tape, y)
+            backprop(tape, y, [x])
 
 
 def test_unused_leaf_gets_zero_gradient():
     x = Tensor([1.0, 2.0])
     w = Tensor([[3.0]])
     with Tape() as tape:
-        tape.ensure_leaf(w)
+        ad.relu(w)  # on the tape, but the loss does not read it
         loss = ad.mse_loss(x, Tensor([0.0, 0.0]))
-        grads = backprop(tape, loss)
-    np.testing.assert_array_equal(grads[w.node_id].data, [[0.0]])
+    assert w.tape is tape
+    gw, gx = backprop(tape, loss, [w, x])
+    np.testing.assert_array_equal(gw, [[0.0]])
+    np.testing.assert_array_equal(gx, [1.0, 2.0])
+
+
+def test_tensor_never_on_the_tape_gets_zero_gradient():
+    x = Tensor([1.0, 2.0])
+    w = Tensor([[3.0], [4.0]])
+    with Tape() as tape:
+        loss = ad.mse_loss(x, Tensor([0.0, 0.0]))
+    assert w.tape is None
+    (gw,) = backprop(tape, loss, [w])
+    assert gw.shape == w.shape
+    np.testing.assert_array_equal(gw, [[0.0], [0.0]])
+
+
+def test_tensor_from_a_previous_tape_gets_zeros_not_the_stale_node_gradient():
+    w = Tensor([[2.0]])
+    with Tape():
+        ad.matmul(Tensor([[1.0]]), w)
+    x, y = Tensor([[3.0]]), Tensor([[5.0]])
+    with Tape() as tape:
+        loss = ad.mse_loss(ad.matmul(x, y), Tensor([[0.0]]))
+    # w's stale node id now names y's leaf, whose gradient is not zero
+    assert w.node_id == y.node_id and w.tape is not tape
+    gw, gy = backprop(tape, loss, [w, y])
+    np.testing.assert_array_equal(gw, [[0.0]])
+    np.testing.assert_array_equal(gy, [[90.0]])
+
+
+def test_gradients_come_back_in_wrt_order():
+    rng = np.random.default_rng(4)
+    x, W, b = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2))
+    with Tape() as tape:
+        h = ad.dense(x, W, b, "tanh")
+        loss = ad.mse_loss(h, Tensor(np.zeros((5, 2))))
+    gx, gW, gb = backprop(tape, loss, [x, W, b])
+    shuffled = backprop(tape, loss, [b, x, W, b])
+    assert [g.shape for g in shuffled] == [(2,), (5, 3), (3, 2), (2,)]
+    for got, want in zip(shuffled, (gb, gx, gW, gb)):
+        assert np.array_equal(got, want)
+    # an intermediate tensor keeps its gradient too
+    gh, gx_again = backprop(tape, loss, [h, x])
+    assert np.array_equal(gh, (2.0 / h.data.size) * h.data)
+    assert np.array_equal(gx_again, gx)
+
+
+def test_gradient_overflow_raises_for_a_finite_loss():
+    # forward: x @ W = 1e150 per column, loss 1e300; d loss / d x = 4 * 5e149 * 1e300
+    x, W, b = Tensor([[1e-150]]), Tensor(np.full((1, 4), 1e300)), Tensor(np.zeros(4))
+    with Tape() as tape:
+        loss = ad.mse_loss(ad.dense(x, W, b, "linear"), Tensor(np.zeros((1, 4))))
+    assert np.isfinite(loss.data)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            backprop(tape, loss, [W, x])
+        # only the returned gradients are checked; d loss / d W = 0.5 is finite
+        (gW,) = backprop(tape, loss, [W])
+    np.testing.assert_array_equal(gW, [[0.5] * 4])
+
+
+def test_loss_from_another_tape_is_rejected():
+    x = Tensor([1.0, 2.0])
+    with Tape():
+        other = ad.mse_loss(x, Tensor([0.0, 0.0]))
+    with Tape() as tape:
+        ad.mse_loss(x, Tensor([1.0, 1.0]))
+        with pytest.raises(ad.AutodiffError):
+            backprop(tape, other, [x])
+    with pytest.raises(ad.AutodiffError):  # an untaped loss is on no tape
+        backprop(tape, ad.mse_loss(x, Tensor([0.0, 0.0])), [x])
 
 
 def test_gradient_shapes_match_leaves():
@@ -183,10 +253,10 @@ def test_gradient_shapes_match_leaves():
     with Tape() as tape:
         h = ad.tanh(ad.add(ad.matmul(x, w), b))
         loss = ad.mse_loss(h, Tensor(np.zeros((5, 3))))
-        grads = backprop(tape, loss)
-    assert grads[w.node_id].shape == w.shape
-    assert grads[b.node_id].shape == b.shape
-    assert grads[x.node_id].shape == x.shape
+    gw, gb, gx = backprop(tape, loss, [w, b, x])
+    assert gw.shape == w.shape
+    assert gb.shape == b.shape
+    assert gx.shape == x.shape
 
 
 def test_shared_weight_gradient_is_sum_of_per_element_contributions():
@@ -200,16 +270,14 @@ def test_shared_weight_gradient_is_sum_of_per_element_contributions():
         h = ad.tanh(ad.matmul(Tensor(x), w))
         # the mean over 6 rows, times 6, is the sum of the per-row losses
         loss = ad.scalar_scale(ad.mse_loss(h, Tensor(np.zeros((6, 2)))), 6.0)
-        grads = backprop(tape, loss)
-    batched = grads[w.node_id].data
+    (batched,) = backprop(tape, loss, [w])
 
     total = np.zeros_like(w.data)
     for m in range(x.shape[0]):
         with Tape() as tape:
             h = ad.tanh(ad.matmul(Tensor(x[m:m + 1]), w))
             loss = ad.mse_loss(h, Tensor(np.zeros((1, 2))))
-            grads = backprop(tape, loss)
-        total += grads[w.node_id].data
+        total += backprop(tape, loss, [w])[0]
     np.testing.assert_allclose(batched, total, rtol=0, atol=1e-12)
 
 
@@ -308,8 +376,7 @@ def test_set_softmax_nll_value_and_grad():
 
     with Tape() as tape:
         loss = ad.set_softmax_nll(scores, [0, 4], [3])
-        grads = backprop(tape, loss)
-    g = grads[scores.node_id].data
+    (g,) = backprop(tape, loss, [scores])
     np.testing.assert_allclose(g.sum(), 0.0, atol=1e-15)
     assert g[3] < 0 < g[0]
 
@@ -363,9 +430,9 @@ def test_segment_reductions_equal_one_reduceat(sizes, width):
     pooled = Tensor(rng.normal(size=(len(sizes), width)))
     with Tape() as tape:
         loss = ad.mse_loss(ad.segment_broadcast(pooled, offsets), Tensor(x))
-        grads = backprop(tape, loss)
+    (g,) = backprop(tape, loss, [pooled])
     g_spread = (2.0 / x.size) * (np.repeat(pooled.data, sizes, axis=0) - x) * np.asarray(1.0)
-    assert np.array_equal(grads[pooled.node_id].data, np.add.reduceat(g_spread, offsets[:-1], axis=0))
+    assert np.array_equal(g, np.add.reduceat(g_spread, offsets[:-1], axis=0))
 
 
 def test_offsets_validation():
@@ -383,5 +450,4 @@ def test_tape_reuse_across_tapes():
     for _ in range(2):
         with Tape() as tape:
             loss = ad.mse_loss(ad.matmul(Tensor([[1.0]]), w), Tensor([[0.0]]))
-            grads = backprop(tape, loss)
-        np.testing.assert_allclose(grads[w.node_id].data, [[4.0]])
+        np.testing.assert_allclose(backprop(tape, loss, [w])[0], [[4.0]])

@@ -530,6 +530,34 @@ def test_max_pool_cli_outputs_match_golden_sha256(tmp_path):
     assert digests == _MAX_POOL_SHA256
 
 
+# sha256 of the outputs of the default-pool runs in the test below, as the
+# per-leaf gradient dict of backprop wrote them, on the OpenBLAS named above
+_DEFAULT_POOL_SHA256 = {
+    "r.json": "528c4f026365bf85861cc5033817a4a3aa5d1a03548b5232239070a8fa5a3ce8",
+    "r.metrics.csv": "857526d22678c716e8bc00cc61c1fce41cb81a2c336a963b5fb393bdeec2374e",
+    "r.csv": "fbf84b39bc3caa6ac9667330b340702a8140ba1aca8c2188cb0fcc5df0d47c03",
+    "d.json": "aed9ef24cc8bad9aca134b20f7c0bd06a4b3fd55b0706cdbbc0cc740ba7fee59",
+    "d.metrics.csv": "6a96f3670ee4b04c42f4f02445232898ff4be2dd38ab0b54a95cc39c89034fb5",
+    "d.csv": "3485abe16c1d9f4f606e25758d4ebcb95b68d0292062018e73c0663d02a274a0",
+}
+
+
+def test_default_pool_cli_outputs_match_golden_sha256(tmp_path):
+    """gen -> train -> eval on rotation sets with ``{"pool": "mean"}`` and on
+    digit-sum sets with the default sum pool, on one BLAS thread: the bytes
+    of training through segment_mean and segment_sum are pinned."""
+    run = _golden_cli(tmp_path)
+    (tmp_path / "p.cfg").write_text(json.dumps({"pool": "mean"}))
+    for task, stem, n, seed, batch, config in (("rotation", "r", "40", "5", "8", ["--config", "p.cfg"]),
+                                               ("digit-sum", "d", "200", "7", "32", [])):
+        run("-m", "setnn", "gen", "--task", task, "--n", n, "--seed", seed, "--out", f"{stem}.jsonl")
+        run("-m", "setnn", "train", "--data", f"{stem}.jsonl", "--out", f"{stem}.json", *config,
+            "--epochs", "2", "--batch", batch)
+        run("-m", "setnn", "eval", "--model", f"{stem}.json", "--data", f"{stem}.jsonl", "--out", f"{stem}.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _DEFAULT_POOL_SHA256}
+    assert digests == _DEFAULT_POOL_SHA256
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -72,10 +72,8 @@ def test_adam_minimizes_quadratic():
     opt = Adam([p], step_size=0.1)
     for _ in range(400):
         with Tape() as tape:
-            tape.ensure_leaf(p)
             loss = ad.mse_loss(p, target)
-        grads = ad.backprop(tape, loss)
-        opt.step([grads[p.node_id].data])
+        opt.step(ad.backprop(tape, loss, [p]))
     assert p.data[0, 0] == pytest.approx(3.0, abs=1e-4)
 
 
@@ -135,6 +133,28 @@ def test_train_is_deterministic_and_does_not_mutate():
     np.testing.assert_array_equal(elements_before, ds.batch.elements)
     np.testing.assert_array_equal(targets_before, ds.targets)
     assert [r.epoch for r in r1] == [1, 2, 3]
+
+
+def test_every_step_calls_backprop_through_the_module_attribute(monkeypatch):
+    """perfbench's tracer counts each step's tape by patching
+    ``setnn.autodiff.backprop``; train must look it up there once per batch,
+    with that step's tape and the model's parameters."""
+    ds = gen_digit_sum(40, 6, None, seed=8)
+    original = ad.backprop
+    calls = []
+
+    def counting(tape, loss, wrt):
+        calls.append((tape, loss.tape is tape, list(wrt), all(p.tape is tape for p in wrt)))
+        return original(tape, loss, wrt)
+
+    monkeypatch.setattr(ad, "backprop", counting)
+    model, _ = train(TrainConfig(task="digit-sum", epochs=1, batch_size=16, seed=9), ds)
+    assert len(calls) == 3  # batches of 16, 16 and 8 sets
+    assert len({id(tape) for tape, *_ in calls}) == 3
+    params = model.params()
+    for tape, loss_on_tape, wrt, params_on_tape in calls:
+        assert isinstance(tape, Tape) and loss_on_tape and params_on_tape
+        assert len(wrt) == len(params) and all(a is b for a, b in zip(wrt, params))
 
 
 def test_train_rejects_mismatched_dataset():
