@@ -8,10 +8,11 @@ wrt)`` sweeps the tape in reverse and returns one gradient array per tensor in
 ``wrt``, in order; the caller never handles node ids.
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
-and activation in one node), its parts for the layers that compose them
-differently, segment pooling and max-centering over ragged batches, and the
-two loss heads used by the training driver. All arrays are float64; any primitive
-producing a NaN/Inf raises immediately rather than letting it propagate.
+and activation in one node), the only affine map or activation on the tape;
+segment pooling, broadcasting, max-centering and the ``[x, -pool(x)]``
+augmentation over ragged batches; and the two loss heads used by the
+training driver. All arrays are float64; any primitive producing a NaN/Inf
+raises immediately rather than letting it propagate.
 """
 
 from __future__ import annotations
@@ -129,70 +130,15 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
-def _fw_matmul(xs, attrs):
-    a, b = xs
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul supports (N,K)@(K,P), got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    return a @ b, None
-
-
-def _bw_matmul(g, xs, out, saved, attrs):
-    a, b = xs
-    return g @ b.T, a.T @ g
-
-
-def _fw_add(xs, attrs):
-    a, b = xs
-    if a.shape == b.shape:
-        return a + b, None
-    if a.ndim == 2 and b.shape == (a.shape[1],):
-        # bias broadcast over the leading (row) axis only
-        return a + b, None
-    raise ShapeError(f"add requires equal shapes or (N,H)+(H,), got {a.shape} + {b.shape}")
-
-
-def _bw_add(g, xs, out, saved, attrs):
-    a, b = xs
-    gb = g if a.shape == b.shape else g.sum(axis=0)
-    return g, gb
-
-
-def _fw_scalar_scale(xs, attrs):
-    (x,) = xs
-    return float(attrs["alpha"]) * x, None
-
-
-def _bw_scalar_scale(g, xs, out, saved, attrs):
-    return (float(attrs["alpha"]) * g,)
-
-
-# Activations shared by the standalone primitives and the fused ``dense``.
-# Each forward overwrites its argument and returns it; each backward scales
-# the incoming gradient using the activation's output alone.
-
-
-def _relu(out):
-    return np.maximum(out, 0.0, out=out)
-
-
-def _tanh(out):
-    return np.tanh(out, out=out)
-
-
+# Activations of ``dense``. Each forward overwrites its argument and returns
+# it; each backward scales the incoming gradient using the activation's output
+# alone.
 _ACTIVATIONS = {
     "linear": (lambda out: out, lambda g, out: g),
     # derivative at exactly 0 is 0
-    "relu": (_relu, lambda g, out: g * (out > 0.0)),
-    "tanh": (_tanh, lambda g, out: g * (1.0 - out * out)),
+    "relu": (lambda out: np.maximum(out, 0.0, out=out), lambda g, out: g * (out > 0.0)),
+    "tanh": (lambda out: np.tanh(out, out=out), lambda g, out: g * (1.0 - out * out)),
 }
-
-
-def _activation_primitive(act):
-    fw, bw = _ACTIVATIONS[act]
-    return (lambda xs, attrs: (fw(xs[0].copy()), None),
-            lambda g, xs, out, saved, attrs: (bw(g, out),))
 
 
 def _fw_dense(xs, attrs):
@@ -355,7 +301,7 @@ def _fw_segment_center(xs, attrs):
 
 
 def _bw_segment_center(g, xs, out, saved, attrs):
-    # the bits of backprop through add(x, scalar_scale(segment_broadcast(segment_max(x)), -1))
+    # g reaches x directly and, negated and summed per segment, through its maximum
     (gmax,) = _bw_segment_max(-_segment_sums(g, saved[1]), xs, None, saved, attrs)
     return (g + gmax,)
 
@@ -373,11 +319,20 @@ def _bw_segment_broadcast(g, xs, out, saved, attrs):
     return (_segment_sums(g, saved),)
 
 
+def _fw_segment_augment(xs, attrs):
+    x, off = _seg_starts(xs[:1], attrs)
+    pooled = xs[1]
+    if pooled.shape != (off.size - 1, x.shape[1]):
+        raise ShapeError(f"segment_augment wants one ({x.shape[1]},) row per segment, got {pooled.shape}")
+    return np.concatenate([x, -np.repeat(pooled, np.diff(off), axis=0)], axis=1), off
+
+
+def _bw_segment_augment(g, xs, out, saved, attrs):
+    d = xs[0].shape[1]
+    return g[:, :d], -_segment_sums(g[:, d:], saved)
+
+
 _PRIMITIVES = {
-    "matmul": (_fw_matmul, _bw_matmul),
-    "add": (_fw_add, _bw_add),
-    "scalar_scale": (_fw_scalar_scale, _bw_scalar_scale),
-    **{act: _activation_primitive(act) for act in ("relu", "tanh")},
     "dense": (_fw_dense, _bw_dense),
     "mse_loss": (_fw_mse_loss, _bw_mse_loss),
     "set_softmax_nll": (_fw_set_softmax_nll, _bw_set_softmax_nll),
@@ -386,6 +341,7 @@ _PRIMITIVES = {
     "segment_max": (_fw_segment_max, _bw_segment_max),
     "segment_center": (_fw_segment_center, _bw_segment_center),
     "segment_broadcast": (_fw_segment_broadcast, _bw_segment_broadcast),
+    "segment_augment": (_fw_segment_augment, _bw_segment_augment),
 }
 
 PRIMITIVE_KINDS = tuple(sorted(_PRIMITIVES))
@@ -515,26 +471,6 @@ def grad_check(f, params: list[Tensor], step: float = 1e-5, seed: int = 0) -> fl
 
 # Functional aliases used throughout the model code.
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return apply_primitive("matmul", (a, b))
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return apply_primitive("add", (a, b))
-
-
-def scalar_scale(x: Tensor, alpha: float) -> Tensor:
-    return apply_primitive("scalar_scale", (x,), {"alpha": alpha})
-
-
-def relu(x: Tensor) -> Tensor:
-    return apply_primitive("relu", (x,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    return apply_primitive("tanh", (x,))
-
-
 def dense(x: Tensor, W: Tensor, b: Tensor, act: str) -> Tensor:
     """``act(x @ W + b)`` as one tape node."""
     return apply_primitive("dense", (x, W, b), {"act": act})
@@ -545,25 +481,31 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def set_softmax_nll(scores: Tensor, offsets, targets) -> Tensor:
-    return apply_primitive("set_softmax_nll", (scores,), {"offsets": tuple(int(o) for o in offsets), "targets": tuple(int(t) for t in targets)})
+    return apply_primitive("set_softmax_nll", (scores,), {"offsets": offsets, "targets": targets})
 
 
 def segment_sum(x: Tensor, offsets) -> Tensor:
-    return apply_primitive("segment_sum", (x,), {"offsets": tuple(int(o) for o in offsets)})
+    return apply_primitive("segment_sum", (x,), {"offsets": offsets})
 
 
 def segment_mean(x: Tensor, offsets) -> Tensor:
-    return apply_primitive("segment_mean", (x,), {"offsets": tuple(int(o) for o in offsets)})
+    return apply_primitive("segment_mean", (x,), {"offsets": offsets})
 
 
 def segment_max(x: Tensor, offsets) -> Tensor:
-    return apply_primitive("segment_max", (x,), {"offsets": tuple(int(o) for o in offsets)})
+    return apply_primitive("segment_max", (x,), {"offsets": offsets})
 
 
 def segment_center(x: Tensor, offsets) -> Tensor:
     """``x`` minus its segment's first maximum, per row and column, as one tape node."""
-    return apply_primitive("segment_center", (x,), {"offsets": tuple(int(o) for o in offsets)})
+    return apply_primitive("segment_center", (x,), {"offsets": offsets})
 
 
 def segment_broadcast(x: Tensor, offsets) -> Tensor:
-    return apply_primitive("segment_broadcast", (x,), {"offsets": tuple(int(o) for o in offsets)})
+    return apply_primitive("segment_broadcast", (x,), {"offsets": offsets})
+
+
+def segment_augment(x: Tensor, pooled: Tensor, offsets) -> Tensor:
+    """``[x, -pooled]`` with each segment's row of ``pooled`` repeated over its
+    rows: the input of an equivariant layer's affine map, as one tape node."""
+    return apply_primitive("segment_augment", (x, pooled), {"offsets": offsets})

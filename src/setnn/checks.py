@@ -132,7 +132,8 @@ def _separated(rng: np.random.Generator, shape, gap: float = 0.1) -> np.ndarray:
 def _scalarize(t: Tensor) -> Tensor:
     if t.data.ndim == 0:
         return t
-    out = ad.tanh(ad.scalar_scale(t, 0.3))
+    width = t.shape[1]
+    out = ad.dense(t, Tensor(0.3 * np.eye(width)), Tensor(np.zeros(width)), "tanh")
     return ad.mse_loss(out, Tensor(np.zeros(out.shape)))
 
 
@@ -153,12 +154,6 @@ def _gradient_cases(rng: np.random.Generator):
     def case(name, params, fn, smooth=True):
         cases.append((name, lambda ps, fn=fn: _scalarize(fn(*ps)), list(params), smooth))
 
-    case("matmul", (p((3, 4)), p((4, 2))), ad.matmul)
-    case("add-bias", (p((3, 4)), p((4,))), ad.add)
-    case("add-full", (p((3, 4)), p((3, 4))), ad.add)
-    case("scalar_scale", (p((3, 4)),), lambda x: ad.scalar_scale(x, -1.7))
-    case("relu", (Tensor(_separated(rng, (3, 4)) - 0.6),), ad.relu, smooth=False)
-    case("tanh", (p((3, 4)),), ad.tanh)
     for act in NONLINEARITIES:
         case(f"dense-{act}", [Tensor(a) for a in _off_kink_dense()],
              lambda x, W, b, act=act: ad.dense(x, W, b, act), smooth=act != "relu")
@@ -172,7 +167,9 @@ def _gradient_cases(rng: np.random.Generator):
     case("segment_center", (Tensor(_separated(rng, (9, 3))),),
          lambda x: ad.segment_center(x, off), smooth=False)
     case("segment_broadcast", (p((3, 4)),),
-         lambda x: ad.segment_broadcast(x, (0, 2, 5, 9)))
+         lambda x: ad.segment_broadcast(x, off))
+    case("segment_augment", (p((9, 3)), p((3, 3))),
+         lambda x, pooled: ad.segment_augment(x, pooled, off))
     return cases
 
 

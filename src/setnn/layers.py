@@ -13,8 +13,14 @@ permutations. Three weight-sharing variants are provided:
 * ``full-lambda-gamma``: ``sigma(beta + x@Lambda - pool(x)@Gamma)`` with full
   weight matrices, pooling over the set and broadcasting back.
 * ``maxpool-normalized``: ``sigma(beta + (x - maxpool(x))@Lambda)``, a single
-  weight matrix applied after subtracting the per-channel max; the centering
-  is one ``segment_center`` tape node and the rest one fused ``dense``.
+  weight matrix applied after subtracting the per-channel max.
+
+Every variant is three tape nodes at most and ends in one fused ``dense``.
+The two lambda-gamma forms are one affine map of the set-augmented input:
+``segment_<pool>`` then ``segment_augment`` give ``[x, -pool(x)]``, and
+``dense`` applies the stacked weight ``[Lambda; Gamma]`` (``[lam*I; -gam*I]``
+for the scalar form). ``maxpool-normalized`` is ``segment_center`` then
+``dense``.
 
 `commutes_with_all_permutations` and `commutant_dimension` check the algebra
 directly: the tied two-parameter family is precisely the space of matrices
@@ -47,11 +53,7 @@ __all__ = [
     "model_from_json",
 ]
 
-NONLINEARITIES = {
-    "relu": ad.relu,
-    "tanh": ad.tanh,
-    "linear": lambda t: t,
-}
+NONLINEARITIES = ("relu", "tanh", "linear")
 
 
 class SetBatch:
@@ -220,7 +222,12 @@ class EquivariantLayer:
     """One permutation-equivariant layer; see the module docstring for the
     three variants. ``pool`` selects the cross-element reduction for the two
     lambda-gamma variants; ``maxpool-normalized`` always uses max and takes
-    no other value."""
+    no other value.
+
+    ``W`` is the weight of the layer's one ``dense`` node: ``Lambda`` for
+    ``maxpool-normalized``, the stacked ``[Lambda; Gamma]`` for
+    ``full-lambda-gamma`` and None for the scalar variant, whose weight is
+    built for the input width at each forward pass."""
 
     VARIANTS = ("scalar-lambda-gamma", "full-lambda-gamma", "maxpool-normalized")
 
@@ -230,7 +237,7 @@ class EquivariantLayer:
             raise ShapeError(f"unknown variant {variant!r}")
         if nonlinearity not in NONLINEARITIES:
             raise ShapeError(f"unknown nonlinearity {nonlinearity!r}")
-        if pool not in ("sum", "max", "mean"):
+        if pool not in _POOLS:
             raise ShapeError(f"pool must be sum/max/mean, got {pool!r}")
         if variant == "maxpool-normalized" and pool != "max":
             raise ShapeError(f"maxpool-normalized pools by max, got pool {pool!r}")
@@ -239,62 +246,58 @@ class EquivariantLayer:
         self.nonlinearity = nonlinearity
         self.lam = None
         self.gam = None
-        self.Lambda = None
-        self.Gamma = None
+        self.W = None
         self.beta = None
         if variant == "scalar-lambda-gamma":
             if lam is None or gam is None:
                 raise ShapeError("scalar variant needs lam and gam")
             self.lam = float(lam)
             self.gam = float(gam)
-        else:
-            if Lambda is None:
-                raise ShapeError(f"{variant} needs a Lambda matrix")
-            self.Lambda = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
-            if self.Lambda.data.ndim != 2:
-                raise ShapeError("Lambda must be a (D, D') matrix")
-            d_out = self.Lambda.data.shape[1]
-            self.beta = beta if isinstance(beta, Tensor) else Tensor(np.zeros(d_out) if beta is None else beta)
-            if self.beta.data.shape != (d_out,):
-                raise ShapeError(f"beta must be ({d_out},)")
-            if variant == "full-lambda-gamma":
-                if Gamma is None:
-                    raise ShapeError("full-lambda-gamma needs a Gamma matrix")
-                self.Gamma = Gamma if isinstance(Gamma, Tensor) else Tensor(Gamma)
-                if self.Gamma.data.shape != self.Lambda.data.shape:
-                    raise ShapeError("Gamma must match Lambda's shape")
+            return
+        if Lambda is None:
+            raise ShapeError(f"{variant} needs a Lambda matrix")
+        self.W = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
+        if self.W.data.ndim != 2:
+            raise ShapeError("Lambda must be a (D, D') matrix")
+        d_out = self.W.data.shape[1]
+        self.beta = beta if isinstance(beta, Tensor) else Tensor(np.zeros(d_out) if beta is None else beta)
+        if self.beta.data.shape != (d_out,):
+            raise ShapeError(f"beta must be ({d_out},)")
+        if variant == "full-lambda-gamma":
+            if Gamma is None:
+                raise ShapeError("full-lambda-gamma needs a Gamma matrix")
+            Gamma = Gamma.data if isinstance(Gamma, Tensor) else np.asarray(Gamma, dtype=np.float64)
+            if Gamma.shape != self.W.data.shape:
+                raise ShapeError("Gamma must match Lambda's shape")
+            self.W = Tensor(np.concatenate([self.W.data, Gamma]))
 
     @property
     def in_width(self) -> int | None:
-        return None if self.Lambda is None else self.Lambda.data.shape[0]
+        if self.W is None:
+            return None
+        return self.W.data.shape[0] // (2 if self.variant == "full-lambda-gamma" else 1)
 
     @property
     def out_width(self) -> int | None:
-        return None if self.Lambda is None else self.Lambda.data.shape[1]
+        return None if self.W is None else self.W.data.shape[1]
 
     def forward(self, x: Tensor, offsets) -> Tensor:
         """Apply to a flat (total, D) matrix, pooling within each segment."""
-        sigma = NONLINEARITIES[self.nonlinearity]
-        if self.variant == "scalar-lambda-gamma":
-            pooled = _POOLS[self.pool](x, offsets)
-            spread = ad.segment_broadcast(pooled, offsets)
-            return sigma(ad.add(ad.scalar_scale(x, self.lam), ad.scalar_scale(spread, self.gam)))
         if self.in_width is not None and x.data.shape[1] != self.in_width:
             raise ShapeError(f"element width {x.data.shape[1]} != layer input {self.in_width}")
-        if self.variant == "full-lambda-gamma":
-            pooled = _POOLS[self.pool](x, offsets)
-            spread = ad.segment_broadcast(pooled, offsets)
-            pre = ad.add(ad.matmul(x, self.Lambda), ad.scalar_scale(ad.matmul(spread, self.Gamma), -1.0))
-            return sigma(ad.add(pre, self.beta))
-        # maxpool-normalized
-        return ad.dense(ad.segment_center(x, offsets), self.Lambda, self.beta, self.nonlinearity)
+        if self.variant == "maxpool-normalized":
+            return ad.dense(ad.segment_center(x, offsets), self.W, self.beta, self.nonlinearity)
+        # sigma(beta + [x, -pool(x)] @ [Lambda; Gamma]); the scalar variant's
+        # Lambda and Gamma are lam * I and -gam * I
+        W, beta = self.W, self.beta
+        if W is None:
+            d = x.data.shape[1]
+            W, beta = Tensor(np.kron([[self.lam], [-self.gam]], np.eye(d))), Tensor(np.zeros(d))
+        augmented = ad.segment_augment(x, _POOLS[self.pool](x, offsets), offsets)
+        return ad.dense(augmented, W, beta, self.nonlinearity)
 
     def params(self) -> list[Tensor]:
-        out = []
-        for t in (self.Lambda, self.Gamma, self.beta):
-            if t is not None:
-                out.append(t)
-        return out
+        return [] if self.W is None else [self.W, self.beta]
 
 
 class EquivariantStack:
@@ -302,6 +305,11 @@ class EquivariantStack:
 
     def __init__(self, layers: list[EquivariantLayer]):
         self.layers = list(layers)
+        # the scalar layers keep any width, so only the others must chain
+        sized = [l for l in self.layers if l.in_width is not None]
+        for a, b in zip(sized, sized[1:]):
+            if a.out_width != b.in_width:
+                raise ShapeError(f"equivariant layer widths disagree: {a.out_width} -> {b.in_width}")
 
     def forward(self, x: Tensor, offsets) -> Tensor:
         for layer in self.layers:
@@ -456,10 +464,11 @@ def _equivariant_layer_to_obj(layer: EquivariantLayer) -> dict:
         obj["lam"] = layer.lam
         obj["gam"] = layer.gam
     else:
-        obj["Lambda"] = layer.Lambda.data.tolist()
+        d = layer.in_width
+        obj["Lambda"] = layer.W.data[:d].tolist()
         obj["beta"] = layer.beta.data.tolist()
-        if layer.Gamma is not None:
-            obj["Gamma"] = layer.Gamma.data.tolist()
+        if layer.variant == "full-lambda-gamma":
+            obj["Gamma"] = layer.W.data[d:].tolist()
     return obj
 
 

@@ -96,9 +96,10 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Everything that determines a training run except the dataset.
 
-    ``pool`` is the regression model's set reduction; ``pooled_baseline``
-    swaps the outlier model for its pool-first control. The task fixes the
-    loss and the architecture.
+    ``pool`` is the regression model's set reduction (the outlier models pool
+    by max and take only the default); ``pooled_baseline`` swaps the outlier
+    model for its pool-first control. The task fixes the loss and the
+    architecture.
     """
 
     task: str
@@ -118,6 +119,9 @@ class TrainConfig:
             raise ConfigError(f"pooled_baseline must be true or false, got {self.pooled_baseline!r}")
         if self.pooled_baseline and self.task != "outlier":
             raise ConfigError("pooled_baseline applies to the outlier task only")
+        if self.task == "outlier" and self.pool != "sum":
+            raise ConfigError("pool applies to the population and digit-sum tasks only; "
+                              "the outlier models always pool by max")
         step = self.step_size
         if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step < math.inf:
             raise ConfigError(f"step_size must be a positive finite number, got {step!r}")

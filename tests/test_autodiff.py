@@ -38,47 +38,31 @@ def test_unknown_primitive():
         apply_primitive("convolve", (Tensor([1.0]),))
 
 
+def _identity(x: Tensor, act: str = "linear") -> Tensor:
+    """``act(x)`` as one dense node with an identity weight and zero bias."""
+    width = x.shape[1]
+    return ad.dense(x, Tensor(np.eye(width)), Tensor(np.zeros(width)), act)
+
+
 def test_eager_without_tape():
-    out = ad.relu(Tensor([-1.0, 2.0]))
+    out = _identity(Tensor([[-1.0, 2.0]]), "relu")
     assert out.tape is None and out.node_id is None
-    np.testing.assert_array_equal(out.data, [0.0, 2.0])
+    np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
 
 def test_forward_values():
-    x = Tensor([[1.0, -2.0], [3.0, 0.0]])
-    np.testing.assert_array_equal(ad.relu(x).data, [[1.0, 0.0], [3.0, 0.0]])
-    np.testing.assert_allclose(ad.tanh(Tensor([0.0])).data, [0.0])
     np.testing.assert_allclose(ad.mse_loss(Tensor([1.0, 2.0]), Tensor([0.0, 0.0])).data, 2.5)
 
 
-def test_matmul_shapes_and_vector_case():
-    a = Tensor([[1.0, 2.0]])
-    b = Tensor([[3.0], [4.0]])
-    np.testing.assert_allclose(ad.matmul(a, b).data, [[11.0]])
-    with pytest.raises(ShapeError):  # vectors are not promoted to rows
-        ad.matmul(Tensor([1.0, 2.0]), b)
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor([[1.0]]), Tensor([[1.0, 2.0], [3.0, 4.0]]))
-
-
-def test_add_broadcast_rules():
-    m = Tensor(np.ones((3, 2)))
-    bias = Tensor([1.0, -1.0])
-    out = ad.add(m, bias)
-    np.testing.assert_array_equal(out.data, [[2.0, 0.0]] * 3)
-    with pytest.raises(ShapeError):
-        ad.add(Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
-
-
 def test_non_finite_result_raises():
-    big = Tensor([700.0, 710.0])
+    big = Tensor([[700.0, 710.0]])
     with Tape(), np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError):
-            ad.mse_loss(ad.scalar_scale(big, 1e308), Tensor([0.0, 0.0]))
+        scaled = ad.dense(big, Tensor(1e300 * np.eye(2)), Tensor(np.zeros(2)), "linear")
+        with pytest.raises(NonFiniteError):  # 7e302 is finite, its square is not
+            ad.mse_loss(scaled, Tensor([[0.0, 0.0]]))
 
 
-# Plain numpy activations (forward, backward from input and output), written
-# the way the separate primitives computed them before dense was fused.
+# Plain numpy activations (forward, and backward from input and output).
 _ACTIVATION_REFERENCE = {
     "linear": (lambda x: x, lambda g, x, out: g),
     "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, out: g * (x > 0.0)),
@@ -103,19 +87,17 @@ def _dense_reference(act, x, W, b, target):
 
 @pytest.mark.parametrize("act", sorted(NONLINEARITIES))
 def test_dense_matches_composed_ops_bit_for_bit(act):
-    """The fused node reproduces matmul -> add -> activation exactly, forward
-    and backward, at a population-like layer shape; both match plain numpy."""
+    """The fused node reproduces the composed numpy ops x @ W, + b and the
+    activation exactly, forward and backward, at a population-like layer
+    shape."""
     rng = np.random.default_rng(17)
     x = Tensor(rng.normal(size=(400, 64)))
     W = Tensor(rng.normal(scale=0.2, size=(64, 64)))
     b = Tensor(rng.normal(scale=0.1, size=64))
     target = Tensor(rng.normal(size=(400, 64)))
     fused = _dense_and_grads(lambda x, W, b: ad.dense(x, W, b, act), x, W, b, target)
-    composed = _dense_and_grads(lambda x, W, b: NONLINEARITIES[act](ad.add(ad.matmul(x, W), b)),
-                                x, W, b, target)
     reference = _dense_reference(act, x.data, W.data, b.data, target.data)
-    for name, got, want, ref in zip(("out", "dx", "dW", "db"), fused, composed, reference):
-        assert np.array_equal(got, want), f"{act}: {name} differs from the composed ops"
+    for name, got, ref in zip(("out", "dx", "dW", "db"), fused, reference):
         assert np.array_equal(got, ref), f"{act}: {name} differs from plain numpy"
 
 
@@ -140,12 +122,12 @@ def test_dense_validates_shapes_and_activation():
 
 
 def test_relu_grad_zero_at_zero():
-    x = Tensor([-1.0, 0.0, 2.0, 3.0])
+    x = Tensor([[-1.0], [0.0], [2.0], [3.0]])
     with Tape() as tape:
         # d loss / d relu(x) = 0.5 * (relu(x) + 1) is non-zero everywhere
-        loss = ad.mse_loss(ad.relu(x), Tensor([-1.0, -1.0, -1.0, -1.0]))
+        loss = ad.mse_loss(_identity(x, "relu"), Tensor([[-1.0], [-1.0], [-1.0], [-1.0]]))
     (gx,) = backprop(tape, loss, [x])
-    np.testing.assert_array_equal(gx, [0.0, 0.0, 1.5, 2.0])
+    np.testing.assert_array_equal(gx, [[0.0], [0.0], [1.5], [2.0]])
 
 
 def test_segment_max_tie_goes_to_first_row():
@@ -158,9 +140,9 @@ def test_segment_max_tie_goes_to_first_row():
 
 
 def test_backprop_requires_scalar_loss():
-    x = Tensor([1.0, 2.0])
+    x = Tensor([[1.0, 2.0]])
     with Tape() as tape:
-        y = ad.relu(x)
+        y = _identity(x, "relu")
         with pytest.raises(ShapeError):
             backprop(tape, y, [x])
 
@@ -169,7 +151,7 @@ def test_unused_leaf_gets_zero_gradient():
     x = Tensor([1.0, 2.0])
     w = Tensor([[3.0]])
     with Tape() as tape:
-        ad.relu(w)  # on the tape, but the loss does not read it
+        _identity(w, "relu")  # on the tape, but the loss does not read it
         loss = ad.mse_loss(x, Tensor([0.0, 0.0]))
     assert w.tape is tape
     gw, gx = backprop(tape, loss, [w, x])
@@ -191,10 +173,10 @@ def test_tensor_never_on_the_tape_gets_zero_gradient():
 def test_tensor_from_a_previous_tape_gets_zeros_not_the_stale_node_gradient():
     w = Tensor([[2.0]])
     with Tape():
-        ad.matmul(Tensor([[1.0]]), w)
+        ad.dense(Tensor([[1.0]]), w, Tensor([0.0]), "linear")
     x, y = Tensor([[3.0]]), Tensor([[5.0]])
     with Tape() as tape:
-        loss = ad.mse_loss(ad.matmul(x, y), Tensor([[0.0]]))
+        loss = ad.mse_loss(ad.dense(x, y, Tensor([0.0]), "linear"), Tensor([[0.0]]))
     # w's stale node id now names y's leaf, whose gradient is not zero
     assert w.node_id == y.node_id and w.tape is not tape
     gw, gy = backprop(tape, loss, [w, y])
@@ -251,7 +233,7 @@ def test_gradient_shapes_match_leaves():
     b = Tensor(rng.normal(size=3))
     x = Tensor(rng.normal(size=(5, 4)))
     with Tape() as tape:
-        h = ad.tanh(ad.add(ad.matmul(x, w), b))
+        h = ad.dense(x, w, b, "tanh")
         loss = ad.mse_loss(h, Tensor(np.zeros((5, 3))))
     gw, gb, gx = backprop(tape, loss, [w, b, x])
     assert gw.shape == w.shape
@@ -265,17 +247,18 @@ def test_shared_weight_gradient_is_sum_of_per_element_contributions():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 3))
     w = Tensor(rng.normal(size=(3, 2)))
+    b = Tensor(np.zeros(2))
 
     with Tape() as tape:
-        h = ad.tanh(ad.matmul(Tensor(x), w))
-        # the mean over 6 rows, times 6, is the sum of the per-row losses
-        loss = ad.scalar_scale(ad.mse_loss(h, Tensor(np.zeros((6, 2)))), 6.0)
-    (batched,) = backprop(tape, loss, [w])
+        h = ad.dense(Tensor(x), w, b, "tanh")
+        loss = ad.mse_loss(h, Tensor(np.zeros((6, 2))))
+    # the mean over 6 rows, times 6, is the sum of the per-row losses
+    batched = 6.0 * backprop(tape, loss, [w])[0]
 
     total = np.zeros_like(w.data)
     for m in range(x.shape[0]):
         with Tape() as tape:
-            h = ad.tanh(ad.matmul(Tensor(x[m:m + 1]), w))
+            h = ad.dense(Tensor(x[m:m + 1]), w, b, "tanh")
             loss = ad.mse_loss(h, Tensor(np.zeros((1, 2))))
         total += backprop(tape, loss, [w])[0]
     np.testing.assert_allclose(batched, total, rtol=0, atol=1e-12)
@@ -294,19 +277,13 @@ def _loss_through(op):
         out = op(*params)
         if out.data.shape == ():
             return out
-        out = ad.tanh(out)
+        out = _identity(out, "tanh")
         return ad.mse_loss(out, Tensor(np.zeros(out.shape)))
 
     return f
 
 
 GRAD_CASES = {
-    "matmul": lambda rng: ([Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)))], lambda a, b: ad.matmul(a, b)),
-    "add": lambda rng: ([Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))], lambda a, b: ad.add(a, b)),
-    "add_bias": lambda rng: ([Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2))], lambda a, b: ad.add(a, b)),
-    "scalar_scale": lambda rng: ([Tensor(rng.normal(size=(2, 3)))], lambda x: ad.scalar_scale(x, -1.7)),
-    "relu": lambda rng: ([Tensor(rng.uniform(0.1, 1.0, size=(3, 3)) * rng.choice([-1.0, 1.0], size=(3, 3)))], ad.relu),
-    "tanh": lambda rng: ([Tensor(rng.normal(size=(3, 3)))], ad.tanh),
     "mse_loss": lambda rng: ([Tensor(rng.normal(size=(4,))), Tensor(rng.normal(size=(4,)))], ad.mse_loss),
     "set_softmax_nll": lambda rng: ([Tensor(rng.normal(size=7))], lambda s: ad.set_softmax_nll(s, [0, 3, 7], [1, 2])),
     "segment_sum": lambda rng: ([Tensor(rng.normal(size=(6, 2)))], lambda x: ad.segment_sum(x, [0, 2, 6])),
@@ -314,6 +291,8 @@ GRAD_CASES = {
     "segment_max": lambda rng: ([Tensor(_well_separated(rng, (6, 2)))], lambda x: ad.segment_max(x, [0, 3, 6])),
     "segment_center": lambda rng: ([Tensor(_well_separated(rng, (6, 2)))], lambda x: ad.segment_center(x, [0, 2, 6])),
     "segment_broadcast": lambda rng: ([Tensor(rng.normal(size=(2, 3)))], lambda x: ad.segment_broadcast(x, [0, 2, 5])),
+    "segment_augment": lambda rng: ([Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(2, 3)))],
+                                    lambda x, pooled: ad.segment_augment(x, pooled, [0, 2, 5])),
 }
 # Fixed inputs whose pre-activations keep 0.1 away from the relu kink.
 GRAD_CASES.update({
@@ -332,14 +311,14 @@ def test_grad_matches_central_differences(case):
 
 def test_grad_check_tight_for_smooth_ops():
     rng = np.random.default_rng(9)
-    params = [Tensor(rng.normal(size=(3, 3)))]
-    err = grad_check(_loss_through(ad.tanh), params, step=1e-5, seed=0)
+    params = [Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2))]
+    err = grad_check(_loss_through(lambda x, W, b: ad.dense(x, W, b, "tanh")), params, step=1e-5, seed=0)
     assert err <= 1e-6
 
 
 def test_grad_check_rejects_bad_step():
-    x = [Tensor([1.0])]
-    f = _loss_through(ad.tanh)
+    x = [Tensor([[1.0]])]
+    f = _loss_through(_identity)
     for bad in (0.0, -1e-5, 0.5):
         with pytest.raises(ad.AutodiffError):
             grad_check(f, x, step=bad)
@@ -350,10 +329,11 @@ def test_grad_check_detects_nondeterminism():
 
     def f(params):
         state["n"] += 1
-        return ad.mse_loss(ad.scalar_scale(params[0], float(state["n"])), Tensor([0.0]))
+        scaled = ad.dense(params[0], Tensor([[float(state["n"])]]), Tensor([0.0]), "linear")
+        return ad.mse_loss(scaled, Tensor([[0.0]]))
 
     with pytest.raises(NonDeterministicError):
-        grad_check(f, [Tensor([1.0])])
+        grad_check(f, [Tensor([[1.0]])])
 
 
 def test_grad_check_catches_wrong_gradient():
@@ -361,10 +341,10 @@ def test_grad_check_catches_wrong_gradient():
     # parameter on the second branch, so analytic and numeric gradients split.
     def f(params):
         (x,) = params
-        frozen = Tensor(x.data.copy())
-        return ad.mse_loss(ad.add(x, frozen), Tensor(np.zeros(x.shape)))
+        frozen = Tensor(x.data[0].copy())
+        return ad.mse_loss(ad.dense(x, Tensor(np.eye(2)), frozen, "linear"), Tensor(np.zeros(x.shape)))
 
-    err = grad_check(f, [Tensor([1.0, 2.0])])
+    err = grad_check(f, [Tensor([[1.0, 2.0]])])
     assert err > 1e-2
 
 
@@ -449,5 +429,5 @@ def test_tape_reuse_across_tapes():
     w = Tensor([[2.0]])
     for _ in range(2):
         with Tape() as tape:
-            loss = ad.mse_loss(ad.matmul(Tensor([[1.0]]), w), Tensor([[0.0]]))
+            loss = ad.mse_loss(ad.dense(Tensor([[1.0]]), w, Tensor([0.0]), "linear"), Tensor([[0.0]]))
         np.testing.assert_allclose(backprop(tape, loss, [w])[0], [[4.0]])

@@ -241,6 +241,21 @@ def test_eval_rejects_a_malformed_model(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: cannot load inputs")
 
 
+def test_eval_rejects_a_stack_whose_widths_do_not_chain(tmp_path, capsys):
+    """The stack is refused when it loads; the data are not blamed."""
+    data, model = tmp_path / "o.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
+    layer = {"variant": "maxpool-normalized", "pool": "max", "nonlinearity": "tanh"}
+    model.write_text(json.dumps({"type": "equivariant_stack", "layers": [
+        {**layer, "Lambda": np.zeros((8, 4)).tolist(), "beta": [0.0] * 4},
+        {**layer, "Lambda": np.zeros((3, 1)).tolist(), "beta": [0.0]},
+    ]}))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load inputs") and "widths disagree: 4 -> 3" in err
+
+
 @pytest.mark.parametrize("task_flag, message", [
     (["--task", "outlier"], "element width 10"),
     ([], "needs one prediction per set"),

@@ -3,9 +3,10 @@
 `segment_max` (forward and backward), `segment_center`, `set_softmax_nll` and
 the outlier task's element selection reduce each run of equal-size sets as
 one block; these loops are the per-set form they replaced, and
-`segment_center` must also match the four tape nodes it replaced. All must
-agree bit for bit, sign of zero included, on ragged batches and on long
-equal-size runs between ragged sets, with ties and a signed-zero maximum.
+`segment_center` must also match the arithmetic of the four tape nodes it
+replaced. All must agree bit for bit, sign of zero included, on ragged
+batches and on long equal-size runs between ragged sets, with ties and a
+signed-zero maximum.
 """
 
 import numpy as np
@@ -77,16 +78,17 @@ def ref_selections(model, dataset):
 
 def chain_center(x, off, g):
     """``x - maxpool(x)`` and its gradient for the upstream gradient ``g`` as
-    the nodes segment_max -> segment_broadcast -> scalar_scale(-1) -> add
-    computed them, summed into the gradient of ``x`` in backprop's order."""
+    the nodes segment_max -> segment_broadcast -> scale by -1 -> add computed
+    them, summed into the gradient of ``x`` in backprop's order. The scaling
+    and the add are inlined here in numpy, in the same order."""
     prim = ad._PRIMITIVES
     attrs = {"offsets": tuple(off.tolist())}
     top, max_saved = prim["segment_max"][0]((x,), attrs)
     spread, spread_saved = prim["segment_broadcast"][0]((top,), attrs)
-    neg, _ = prim["scalar_scale"][0]((spread,), {"alpha": -1.0})
-    out, _ = prim["add"][0]((x, neg), {})
-    gx, gneg = prim["add"][1](g, (x, neg), out, None, {})
-    (gspread,) = prim["scalar_scale"][1](gneg, (spread,), neg, None, {"alpha": -1.0})
+    neg = -1.0 * spread
+    out = x + neg
+    gx, gneg = g, g
+    gspread = -1.0 * gneg
     (gtop,) = prim["segment_broadcast"][1](gspread, (top,), spread, spread_saved, attrs)
     (gmax,) = prim["segment_max"][1](gtop, (x,), top, max_saved, attrs)
     return out, gx + gmax

@@ -187,6 +187,53 @@ def test_equivariant_width_mismatch():
         layer.forward(Tensor(np.zeros((4, 5))), [0, 4])
 
 
+_NUMPY_POOLS = {"sum": np.sum, "mean": np.mean, "max": np.max}
+_NUMPY_ACTS = {"linear": lambda a: a, "relu": lambda a: np.maximum(a, 0.0), "tanh": np.tanh}
+
+
+@pytest.mark.parametrize("pool", ["sum", "mean", "max"])
+@pytest.mark.parametrize("variant", ["scalar-lambda-gamma", "full-lambda-gamma"])
+def test_lambda_gamma_layer_is_pool_augment_dense(variant, pool):
+    """Both lambda-gamma forms record three nodes and compute
+    sigma(beta + x Lambda - repeat(pool(x)) Gamma); the scalar form's Lambda
+    and Gamma are lam * I and -gam * I with beta = 0."""
+    rng = np.random.default_rng(8)
+    sizes, d = (3, 1, 5), 4
+    x = rng.normal(size=(sum(sizes), d))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for act in ("linear", "relu", "tanh"):
+        if variant == "scalar-lambda-gamma":
+            lam, gam = rng.normal(size=2)
+            layer = EquivariantLayer(variant, lam=lam, gam=gam, pool=pool, nonlinearity=act)
+            Lambda, Gamma, beta = lam * np.eye(d), -gam * np.eye(d), np.zeros(d)
+        else:
+            Lambda, Gamma, beta = rng.normal(size=(d, 3)), rng.normal(size=(d, 3)), rng.normal(size=3)
+            layer = EquivariantLayer(variant, Lambda=Lambda, Gamma=Gamma, beta=beta, pool=pool, nonlinearity=act)
+        with Tape() as tape:
+            out = layer.forward(Tensor(x), offsets).data
+        assert [n.kind for n in tape.nodes if n.kind != "leaf"] == [f"segment_{pool}", "segment_augment", "dense"]
+        pooled = np.concatenate([_NUMPY_POOLS[pool](s, axis=0, keepdims=True)
+                                 for s in np.split(x, offsets[1:-1])])
+        want = _NUMPY_ACTS[act](beta + x @ Lambda - np.repeat(pooled, sizes, axis=0) @ Gamma)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+def test_stack_widths_must_chain():
+    """A stack whose layer widths do not chain is refused when it is built
+    or loaded, not when data first reaches it; scalar layers keep any width."""
+    scalar = EquivariantLayer("scalar-lambda-gamma", lam=1.0, gam=0.5, pool="sum")
+    first = EquivariantLayer("maxpool-normalized", Lambda=np.zeros((8, 4)))
+    second = EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((3, 1)), Gamma=np.zeros((3, 1)))
+    for layers in ([first, second], [first, scalar, second]):
+        with pytest.raises(ShapeError, match="widths disagree: 4 -> 3"):
+            EquivariantStack(layers)
+        with pytest.raises(ShapeError, match="widths disagree: 4 -> 3"):
+            model_from_json(json.dumps({"type": "equivariant_stack", "layers": [
+                json.loads(model_to_json(EquivariantStack([layer])))["layers"][0] for layer in layers]}))
+    fits = EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((4, 1)), Gamma=np.zeros((4, 1)))
+    assert EquivariantStack([scalar, first, scalar, fits, scalar]).layers[3] is fits
+
+
 def test_layer_constructor_validation():
     with pytest.raises(ShapeError):
         EquivariantLayer("nonsense", lam=1.0, gam=1.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from setnn import autodiff as ad
+from setnn import train as tr
 from setnn.autodiff import Tape, Tensor
-from setnn.layers import EquivariantStack, InvariantModel, model_to_json
+from setnn.layers import EquivariantLayer, EquivariantStack, InvariantModel, SetBatch, model_to_json
 from setnn.tasks import GaussianTaskSpec, LabeledSetDataset, gen_digit_sum, gen_outlier_sets, gen_population_task
 from setnn.train import (
     Adam,
@@ -28,6 +29,8 @@ def test_config_validation():
             TrainConfig.from_dict({"task": "population", "loss": loss})
     with pytest.raises(ConfigError):
         TrainConfig(task="population", pooled_baseline=True)
+    with pytest.raises(ConfigError, match="pool applies"):
+        TrainConfig(task="outlier", pool="mean")
     # the architecture and Adam's constants are fixed, not configured
     for name, value in (("phi_widths", [64, 64, 64]), ("rho_widths", [64, 2]),
                         ("equivariant_widths", [64, 64, 1]), ("equivariant_variant", "full-lambda-gamma"),
@@ -189,7 +192,7 @@ class _ConstantZero:
 class _ExactDigitSum:
     def forward(self, batch):
         values = Tensor(np.arange(10.0).reshape(10, 1))
-        return ad.segment_sum(ad.matmul(Tensor(batch.elements), values), batch.offsets)
+        return ad.segment_sum(ad.dense(Tensor(batch.elements), values, Tensor([0.0]), "linear"), batch.offsets)
 
     def params(self):
         return []
@@ -275,3 +278,29 @@ def test_evaluate_chunking_matches_single_batch():
     off = out.batch.offsets
     whole = [np.argmax(scores[a:b]) for a, b in zip(off[:-1], off[1:])]
     assert np.array_equal(_selections(model, out), whole)
+
+
+def test_every_primitive_is_recorded_by_some_model():
+    """The invariant models with each pool, the pooled baseline and stacks of
+    each equivariant variant, through both losses, record every primitive:
+    none is kept that no model uses."""
+    rng = np.random.default_rng(0)
+    batch = SetBatch.from_sets([rng.normal(size=(m, 3)) for m in (2, 4)])
+    outlier = TrainConfig(task="outlier")
+    runs = [(TrainConfig(task="population", pool=pool), np.zeros(2)) for pool in ("sum", "mean", "max")]
+    runs += [(outlier, np.array([1, 3])), (TrainConfig(task="outlier", pooled_baseline=True), np.array([0, 2]))]
+    models = [build_model(config, 3, rng) for config, _ in runs]
+    head = EquivariantLayer("maxpool-normalized", Lambda=rng.normal(size=(3, 1)))
+    for pool in ("sum", "mean", "max"):
+        full = EquivariantLayer("full-lambda-gamma", Lambda=rng.normal(size=(3, 1)), Gamma=rng.normal(size=(3, 1)),
+                                pool=pool)
+        scalar = EquivariantLayer("scalar-lambda-gamma", lam=0.5, gam=-0.25, pool=pool)
+        for layers in ([full], [scalar, head]):
+            runs.append((outlier, np.array([0, 1])))
+            models.append(EquivariantStack(layers))
+    kinds = set()
+    for (config, targets), model in zip(runs, models):
+        with Tape() as tape:
+            tr._batch_loss(config, model, batch, targets)
+        kinds |= {node.kind for node in tape.nodes if node.kind != "leaf"}
+    assert kinds == set(ad.PRIMITIVE_KINDS)
