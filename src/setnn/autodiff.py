@@ -9,10 +9,13 @@ wrt)`` sweeps the tape in reverse and returns one gradient array per tensor in
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), the only affine map or activation on the tape;
-segment pooling, broadcasting, max-centering and the ``[x, -pool(x)]``
-augmentation over ragged batches; and the two loss heads used by the
-training driver. All arrays are float64; any primitive producing a NaN/Inf
-raises immediately rather than letting it propagate.
+segment pooling over ragged batches, and three ways to spread one pooled row
+back over its segment (repeat it, subtract it as ``x - pooled``, or append
+its negation as ``[x, -pooled]``); and the two loss heads used by the
+training driver. A pooled row comes from its own pooling node, so the
+gradient through the pool reaches ``x`` by backprop's sum rule. All arrays
+are float64; any primitive producing a NaN/Inf raises immediately rather
+than letting it propagate.
 """
 
 from __future__ import annotations
@@ -227,10 +230,14 @@ def _bw_set_softmax_nll(g, xs, out, saved, attrs):
 
 
 def _seg_starts(xs, attrs):
-    (x,) = xs
+    """The first input, a ``(total, H)`` matrix, and its validated offsets; a
+    second input must hold one ``(H,)`` row per segment."""
+    x = xs[0]
     if x.ndim != 2:
         raise ShapeError(f"segment ops expect a (total, H) matrix, got {x.shape}")
     off = _check_offsets(attrs["offsets"], x.shape[0])
+    if len(xs) > 1 and xs[1].shape != (off.size - 1, x.shape[1]):
+        raise ShapeError(f"segment ops want one ({x.shape[1]},) pooled row per segment, got {xs[1].shape}")
     return x, off
 
 
@@ -256,7 +263,8 @@ def segment_argmax(x, off):
     ``(total, H)`` matrix, as ``(nsets, H)``; ``off`` is validated offsets.
 
     The lowest row equal to the maximum wins (``-0.0 == 0.0``): ``argmax`` over
-    each run block. Max pooling, max-centering and outlier selection use it.
+    each run block. Max pooling (so max-centering too) and outlier selection
+    use it.
     """
     return np.concatenate([block.argmax(axis=1) for block in _run_blocks(x, off)]) + off[:-1, None]
 
@@ -296,14 +304,12 @@ def _bw_segment_max(g, xs, out, saved, attrs):
 
 
 def _fw_segment_center(xs, attrs):
-    top, saved = _fw_segment_max(xs, attrs)
-    return xs[0] - np.repeat(top, np.diff(saved[1]), axis=0), saved
+    x, off = _seg_starts(xs, attrs)
+    return x - np.repeat(xs[1], np.diff(off), axis=0), off
 
 
 def _bw_segment_center(g, xs, out, saved, attrs):
-    # g reaches x directly and, negated and summed per segment, through its maximum
-    (gmax,) = _bw_segment_max(-_segment_sums(g, saved[1]), xs, None, saved, attrs)
-    return (g + gmax,)
+    return g, -_segment_sums(g, saved)
 
 
 def _fw_segment_broadcast(xs, attrs):
@@ -320,11 +326,8 @@ def _bw_segment_broadcast(g, xs, out, saved, attrs):
 
 
 def _fw_segment_augment(xs, attrs):
-    x, off = _seg_starts(xs[:1], attrs)
-    pooled = xs[1]
-    if pooled.shape != (off.size - 1, x.shape[1]):
-        raise ShapeError(f"segment_augment wants one ({x.shape[1]},) row per segment, got {pooled.shape}")
-    return np.concatenate([x, -np.repeat(pooled, np.diff(off), axis=0)], axis=1), off
+    x, off = _seg_starts(xs, attrs)
+    return np.concatenate([x, -np.repeat(xs[1], np.diff(off), axis=0)], axis=1), off
 
 
 def _bw_segment_augment(g, xs, out, saved, attrs):
@@ -382,8 +385,9 @@ def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
     Returns one float64 array per tensor of ``wrt``, in order, shaped like it.
     A tensor the loss does not reach, or that is not on ``tape``, gets zeros.
     The gradient of a tensor shared by several consumers (e.g. a weight applied
-    to every element of a set) accumulates one contribution per use. Other
-    intermediate gradients are dropped as soon as they have been propagated.
+    to every element of a set, or a layer input that is both pooled and
+    spread) accumulates one contribution per use. Other intermediate
+    gradients are dropped as soon as they have been propagated.
     Raises AutodiffError if ``loss`` is not on ``tape`` and NonFiniteError if
     a returned gradient holds NaN or Inf.
     """
@@ -404,9 +408,8 @@ def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
         _, bw = _PRIMITIVES[node.kind]
         in_grads = bw(g, node.in_data, node.out_data, node.saved, node.attrs)
         for iid, ig in zip(node.inputs, in_grads):
-            if ig is None:
-                continue
             if iid in grads:
+                # out of place: a backward may return its incoming gradient itself
                 grads[iid] = grads[iid] + ig
             else:
                 grads[iid] = ig
@@ -496,9 +499,9 @@ def segment_max(x: Tensor, offsets) -> Tensor:
     return apply_primitive("segment_max", (x,), {"offsets": offsets})
 
 
-def segment_center(x: Tensor, offsets) -> Tensor:
-    """``x`` minus its segment's first maximum, per row and column, as one tape node."""
-    return apply_primitive("segment_center", (x,), {"offsets": offsets})
+def segment_center(x: Tensor, pooled: Tensor, offsets) -> Tensor:
+    """``x`` minus its segment's row of ``pooled``, per row, as one tape node."""
+    return apply_primitive("segment_center", (x, pooled), {"offsets": offsets})
 
 
 def segment_broadcast(x: Tensor, offsets) -> Tensor:

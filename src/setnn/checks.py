@@ -164,8 +164,9 @@ def _gradient_cases(rng: np.random.Generator):
     case("segment_mean", (p((9, 3)),), lambda x: ad.segment_mean(x, off))
     case("segment_max", (Tensor(_separated(rng, (9, 3))),),
          lambda x: ad.segment_max(x, off), smooth=False)
+    # x feeds both the pool and the centering, so backprop must add the paths
     case("segment_center", (Tensor(_separated(rng, (9, 3))),),
-         lambda x: ad.segment_center(x, off), smooth=False)
+         lambda x: ad.segment_center(x, ad.segment_max(x, off), off), smooth=False)
     case("segment_broadcast", (p((3, 4)),),
          lambda x: ad.segment_broadcast(x, off))
     case("segment_augment", (p((9, 3)), p((3, 3))),

@@ -81,8 +81,6 @@ def _cmd_gen(args) -> int:
         raise UsageError(f"unknown generator config fields for {args.task}: {sorted(unknown)}")
     try:
         if args.task in POPULATION_KINDS:
-            if "set_size_range" in ov:
-                ov["set_size_range"] = tuple(ov["set_size_range"])
             dataset = gen_population_task(GaussianTaskSpec(kind=args.task, num_sets=args.n,
                                                            seed=args.seed, **ov))
         else:
@@ -101,10 +99,7 @@ def _metrics_path(model_path: str) -> str:
 
 def _train_config(args, dataset) -> TrainConfig:
     obj = _load_json(args.config, "train config") if args.config else {}
-    task = dataset.meta.get("task")
-    if task in POPULATION_KINDS:
-        task = "population"
-    obj.setdefault("task", task or args.task)
+    obj.setdefault("task", dataset.meta.get("task") or args.task)
     if args.task:
         obj["task"] = args.task
     if args.epochs is not None:
@@ -168,6 +163,9 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"model {args.model} does not fit dataset {args.data}: {exc}") from exc
     except NonFiniteError as exc:
         raise UsageError(f"model {args.model} overflows on dataset {args.data}: {exc}") from exc
+    except TrainingDiverged as exc:  # its epoch and batch mean nothing here
+        raise UsageError(f"model {args.model} overflows on dataset {args.data}: "
+                         f"the {task} metric is not finite") from exc
     text = metrics_to_csv([record], include_timing=args.timing)
     print(text, end="")
     if args.out:

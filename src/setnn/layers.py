@@ -15,12 +15,13 @@ permutations. Three weight-sharing variants are provided:
 * ``maxpool-normalized``: ``sigma(beta + (x - maxpool(x))@Lambda)``, a single
   weight matrix applied after subtracting the per-channel max.
 
-Every variant is three tape nodes at most and ends in one fused ``dense``.
-The two lambda-gamma forms are one affine map of the set-augmented input:
-``segment_<pool>`` then ``segment_augment`` give ``[x, -pool(x)]``, and
-``dense`` applies the stacked weight ``[Lambda; Gamma]`` (``[lam*I; -gam*I]``
-for the scalar form). ``maxpool-normalized`` is ``segment_center`` then
-``dense``.
+Every variant is three tape nodes: pool, spread, ``dense``. A
+``segment_<pool>`` node pools each set; the pooled rows are spread back over
+the set's rows, and one fused ``dense`` applies the layer's weight. The two
+lambda-gamma forms spread with ``segment_augment`` into ``[x, -pool(x)]``,
+under the stacked weight ``[Lambda; Gamma]`` (``[lam*I; -gam*I]`` for the
+scalar form); ``maxpool-normalized`` spreads with ``segment_center`` into
+``x - pool(x)``, under ``Lambda``.
 
 `commutes_with_all_permutations` and `commutant_dimension` check the algebra
 directly: the tied two-parameter family is precisely the space of matrices
@@ -285,16 +286,15 @@ class EquivariantLayer:
         """Apply to a flat (total, D) matrix, pooling within each segment."""
         if self.in_width is not None and x.data.shape[1] != self.in_width:
             raise ShapeError(f"element width {x.data.shape[1]} != layer input {self.in_width}")
-        if self.variant == "maxpool-normalized":
-            return ad.dense(ad.segment_center(x, offsets), self.W, self.beta, self.nonlinearity)
-        # sigma(beta + [x, -pool(x)] @ [Lambda; Gamma]); the scalar variant's
-        # Lambda and Gamma are lam * I and -gam * I
+        # maxpool-normalized: sigma(beta + (x - pool(x)) @ Lambda); the others:
+        # sigma(beta + [x, -pool(x)] @ [Lambda; Gamma]), where the scalar
+        # variant's Lambda and Gamma are lam * I and -gam * I
         W, beta = self.W, self.beta
         if W is None:
             d = x.data.shape[1]
             W, beta = Tensor(np.kron([[self.lam], [-self.gam]], np.eye(d))), Tensor(np.zeros(d))
-        augmented = ad.segment_augment(x, _POOLS[self.pool](x, offsets), offsets)
-        return ad.dense(augmented, W, beta, self.nonlinearity)
+        spread = ad.segment_center if self.variant == "maxpool-normalized" else ad.segment_augment
+        return ad.dense(spread(x, _POOLS[self.pool](x, offsets), offsets), W, beta, self.nonlinearity)
 
     def params(self) -> list[Tensor]:
         return [] if self.W is None else [self.W, self.beta]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,14 @@ class TaskError(ValueError):
         self.set_index = set_index
 
 
+def require_int(name: str, value, least: int, error: type[ValueError] = TaskError):
+    """``value`` if it is an integer of at least ``least`` (a bool is not one);
+    otherwise raises ``error`` naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GaussianTaskSpec:
     """Recipe for one population-statistics dataset.
@@ -80,13 +89,18 @@ class GaussianTaskSpec:
             raise TaskError(f"kind must be one of {POPULATION_KINDS}, got {self.kind!r}")
         if self.d is None:
             object.__setattr__(self, "d", _DEFAULT_DIM[self.kind])
-        if self.d < 1 or (self.kind == "rotation" and self.d != 2):
+        require_int("d", self.d, 1)
+        if self.kind == "rotation" and self.d != 2:
             raise TaskError(f"invalid dimension {self.d} for kind {self.kind!r}")
-        lo, hi = self.set_size_range
-        if not 1 <= lo <= hi:
-            raise TaskError(f"bad set size range {self.set_size_range}")
-        if self.num_sets < 1:
-            raise TaskError("num_sets must be positive")
+        size_range = self.set_size_range
+        if not isinstance(size_range, (tuple, list)) or len(size_range) != 2:
+            raise TaskError(f"set_size_range must be two integers [lo, hi], got {size_range!r}")
+        lo, hi = (require_int("each set_size_range entry", m, 1) for m in size_range)
+        if lo > hi:
+            raise TaskError(f"bad set size range {size_range}")
+        object.__setattr__(self, "set_size_range", (lo, hi))
+        require_int("num_sets", self.num_sets, 1)
+        require_int("seed", self.seed, 0)
         if self.alpha_fixed is not None and self.kind != "correlation":
             raise TaskError("alpha_fixed applies to the correlation kind only")
 
@@ -267,11 +281,10 @@ def gen_digit_sum(num_sets: int, max_set_size: int = 10, set_size_at_test: int |
     [1, max_set_size] (the training regime); otherwise every set has exactly
     that size (the evaluation regime for length generalization).
     """
-    if num_sets < 1 or max_set_size < 1:
-        raise TaskError("num_sets and max_set_size must be positive")
-    fixed = int(set_size_at_test) if set_size_at_test else 0
-    if fixed < 0:
-        raise TaskError("set_size_at_test must be >= 0")
+    require_int("num_sets", num_sets, 1)
+    require_int("max_set_size", max_set_size, 1)
+    require_int("seed", seed, 0)
+    fixed = 0 if set_size_at_test is None else require_int("set_size_at_test", set_size_at_test, 0)
     sets = []
     targets = np.empty(num_sets)
     eye = np.eye(10)
@@ -300,12 +313,12 @@ def gen_outlier_sets(num_sets: int, set_size: int = 16, d: int = 8, shift: float
     by ``shift`` along a random unit direction. ``shift`` may be zero, which
     produces an indistinguishable 'outlier' (the chance-level control).
     """
-    if set_size < 2:
-        raise TaskError("set_size must be at least 2")
+    require_int("set_size", set_size, 2)
+    require_int("d", d, 1)
+    require_int("num_sets", num_sets, 1)
+    require_int("seed", seed, 0)
     if shift < 0:
         raise TaskError("shift must be non-negative")
-    if num_sets < 1 or d < 1:
-        raise TaskError("num_sets and d must be positive")
     sets = []
     targets = np.empty(num_sets, dtype=np.int64)
     for i in range(num_sets):

@@ -37,7 +37,7 @@ from setnn.layers import (
     dense_stack,
     glorot_uniform,
 )
-from setnn.tasks import LabeledSetDataset
+from setnn.tasks import LabeledSetDataset, require_int
 
 __all__ = [
     "ConfigError",
@@ -126,9 +126,7 @@ class TrainConfig:
         if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step < math.inf:
             raise ConfigError(f"step_size must be a positive finite number, got {step!r}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            require_int(name, getattr(self, name), least, ConfigError)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -239,17 +237,14 @@ def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray
     return ad.mse_loss(pred, Tensor(targets.reshape(-1, 1)))
 
 
-def train(config: TrainConfig, dataset: LabeledSetDataset,
-          eval_dataset: LabeledSetDataset | None = None):
+def train(config: TrainConfig, dataset: LabeledSetDataset):
     """Run the configured training; returns (model, per-epoch MetricsRecords).
 
-    The eval metric of each record is computed on ``eval_dataset`` when given,
-    else on the training dataset. The dataset is never mutated: training
-    batches are gathered copies, and evaluation reads slices of the dataset.
+    The eval metric of each record is computed on the training dataset. The
+    dataset is never mutated: training batches are gathered copies, and
+    evaluation reads slices of the dataset.
     """
     _check_dataset(config, dataset)
-    if eval_dataset is not None:
-        _check_dataset(config, eval_dataset)
     rng = np.random.default_rng(config.seed)
     model = build_model(config, dataset.element_dim, rng)
     params = model.params()
@@ -275,8 +270,7 @@ def train(config: TrainConfig, dataset: LabeledSetDataset,
             opt.step(grads)
             loss_sum += float(loss.data) * idx.size
             sets_seen += idx.size
-        metric = evaluate(model, eval_dataset if eval_dataset is not None else dataset,
-                          config.task).eval_metric
+        metric = evaluate(model, dataset, config.task).eval_metric
         records.append(MetricsRecord(epoch, loss_sum / sets_seen, metric,
                                      time.perf_counter() - started))
     return model, records

@@ -289,7 +289,8 @@ GRAD_CASES = {
     "segment_sum": lambda rng: ([Tensor(rng.normal(size=(6, 2)))], lambda x: ad.segment_sum(x, [0, 2, 6])),
     "segment_mean": lambda rng: ([Tensor(rng.normal(size=(6, 2)))], lambda x: ad.segment_mean(x, [0, 4, 6])),
     "segment_max": lambda rng: ([Tensor(_well_separated(rng, (6, 2)))], lambda x: ad.segment_max(x, [0, 3, 6])),
-    "segment_center": lambda rng: ([Tensor(_well_separated(rng, (6, 2)))], lambda x: ad.segment_center(x, [0, 2, 6])),
+    "segment_center": lambda rng: ([Tensor(rng.normal(size=(6, 2))), Tensor(rng.normal(size=(2, 2)))],
+                                   lambda x, pooled: ad.segment_center(x, pooled, [0, 2, 6])),
     "segment_broadcast": lambda rng: ([Tensor(rng.normal(size=(2, 3)))], lambda x: ad.segment_broadcast(x, [0, 2, 5])),
     "segment_augment": lambda rng: ([Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(2, 3)))],
                                     lambda x, pooled: ad.segment_augment(x, pooled, [0, 2, 5])),
@@ -423,6 +424,16 @@ def test_offsets_validation():
     for bad in ([1, 2, 3], [0, 2, 2], [0, 3, 1]):
         with pytest.raises(ShapeError):
             ad.segment_broadcast(Tensor(np.zeros((2, 2))), bad)
+
+
+@pytest.mark.parametrize("spread", [ad.segment_center, ad.segment_augment])
+def test_spread_ops_want_one_pooled_row_per_segment(spread):
+    x = Tensor(np.zeros((4, 2)))
+    # a (2, 1) pooled matrix would broadcast across the columns unchecked
+    for shape in ((1, 2), (3, 2), (2, 1), (2, 3), (2,)):
+        with pytest.raises(ShapeError, match="pooled row per segment"):
+            spread(x, Tensor(np.zeros(shape)), [0, 1, 4])
+    assert spread(x, Tensor(np.ones((2, 2))), [0, 1, 4]).shape[0] == 4
 
 
 def test_tape_reuse_across_tapes():

@@ -108,6 +108,49 @@ def test_gen_population_with_config(tmp_path, capsys):
     assert all(10 <= m <= 20 for m in ds.batch.sizes())
 
 
+@pytest.mark.parametrize("task, setting, message", [
+    ("rotation", {"set_size_range": [5, 8, 9]}, "set_size_range must be two integers"),
+    ("rotation", {"set_size_range": 5}, "set_size_range must be two integers"),
+    ("rotation", {"set_size_range": [5.5, 8]}, "set_size_range entry must be an integer >= 1, got 5.5"),
+    ("rotation", {"set_size_range": [True, 8]}, "set_size_range entry must be an integer >= 1, got True"),
+    ("random", {"d": 4.0}, "d must be an integer >= 1, got 4.0"),
+    ("digit-sum", {"max_set_size": 2.5}, "max_set_size must be an integer >= 1, got 2.5"),
+    ("digit-sum", {"set_size_at_test": 3.5}, "set_size_at_test must be an integer >= 0, got 3.5"),
+    ("outlier", {"set_size": 4.0}, "set_size must be an integer >= 2, got 4.0"),
+    ("outlier", {"d": False}, "d must be an integer >= 1, got False"),
+    ("rotation", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ("digit-sum", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ("outlier", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+])
+def test_gen_rejects_settings_that_are_not_integers(tmp_path, capsys, task, setting, message):
+    """A dict setting is the config file, a list is extra flags."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+    cfg.write_text(json.dumps(setting if isinstance(setting, dict) else {}))
+    flags = setting if isinstance(setting, list) else []
+    assert cli_dispatch(["gen", "--task", task, "--n", "4", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_dataset_whose_task_is_a_kind_name_evaluates_but_does_not_train(tmp_path, capsys):
+    """gen writes "task": "population" for every population kind; a file that
+    names the kind instead still evaluates, but does not train."""
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "rotation", "--n", "16", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    lines = [json.loads(line) for line in data.read_text().splitlines()]
+    for line in lines:  # an unknown task's lines must agree on every meta key
+        line["meta"].update(task="rotation", alpha=0.0)
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 0
+    for flags in ([], ["--task", "population"]):
+        assert cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "task must be one of" in err and "but dataset task 'rotation'" in err
+
+
 def test_train_eval_roundtrip(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "64",
@@ -304,6 +347,25 @@ def test_eval_rejects_a_model_that_overflows_on_the_data(tmp_path, capsys):
         assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: model") and "non-finite" in err
+
+
+def test_eval_rejects_a_model_whose_metric_overflows(tmp_path, capsys):
+    """Every activation stays finite, but the squared error of 1e160-sized
+    predictions does not."""
+    data, cfg, model = tmp_path / "d.jsonl", tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text(json.dumps({"set_size_range": [5, 8]}))
+    assert cli_dispatch(["gen", "--task", "rotation", "--n", "4", "--config", str(cfg), "--out", str(data)]) == 0
+    phi = dense_stack(np.random.default_rng(0), [2, 1], "linear")
+    phi[0].W.data[:] = 1e160
+    rho = dense_stack(np.random.default_rng(0), [1, 1], "linear")
+    rho[0].W.data[:] = 1.0
+    model.write_text(model_to_json(InvariantModel(phi, "mean", rho)))
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model {model} overflows on dataset {data}")
+    assert err.count("\n") == 1 and "epoch" not in err and "batch" not in err
 
 
 def test_eval_missing_model_is_a_usage_error(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """The first-maximum kernels against per-set loops kept here as the reference.
 
-`segment_max` (forward and backward), `segment_center`, `set_softmax_nll` and
-the outlier task's element selection reduce each run of equal-size sets as
-one block; these loops are the per-set form they replaced, and
-`segment_center` must also match the arithmetic of the four tape nodes it
-replaced. All must agree bit for bit, sign of zero included, on ragged
-batches and on long equal-size runs between ragged sets, with ties and a
-signed-zero maximum.
+`segment_max` (forward and backward), `set_softmax_nll` and the outlier
+task's element selection reduce each run of equal-size sets as one block;
+these loops are the per-set form they replaced. Max-centering, recorded as
+`segment_max` then `segment_center`, must also match the arithmetic of the
+four tape nodes it once took, with backprop adding the gradient through the
+maximum to the direct one. All must agree bit for bit, sign of zero
+included, on ragged batches and on long equal-size runs between ragged sets,
+with ties and a signed-zero maximum.
 """
 
 import numpy as np
@@ -142,16 +143,28 @@ def test_segment_max_matches_the_per_set_loop(width, seed):
         assert not np.signbit(gx[gx == 0]).any()
 
 
+def _probe(g):
+    """A scalar loss primitive whose backward hands ``g`` on unchanged, so
+    backprop starts from exactly that upstream gradient."""
+    fw = lambda xs, attrs: (np.asarray(float(np.sum(xs[0] * g))), None)
+    bw = lambda gout, xs, out, saved, attrs: (gout * g,)
+    return fw, bw
+
+
 @pytest.mark.parametrize("width", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_segment_center_matches_the_four_node_chain(width, seed):
-    fw, bw = ad._PRIMITIVES["segment_center"]
+def test_segment_center_matches_the_four_node_chain(width, seed, monkeypatch):
     for sizes in LAYOUTS:
         x, off = ragged(seed, width, sizes)
-        attrs = {"offsets": tuple(off.tolist())}
-        out, saved = fw((x,), attrs)
         g = upstream(seed, x.shape)
-        gx = bw(g, (x,), out, saved, attrs)[0]
+        monkeypatch.setitem(ad._PRIMITIVES, "probe", _probe(g))
+        leaf = ad.Tensor(x)
+        with ad.Tape() as tape:
+            centered = ad.segment_center(leaf, ad.segment_max(leaf, off), off)
+            loss = ad.apply_primitive("probe", (centered,))
+        assert [n.kind for n in tape.nodes] == ["leaf", "segment_max", "segment_center", "probe"]
+        out = centered.data
+        (gx,) = ad.backprop(tape, loss, [leaf])
         chain_out, chain_gx = chain_center(x, off, g)
         assert same_bits(out, chain_out)
         assert same_bits(gx, chain_gx)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setnn.autodiff import ShapeError, Tape, Tensor
+from setnn import autodiff as ad
+from setnn.autodiff import ShapeError, Tape, Tensor, grad_check
 from setnn.layers import (
     DenseLayer,
     EquivariantLayer,
@@ -134,8 +135,8 @@ def test_maxpool_normalized_hand_example():
     with Tape() as tape:
         out = layer.forward(Tensor([[1.0], [2.0], [3.0]]), [0, 3]).data
     np.testing.assert_allclose(out, [[-2.0], [-1.0], [0.0]])
-    # the centering and the dense layer are one tape node each
-    assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["segment_center", "dense"]
+    # the pool, the centering and the dense layer are one tape node each
+    assert [n.kind for n in tape.nodes if n.kind != "leaf"] == ["segment_max", "segment_center", "dense"]
 
 
 def test_scalar_layer_matches_materialized_theta():
@@ -429,3 +430,26 @@ def test_model_from_json_fuzz_loads_a_model_or_raises_value_error(data):
         return
     text = model_to_json(model)
     assert model_to_json(model_from_json(text)) == text
+
+
+@pytest.mark.parametrize("act", ["linear", "tanh"])
+@pytest.mark.parametrize("pool", ["sum", "mean", "max"])
+@pytest.mark.parametrize("variant", ["scalar-lambda-gamma", "full-lambda-gamma"])
+def test_lambda_gamma_gradients_match_central_differences(variant, pool, act):
+    """A lambda-gamma layer reads x twice, through the pool and through
+    segment_augment; backprop must add both paths into x's gradient."""
+    rng = np.random.default_rng(12)
+    sizes, d = (3, 1, 5), 4
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # distinct entries at least 0.02 apart keep each maximum under a 1e-6 step
+    x = Tensor(rng.permutation(sum(sizes) * d).reshape(-1, d) * 0.02 - 0.3)
+    if variant == "scalar-lambda-gamma":
+        layer = EquivariantLayer(variant, lam=0.7, gam=-0.4, pool=pool, nonlinearity=act)
+    else:
+        layer = EquivariantLayer(variant, Lambda=rng.normal(scale=0.5, size=(d, 3)),
+                                 Gamma=rng.normal(scale=0.5, size=(d, 3)),
+                                 beta=rng.normal(scale=0.1, size=3), pool=pool, nonlinearity=act)
+    target = Tensor(rng.normal(size=(sum(sizes), layer.out_width or d)))
+    err = grad_check(lambda ps: ad.mse_loss(layer.forward(x, offsets), target), [x, *layer.params()],
+                     step=1e-6, seed=0)
+    assert err <= 1e-6, f"relative gradient error {err:.3e}"

@@ -38,6 +38,9 @@ def test_spec_validation():
         GaussianTaskSpec(kind="random", num_sets=1, seed=0, set_size_range=(10, 5))
     with pytest.raises(TaskError):
         GaussianTaskSpec(kind="rank1", num_sets=1, seed=0, alpha_fixed=0.5)
+    with pytest.raises(TaskError, match="num_sets must be an integer >= 1, got 2.0"):
+        GaussianTaskSpec(kind="random", num_sets=2.0, seed=0)
+    assert GaussianTaskSpec(kind="random", num_sets=1, seed=0, set_size_range=[5, 8]).set_size_range == (5, 8)
     spec = GaussianTaskSpec(kind="correlation", num_sets=1, seed=0)
     assert spec.d == 16 and spec.element_dim == 32
 
