@@ -7,6 +7,12 @@ tape the same calls are plain eager numpy evaluation. ``backprop(tape, loss,
 wrt)`` sweeps the tape in reverse and returns one gradient array per tensor in
 ``wrt``, in order; the caller never handles node ids.
 
+Each primitive is one function ``(arrays, attrs) -> (out, vjp)``: it checks
+its inputs, computes ``out``, and returns with it a closure ``vjp(g)`` that
+maps the gradient of ``out`` to one gradient per input, holding only the
+arrays that needs. A tape node keeps its kind, its input node ids, that
+``vjp`` and ``out``; ``backprop`` calls ``node.vjp(g)``.
+
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), the only affine map or activation on the tape;
 segment pooling over ragged batches, and three ways to spread one pooled row
@@ -83,15 +89,13 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "inputs", "attrs", "saved", "in_data", "out_data")
+    __slots__ = ("kind", "inputs", "vjp", "out_data")
 
-    def __init__(self, kind, inputs, attrs, saved, in_data, out_data):
+    def __init__(self, kind, inputs, vjp, out_data):
         self.kind = kind
         self.inputs = inputs        # node ids of inputs, all < own id
-        self.attrs = attrs
-        self.saved = saved          # per-kind extras for the backward pass
-        self.in_data = in_data      # input arrays (leaves keep their own data)
-        self.out_data = out_data
+        self.vjp = vjp              # output gradient -> one gradient per input; None on a leaf
+        self.out_data = out_data    # a leaf keeps its tensor's own data
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -119,17 +123,17 @@ class Tape:
     def _node_id(self, t: Tensor) -> int:
         """``t``'s node on this tape, recorded as a leaf if it has none yet."""
         if t.tape is not self:
-            self.nodes.append(_Node("leaf", (), {}, None, (), t.data))
+            self.nodes.append(_Node("leaf", (), None, t.data))
             t.node_id = len(self.nodes) - 1
             t.tape = self
         return t.node_id
 
 
 # ---------------------------------------------------------------------------
-# Primitive registry: kind -> (forward, backward).
+# Primitive registry: kind -> primitive(arrays, attrs) -> (out_array, vjp).
 #
-# forward(arrays, attrs) -> (out_array, saved)
-# backward(grad_out, arrays, out, saved, attrs) -> tuple of per-input grads
+# vjp(grad_out) returns one gradient per input array, in input order, and
+# closes over only what it reads.
 # ---------------------------------------------------------------------------
 
 
@@ -144,13 +148,14 @@ _ACTIVATIONS = {
 }
 
 
-def _fw_dense(xs, attrs):
+def _dense(xs, attrs):
     x, W, b = xs
     if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
         raise ShapeError(f"dense wants x (N,K), W (K,P), b (P,), got {x.shape}, {W.shape}, {b.shape}")
     act = attrs["act"]
     if act not in _ACTIVATIONS:
         raise UnknownPrimitiveError(f"unknown activation {act!r}")
+    forward, backward = _ACTIVATIONS[act]
     out = x @ W
     out += b
     # Every activation maps finite values to finite values, so this one check
@@ -158,27 +163,24 @@ def _fw_dense(xs, attrs):
     # skips for dense. It also catches a -inf that relu would turn into 0.
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("primitive 'dense' produced non-finite values")
-    return _ACTIVATIONS[act][0](out), None
+    out = forward(out)
+
+    def vjp(g):
+        g = backward(g, out)
+        return g @ W.T, x.T @ g, g.sum(axis=0)
+    return out, vjp
 
 
-def _bw_dense(g, xs, out, saved, attrs):
-    x, W, _ = xs
-    g = _ACTIVATIONS[attrs["act"]][1](g, out)
-    return g @ W.T, x.T @ g, g.sum(axis=0)
-
-
-def _fw_mse_loss(xs, attrs):
+def _mse_loss(xs, attrs):
     p, t = xs
     if p.shape != t.shape:
         raise ShapeError(f"mse_loss shapes disagree: {p.shape} vs {t.shape}")
     d = p - t
-    return np.asarray((d * d).mean()), None
 
-
-def _bw_mse_loss(g, xs, out, saved, attrs):
-    p, t = xs
-    gp = (2.0 / p.size) * (p - t) * g
-    return gp, -gp
+    def vjp(g):
+        gp = (2.0 / p.size) * (p - t) * g
+        return gp, -gp
+    return np.asarray((d * d).mean()), vjp
 
 
 def _check_offsets(offsets, total):
@@ -198,7 +200,7 @@ def _run_blocks(x, off):
     return [x[off[a]:off[b]].reshape(b - a, sizes[a], *x.shape[1:]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _fw_set_softmax_nll(xs, attrs):
+def _set_softmax_nll(xs, attrs):
     (scores,) = xs
     flat = scores.reshape(-1) if scores.ndim == 2 and scores.shape[1] == 1 else scores
     if flat.ndim != 1:
@@ -218,15 +220,13 @@ def _fw_set_softmax_nll(xs, attrs):
     totals = np.concatenate([block.sum(axis=1) for block in _run_blocks(e, off)])
     probs = e / np.repeat(totals, sizes)
     nll = sum(-np.log(probs[off[:-1] + targets]))  # in set order, from 0
-    return np.asarray(nll / nsets), (probs, off, targets)
 
-
-def _bw_set_softmax_nll(g, xs, out, saved, attrs):
-    probs, off, targets = saved
-    gx = probs.copy()
-    gx[off[:-1] + targets] -= 1.0
-    gx *= g / (off.size - 1)
-    return (gx.reshape(xs[0].shape),)
+    def vjp(g):
+        gx = probs.copy()
+        gx[off[:-1] + targets] -= 1.0
+        gx *= g / nsets
+        return (gx.reshape(scores.shape),)
+    return np.asarray(nll / nsets), vjp
 
 
 def _seg_starts(xs, attrs):
@@ -269,82 +269,60 @@ def segment_argmax(x, off):
     return np.concatenate([block.argmax(axis=1) for block in _run_blocks(x, off)]) + off[:-1, None]
 
 
-def _fw_segment_sum(xs, attrs):
+def _segment_sum(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    return _segment_sums(x, off), off
+    return _segment_sums(x, off), lambda g: (np.repeat(g, np.diff(off), axis=0),)
 
 
-def _bw_segment_sum(g, xs, out, saved, attrs):
-    counts = np.diff(saved)
-    return (np.repeat(g, counts, axis=0),)
-
-
-def _fw_segment_mean(xs, attrs):
+def _segment_mean(xs, attrs):
     x, off = _seg_starts(xs, attrs)
     counts = np.diff(off)
-    return _segment_sums(x, off) / counts[:, None], off
+    return _segment_sums(x, off) / counts[:, None], lambda g: (np.repeat(g / counts[:, None], counts, axis=0),)
 
 
-def _bw_segment_mean(g, xs, out, saved, attrs):
-    counts = np.diff(saved)
-    return (np.repeat(g / counts[:, None], counts, axis=0),)
-
-
-def _fw_segment_max(xs, attrs):
+def _segment_max(xs, attrs):
     x, off = _seg_starts(xs, attrs)
     argrows = segment_argmax(x, off)
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        gx[argrows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
+        return (gx,)
     # not np.maximum.reduceat: of [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
-    return np.take_along_axis(x, argrows, axis=0), (argrows, off)
+    return np.take_along_axis(x, argrows, axis=0), vjp
 
 
-def _bw_segment_max(g, xs, out, saved, attrs):
-    gx = np.zeros_like(xs[0])
-    gx[saved[0], np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
-    return (gx,)
-
-
-def _fw_segment_center(xs, attrs):
+def _segment_center(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    return x - np.repeat(xs[1], np.diff(off), axis=0), off
+    return x - np.repeat(xs[1], np.diff(off), axis=0), lambda g: (g, -_segment_sums(g, off))
 
 
-def _bw_segment_center(g, xs, out, saved, attrs):
-    return g, -_segment_sums(g, saved)
-
-
-def _fw_segment_broadcast(xs, attrs):
+def _segment_broadcast(xs, attrs):
     (x,) = xs
     off = np.asarray(attrs["offsets"], dtype=np.int64)
     if x.ndim != 2 or off.ndim != 1 or x.shape[0] != off.size - 1:
         raise ShapeError(f"segment_broadcast expects one row per segment, got {x.shape} for {off.size - 1} segments")
     off = _check_offsets(off, off[-1])
-    return np.repeat(x, np.diff(off), axis=0), off
+    return np.repeat(x, np.diff(off), axis=0), lambda g: (_segment_sums(g, off),)
 
 
-def _bw_segment_broadcast(g, xs, out, saved, attrs):
-    return (_segment_sums(g, saved),)
-
-
-def _fw_segment_augment(xs, attrs):
+def _segment_augment(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    return np.concatenate([x, -np.repeat(xs[1], np.diff(off), axis=0)], axis=1), off
-
-
-def _bw_segment_augment(g, xs, out, saved, attrs):
-    d = xs[0].shape[1]
-    return g[:, :d], -_segment_sums(g[:, d:], saved)
+    d = x.shape[1]
+    return (np.concatenate([x, -np.repeat(xs[1], np.diff(off), axis=0)], axis=1),
+            lambda g: (g[:, :d], -_segment_sums(g[:, d:], off)))
 
 
 _PRIMITIVES = {
-    "dense": (_fw_dense, _bw_dense),
-    "mse_loss": (_fw_mse_loss, _bw_mse_loss),
-    "set_softmax_nll": (_fw_set_softmax_nll, _bw_set_softmax_nll),
-    "segment_sum": (_fw_segment_sum, _bw_segment_sum),
-    "segment_mean": (_fw_segment_mean, _bw_segment_mean),
-    "segment_max": (_fw_segment_max, _bw_segment_max),
-    "segment_center": (_fw_segment_center, _bw_segment_center),
-    "segment_broadcast": (_fw_segment_broadcast, _bw_segment_broadcast),
-    "segment_augment": (_fw_segment_augment, _bw_segment_augment),
+    "dense": _dense,
+    "mse_loss": _mse_loss,
+    "set_softmax_nll": _set_softmax_nll,
+    "segment_sum": _segment_sum,
+    "segment_mean": _segment_mean,
+    "segment_max": _segment_max,
+    "segment_center": _segment_center,
+    "segment_broadcast": _segment_broadcast,
+    "segment_augment": _segment_augment,
 }
 
 PRIMITIVE_KINDS = tuple(sorted(_PRIMITIVES))
@@ -358,12 +336,9 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...] | list[Tensor], attrs:
     """
     if kind not in _PRIMITIVES:
         raise UnknownPrimitiveError(f"unknown primitive kind {kind!r}")
-    attrs = attrs or {}
-    fw, _ = _PRIMITIVES[kind]
-    arrays = tuple(t.data for t in inputs)
-    out, saved = fw(arrays, attrs)
+    out, vjp = _PRIMITIVES[kind](tuple(t.data for t in inputs), attrs or {})
     out = np.asarray(out, dtype=np.float64)
-    # dense checks its pre-activation instead (see _fw_dense)
+    # dense checks its pre-activation instead (see _dense)
     if kind != "dense" and not np.all(np.isfinite(out)):
         raise NonFiniteError(f"primitive {kind!r} produced non-finite values")
     result = Tensor.__new__(Tensor)
@@ -373,7 +348,7 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...] | list[Tensor], attrs:
     if _TAPE_STACK:
         tape = _TAPE_STACK[-1]
         ids = tuple(tape._node_id(t) for t in inputs)
-        tape.nodes.append(_Node(kind, ids, attrs, saved, arrays, out))
+        tape.nodes.append(_Node(kind, ids, vjp, out))
         result.node_id = len(tape.nodes) - 1
         result.tape = tape
     return result
@@ -405,11 +380,9 @@ def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
         g = grads[nid] if nid in wanted else grads.pop(nid)
         if any(i >= nid for i in node.inputs):
             raise AutodiffError(f"tape order violated at node {nid}")
-        _, bw = _PRIMITIVES[node.kind]
-        in_grads = bw(g, node.in_data, node.out_data, node.saved, node.attrs)
-        for iid, ig in zip(node.inputs, in_grads):
+        for iid, ig in zip(node.inputs, node.vjp(g)):
             if iid in grads:
-                # out of place: a backward may return its incoming gradient itself
+                # out of place: a vjp may return its incoming gradient itself
                 grads[iid] = grads[iid] + ig
             else:
                 grads[iid] = ig

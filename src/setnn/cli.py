@@ -150,11 +150,14 @@ def _cmd_eval(args) -> int:
         dataset = load_jsonl(args.data)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot load inputs: {exc}") from exc
-    task = args.task or dataset.meta.get("task")
-    if task in POPULATION_KINDS:
-        task = "population"
+    named = dataset.meta.get("task")
+    if named in POPULATION_KINDS:
+        named = "population"
+    task = args.task or named
     if task is None:
         raise UsageError("dataset carries no task; pass --task")
+    if named is not None and task != named:
+        raise UsageError(f"--task {task!r} but dataset task {dataset.meta['task']!r}")
     try:
         record = evaluate(model, dataset, task)
     except ConfigError as exc:

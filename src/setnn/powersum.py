@@ -66,7 +66,9 @@ class RootConvergenceError(PowerSumError):
     pass
 
 
-@dataclass(frozen=True)
+# eq=False: compared and hashed by identity, since a generated == over an
+# array field has no single truth value (PowerSumVector likewise)
+@dataclass(frozen=True, eq=False)
 class SortedSample:
     """Non-decreasing values in [0,1]."""
 
@@ -91,7 +93,7 @@ class SortedSample:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSumVector:
     """Z[q] = sum of q-th powers, q = 0..M; Z[0] is the set size exactly."""
 

@@ -26,6 +26,7 @@ import gzip
 import io
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,15 @@ def require_int(name: str, value, least: int, error: type[ValueError] = TaskErro
     return value
 
 
+def require_real(name: str, value, error: type[ValueError] = TaskError):
+    """``value`` if it is a real number that fits a finite float (a bool is
+    not one; NaN and an infinity do not fit); otherwise raises ``error``
+    naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GaussianTaskSpec:
     """Recipe for one population-statistics dataset.
@@ -101,8 +111,10 @@ class GaussianTaskSpec:
         object.__setattr__(self, "set_size_range", (lo, hi))
         require_int("num_sets", self.num_sets, 1)
         require_int("seed", self.seed, 0)
-        if self.alpha_fixed is not None and self.kind != "correlation":
-            raise TaskError("alpha_fixed applies to the correlation kind only")
+        if self.alpha_fixed is not None:
+            if self.kind != "correlation":
+                raise TaskError("alpha_fixed applies to the correlation kind only")
+            require_real("alpha_fixed", self.alpha_fixed)
 
     @property
     def element_dim(self) -> int:
@@ -317,7 +329,7 @@ def gen_outlier_sets(num_sets: int, set_size: int = 16, d: int = 8, shift: float
     require_int("d", d, 1)
     require_int("num_sets", num_sets, 1)
     require_int("seed", seed, 0)
-    if shift < 0:
+    if require_real("shift", shift) < 0:
         raise TaskError("shift must be non-negative")
     sets = []
     targets = np.empty(num_sets, dtype=np.int64)

@@ -21,7 +21,6 @@ for the selection task.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -37,7 +36,7 @@ from setnn.layers import (
     dense_stack,
     glorot_uniform,
 )
-from setnn.tasks import LabeledSetDataset, require_int
+from setnn.tasks import LabeledSetDataset, require_int, require_real
 
 __all__ = [
     "ConfigError",
@@ -122,9 +121,8 @@ class TrainConfig:
         if self.task == "outlier" and self.pool != "sum":
             raise ConfigError("pool applies to the population and digit-sum tasks only; "
                               "the outlier models always pool by max")
-        step = self.step_size
-        if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0 < step < math.inf:
-            raise ConfigError(f"step_size must be a positive finite number, got {step!r}")
+        if require_real("step_size", self.step_size, ConfigError) <= 0:
+            raise ConfigError(f"step_size must be a positive finite number, got {self.step_size!r}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             require_int(name, getattr(self, name), least, ConfigError)
 
@@ -215,8 +213,12 @@ def _check_dataset(config: TrainConfig, dataset: LabeledSetDataset) -> None:
     task = dataset.meta.get("task")
     if task is not None and task != config.task:
         raise ConfigError(f"config task {config.task!r} but dataset task {task!r}")
-    index_targets = dataset.meta.get("target_kind") == "index"
-    if (config.task == "outlier") != index_targets:
+    _check_targets(config.task, dataset)
+
+
+def _check_targets(task: str, dataset: LabeledSetDataset) -> None:
+    """Index targets exactly when the task is outlier."""
+    if (task == "outlier") != (dataset.meta.get("target_kind") == "index"):
         raise ConfigError("target kind does not match the configured task")
 
 
@@ -312,11 +314,13 @@ def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
     """Score a model on a dataset: MSE for population, rounded-exact accuracy
-    for digit-sum, selection accuracy for outlier. Runs eagerly (no tape)."""
+    for digit-sum, selection accuracy for outlier. Runs eagerly (no tape).
+    Raises ConfigError if the dataset's targets do not fit the task."""
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
     if task != "outlier" and isinstance(model, EquivariantStack):
         raise ConfigError(f"task {task!r} needs one prediction per set, but the model scores elements")
+    _check_targets(task, dataset)
     started = time.perf_counter()
     if task == "outlier":
         metric = float(np.mean(_selections(model, dataset) == dataset.targets))

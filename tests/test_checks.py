@@ -35,3 +35,23 @@ def test_gradient_cases_cover_every_primitive():
             f(params)
         kinds |= {node.kind for node in tape.nodes}
     assert kinds - {"leaf"} == set(ad.PRIMITIVE_KINDS)
+
+
+def test_every_recorded_vjp_returns_one_gradient_per_input():
+    """backprop checks only the shapes of the gradients it returns; each node
+    must also hand back one gradient per input, shaped like that input, and
+    read only earlier nodes."""
+    kinds = set()
+    for name, f, params, _ in checks._gradient_cases(np.random.default_rng(0)):
+        with ad.Tape() as tape:
+            f(params)
+        for nid, node in enumerate(tape.nodes):
+            if node.kind == "leaf":
+                continue
+            kinds.add(node.kind)
+            grads = node.vjp(np.ones_like(node.out_data))
+            assert len(grads) == len(node.inputs), (name, node.kind)
+            for iid, g in zip(node.inputs, grads):
+                assert iid < nid, (name, node.kind)
+                assert np.shape(g) == tape.nodes[iid].out_data.shape, (name, node.kind)
+    assert kinds == set(ad.PRIMITIVE_KINDS)

@@ -133,6 +133,29 @@ def test_gen_rejects_settings_that_are_not_integers(tmp_path, capsys, task, sett
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task, setting, message", [
+    ("correlation", {"alpha_fixed": "x"}, "alpha_fixed must be a finite number, got 'x'"),
+    ("correlation", {"alpha_fixed": True}, "alpha_fixed must be a finite number, got True"),
+    ("correlation", {"alpha_fixed": float("nan")}, "alpha_fixed must be a finite number, got nan"),
+    ("outlier", {"shift": True}, "shift must be a finite number, got True"),
+    ("outlier", {"shift": "4"}, "shift must be a finite number, got '4'"),
+    ("outlier", {"shift": float("inf")}, "shift must be a finite number, got inf"),
+    ("outlier", {"shift": 10 ** 400}, "shift must be a finite number, got 1000"),
+    ("outlier", {"shift": -1}, "shift must be non-negative"),
+])
+def test_gen_rejects_float_settings_that_are_not_finite_numbers(tmp_path, capsys, task, setting, message):
+    test_gen_rejects_settings_that_are_not_integers(tmp_path, capsys, task, setting, message)
+
+
+@pytest.mark.parametrize("task, setting", [("correlation", {"alpha_fixed": 0}), ("outlier", {"shift": 4})])
+def test_gen_takes_an_integer_for_a_float_setting(tmp_path, task, setting):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+    cfg.write_text(json.dumps(setting))
+    argv = ["gen", "--task", task, "--n", "2", "--config", str(cfg), "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    assert json.loads(out.read_text().splitlines()[0])["meta"].items() >= setting.items()
+
+
 def test_a_dataset_whose_task_is_a_kind_name_evaluates_but_does_not_train(tmp_path, capsys):
     """gen writes "task": "population" for every population kind; a file that
     names the kind instead still evaluates, but does not train."""
@@ -299,18 +322,38 @@ def test_eval_rejects_a_stack_whose_widths_do_not_chain(tmp_path, capsys):
     assert err.startswith("error: cannot load inputs") and "widths disagree: 4 -> 3" in err
 
 
-@pytest.mark.parametrize("task_flag, message", [
-    (["--task", "outlier"], "element width 10"),
-    ([], "needs one prediction per set"),
+@pytest.mark.parametrize("task, config, message", [
+    ("outlier", {"d": 10}, "element width 10"),
+    ("digit-sum", {}, "needs one prediction per set"),
 ], ids=["width", "model-kind"])
-def test_eval_rejects_a_model_that_does_not_fit_the_data(tmp_path, capsys, task_flag, message):
-    outlier, digits, model = tmp_path / "o.jsonl", tmp_path / "d.jsonl", tmp_path / "m.json"
+def test_eval_rejects_a_model_that_does_not_fit_the_data(tmp_path, capsys, task, config, message):
+    outlier, other, model, cfg = (tmp_path / name for name in ("o.jsonl", "d.jsonl", "m.json", "g.json"))
+    cfg.write_text(json.dumps(config))
     assert cli_dispatch(["gen", "--task", "outlier", "--n", "8", "--out", str(outlier)]) == 0
-    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8", "--out", str(digits)]) == 0
+    assert cli_dispatch(["gen", "--task", task, "--n", "8", "--config", str(cfg), "--out", str(other)]) == 0
     assert cli_dispatch(["train", "--data", str(outlier), "--out", str(model), "--epochs", "1"]) == 0
     capsys.readouterr()
-    assert cli_dispatch(["eval", "--model", str(model), "--data", str(digits), *task_flag]) == 2
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(other)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gen_task, named, flag, config", [
+    ("rotation", "population", "outlier", {}),
+    ("rotation", "population", "digit-sum", {}),
+    ("outlier", "outlier", "population", {"pooled_baseline": True}),
+])
+def test_eval_refuses_a_task_the_dataset_does_not_name(tmp_path, capsys, gen_task, named, flag, config):
+    data, model, cfg = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_dispatch(["gen", "--task", gen_task, "--n", "32", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+                         "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data), "--task", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --task {flag!r} but dataset task {named!r}\n"
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data), "--task", named]) == 0
 
 
 @pytest.mark.parametrize("kind, task", [("invariant", "rotation"), ("invariant", "outlier"),

@@ -84,14 +84,14 @@ def chain_center(x, off, g):
     and the add are inlined here in numpy, in the same order."""
     prim = ad._PRIMITIVES
     attrs = {"offsets": tuple(off.tolist())}
-    top, max_saved = prim["segment_max"][0]((x,), attrs)
-    spread, spread_saved = prim["segment_broadcast"][0]((top,), attrs)
+    top, max_vjp = prim["segment_max"]((x,), attrs)
+    spread, spread_vjp = prim["segment_broadcast"]((top,), attrs)
     neg = -1.0 * spread
     out = x + neg
     gx, gneg = g, g
     gspread = -1.0 * gneg
-    (gtop,) = prim["segment_broadcast"][1](gspread, (top,), spread, spread_saved, attrs)
-    (gmax,) = prim["segment_max"][1](gtop, (x,), top, max_saved, attrs)
+    (gtop,) = spread_vjp(gspread)
+    (gmax,) = max_vjp(gtop)
     return out, gx + gmax
 
 
@@ -127,28 +127,24 @@ def upstream(seed, shape):
 @pytest.mark.parametrize("width", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_segment_max_matches_the_per_set_loop(width, seed):
-    fw, bw = ad._PRIMITIVES["segment_max"]
     for sizes in LAYOUTS:
         x, off = ragged(seed, width, sizes)
-        attrs = {"offsets": tuple(off.tolist())}
-        out, saved = fw((x,), attrs)
+        out, vjp = ad._PRIMITIVES["segment_max"]((x,), {"offsets": tuple(off.tolist())})
         ref_out, argrows = ref_segment_max(x, off)
         assert same_bits(out, ref_out)
         assert np.signbit(out[2]).all() and not np.signbit(out[3]).any()
         rng = np.random.default_rng(seed + 10)
         g = rng.integers(-2, 3, size=out.shape).astype(np.float64)
         g[g == 0] = -0.0
-        gx = bw(g, (x,), out, saved, attrs)[0]
+        (gx,) = vjp(g)
         assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
         assert not np.signbit(gx[gx == 0]).any()
 
 
 def _probe(g):
-    """A scalar loss primitive whose backward hands ``g`` on unchanged, so
+    """A scalar loss primitive whose vjp hands ``g`` on unchanged, so
     backprop starts from exactly that upstream gradient."""
-    fw = lambda xs, attrs: (np.asarray(float(np.sum(xs[0] * g))), None)
-    bw = lambda gout, xs, out, saved, attrs: (gout * g,)
-    return fw, bw
+    return lambda xs, attrs: (np.asarray(float(np.sum(xs[0] * g))), lambda gout: (gout * g,))
 
 
 @pytest.mark.parametrize("width", [1, 8, 64])
@@ -178,19 +174,23 @@ def test_segment_center_matches_the_four_node_chain(width, seed, monkeypatch):
 @pytest.mark.parametrize("shape", ["flat", "column"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_softmax_nll_matches_the_per_set_loop(shape, seed):
-    fw, bw = ad._PRIMITIVES["set_softmax_nll"]
     for sizes in LAYOUTS:
         x, off = ragged(seed, 1, sizes)
         flat = x[:, 0]
         scores = flat if shape == "flat" else x
         targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
         attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
-        value, saved = fw((scores,), attrs)
-        gx = bw(np.asarray(1.0), (scores,), value, saved, attrs)[0]
+        value, vjp = ad._PRIMITIVES["set_softmax_nll"]((scores,), attrs)
+        (gx,) = vjp(np.asarray(1.0))
         ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
         assert same_bits(value, ref_value)
-        assert same_bits(saved[0], ref_probs)
         assert same_bits(gx, ref_gx.reshape(scores.shape))
+        # at g = nsets the gradient is probs - onehot, unscaled, so it pins
+        # the probabilities themselves
+        (unscaled,) = vjp(np.asarray(float(off.size - 1)))
+        onehot = np.zeros_like(flat)
+        onehot[off[:-1] + targets] = 1.0
+        assert same_bits(unscaled.reshape(-1), ref_probs - onehot)
 
 
 def test_selections_match_the_per_set_loop(monkeypatch):

@@ -69,6 +69,13 @@ def test_power_sum_vector_validation():
         PowerSumVector([3.0, 0.7, 0.29])  # Z_0 inconsistent with length
 
 
+def test_samples_and_power_sums_compare_and_hash_by_identity():
+    for make in (lambda: SortedSample([0.1, 0.2]), lambda: embed([0.1, 0.2])):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+
 def test_embed_examples():
     np.testing.assert_allclose(embed([0.5]).Z, [1.0, 0.0])
     np.testing.assert_allclose(embed([0.2, 0.5]).Z, [2.0, -0.6, 0.36])

@@ -42,7 +42,8 @@ def test_config_validation():
     # JSON gives every field its own type; a wrong one is refused, not coerced
     for name, value in (("batch_size", 2.5), ("epochs", True), ("seed", 1.5), ("seed", -1),
                         ("pooled_baseline", "false"), ("pooled_baseline", 0),
-                        ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", "0.1")):
+                        ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", "0.1"),
+                        ("step_size", True), ("step_size", 0)):
         with pytest.raises(ConfigError, match=name):
             TrainConfig.from_dict({"task": "outlier", name: value})
     TrainConfig(task="outlier", batch_size=np.int64(4), seed=np.int64(0), step_size=1)
@@ -207,6 +208,20 @@ def test_evaluate_constant_zero_population():
 def test_evaluate_perfect_digit_sum_stub():
     ds = gen_digit_sum(40, 8, None, seed=6)
     assert evaluate(_ExactDigitSum(), ds, "digit-sum").eval_metric == 1.0
+
+
+def test_evaluate_refuses_targets_that_do_not_fit_the_task():
+    """Index targets exactly when the task is outlier, as train requires."""
+    rng = np.random.default_rng(3)
+    pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=2, set_size_range=(5, 9)))
+    out = gen_outlier_sets(4, set_size=5, d=2, seed=3)
+    baseline = build_model(TrainConfig(task="outlier", pooled_baseline=True), 2, rng)
+    for ds, task in ((pop, "outlier"), (out, "population"), (out, "digit-sum")):
+        with pytest.raises(ConfigError, match="target kind does not match"):
+            evaluate(baseline, ds, task)
+    with pytest.raises(ConfigError, match="target kind does not match"):
+        train(TrainConfig(task="outlier", pooled_baseline=True, epochs=1), LabeledSetDataset(
+            out.batch, out.targets, {"target_kind": "scalar"}))
 
 
 def _permuted_copy(ds, seed=0):
