@@ -145,31 +145,38 @@ def _off_kink_dense():
     return x, W, np.array([0.1, -0.3])
 
 
-def _gradient_cases(rng: np.random.Generator):
-    """(name, f, params, smooth) per primitive; f closes over fixed data."""
+def _case_rng(seed: int, index: int) -> np.random.Generator:
+    """Gradient check ``index``'s own generator, so no check moves another's data."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 12, index]))
+
+
+def _gradient_cases(seed: int):
+    """(name, f, params, smooth) per primitive; f closes over fixed data, and
+    case ``i`` draws its params from ``_case_rng(seed, i)``."""
     off = (0, 2, 5, 9)
-    p = lambda shape, scale=1.0: Tensor(rng.normal(scale=scale, size=shape))
+    normal = lambda *shapes: lambda rng: [rng.normal(size=shape) for shape in shapes]
+    separated = lambda rng: [_separated(rng, (9, 3))]
     cases = []
 
-    def case(name, params, fn, smooth=True):
-        cases.append((name, lambda ps, fn=fn: _scalarize(fn(*ps)), list(params), smooth))
+    def case(name, draw, fn, smooth=True):
+        params = [Tensor(a) for a in draw(_case_rng(seed, len(cases)))]
+        cases.append((name, lambda ps, fn=fn: _scalarize(fn(*ps)), params, smooth))
 
     for act in NONLINEARITIES:
-        case(f"dense-{act}", [Tensor(a) for a in _off_kink_dense()],
+        case(f"dense-{act}", lambda rng: _off_kink_dense(),
              lambda x, W, b, act=act: ad.dense(x, W, b, act), smooth=act != "relu")
-    case("mse_loss", (p((5, 1)), p((5, 1))), ad.mse_loss)
-    case("set_softmax_nll", (p((9, 1)),),
+    case("mse_loss", normal((5, 1), (5, 1)), ad.mse_loss)
+    case("set_softmax_nll", normal((9, 1)),
          lambda x: ad.set_softmax_nll(x, off, (1, 0, 3)))
-    case("segment_sum", (p((9, 3)),), lambda x: ad.segment_sum(x, off))
-    case("segment_mean", (p((9, 3)),), lambda x: ad.segment_mean(x, off))
-    case("segment_max", (Tensor(_separated(rng, (9, 3))),),
-         lambda x: ad.segment_max(x, off), smooth=False)
+    case("segment_sum", normal((9, 3)), lambda x: ad.segment_sum(x, off))
+    case("segment_mean", normal((9, 3)), lambda x: ad.segment_mean(x, off))
+    case("segment_max", separated, lambda x: ad.segment_max(x, off), smooth=False)
     # x feeds both the pool and the centering, so backprop must add the paths
-    case("segment_center", (Tensor(_separated(rng, (9, 3))),),
+    case("segment_center", separated,
          lambda x: ad.segment_center(x, ad.segment_max(x, off), off), smooth=False)
-    case("segment_broadcast", (p((3, 4)),),
+    case("segment_broadcast", normal((3, 4)),
          lambda x: ad.segment_broadcast(x, off))
-    case("segment_augment", (p((9, 3)), p((3, 3))),
+    case("segment_augment", normal((9, 3), (3, 3)),
          lambda x, pooled: ad.segment_augment(x, pooled, off))
     return cases
 
@@ -178,14 +185,15 @@ def check_gradients(seed: int = 0) -> CheckResult:
     """Finite-difference checks of all primitives (1e-6 smooth / 1e-4 kinked)
     and of both default architectures through their losses (1e-4)."""
     started = time.perf_counter()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
+    cases = _gradient_cases(seed)
     failures = []
-    for name, f, params, smooth in _gradient_cases(rng):
+    for name, f, params, smooth in cases:
         tol = 1e-6 if smooth else 1e-4
         err = grad_check(f, params, seed=seed)
         if err > tol:
             failures.append(f"{name}: relative error {err:.3e} > {tol:.0e}")
 
+    rng = _case_rng(seed, len(cases))
     reg = build_model(TrainConfig(task="population"), 3, rng)
     sizes = [4, 2, 6, 3]
     batch = SetBatch.from_sets([rng.normal(size=(m, 3)) for m in sizes])
@@ -196,6 +204,7 @@ def check_gradients(seed: int = 0) -> CheckResult:
     if err > 1e-4:
         failures.append(f"regression architecture: relative error {err:.3e} > 1e-4")
 
+    rng = _case_rng(seed, len(cases) + 1)
     sel = build_model(TrainConfig(task="outlier"), 5, rng)
     sbatch = SetBatch.from_sets([rng.normal(size=(m, 5)) for m in (4, 6, 5)])
     stargets = (2, 0, 4)

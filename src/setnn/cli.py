@@ -1,9 +1,10 @@
 """Command-line surface: gen / train / eval / expand / check.
 
 Exit codes: 0 on success, 1 when a check or run fails (battery failure,
-divergence), 2 for usage errors (unknown flags, bad config, missing files)
-and bad input data (malformed or invalid dataset lines, a model whose input
-width does not fit the data or whose weights overflow on it).
+divergence), 2 for usage errors (unknown flags, bad config, missing files,
+an output path that cannot be written) and bad input data (malformed or
+invalid dataset lines, a model whose input width does not fit the data or
+whose weights overflow on it).
 
 ``gen`` writes a JSONL dataset (gzipped if the path ends in .gz). ``train``
 reads one, trains per an optional config JSON plus flag overrides, and writes
@@ -29,12 +30,15 @@ from setnn.autodiff import NonFiniteError, ShapeError
 from setnn.layers import model_from_json, model_to_json
 from setnn.tasks import (
     POPULATION_KINDS,
+    TASKS,
     GaussianTaskSpec,
     TaskError,
     gen_digit_sum,
     gen_outlier_sets,
     gen_population_task,
     load_jsonl,
+    named_task,
+    require_int,
     save_jsonl,
 )
 from setnn.train import ConfigError, TrainConfig, TrainingDiverged, evaluate, metrics_to_csv, train
@@ -72,6 +76,26 @@ def _load_json(path: str, what: str) -> dict:
     return obj
 
 
+def _write(path: str, content) -> None:
+    """Write ``content`` to ``path``: a string as it is, a dataset as JSONL. A
+    path that cannot be written is a usage error."""
+    try:
+        if isinstance(content, str):
+            with open(path, "w") as f:
+                f.write(content)
+        else:
+            save_jsonl(content, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit_csv(text: str, out: str | None) -> None:
+    """Write the CSV to ``out`` when given, then print it."""
+    if out:
+        _write(out, text)
+    print(text, end="")
+
+
 def _cmd_gen(args) -> int:
     if args.out is None:
         raise UsageError("gen requires --out")
@@ -87,7 +111,7 @@ def _cmd_gen(args) -> int:
             dataset = _GENERATORS[args.task](args.n, seed=args.seed, **ov)
     except (TaskError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
-    save_jsonl(dataset, args.out)
+    _write(args.out, dataset)
     print(f"wrote {len(dataset)} sets to {args.out}")
     return 0
 
@@ -131,11 +155,9 @@ def _cmd_train(args) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
-    with open(args.out, "w") as f:
-        f.write(model_to_json(model) + "\n")
+    _write(args.out, model_to_json(model) + "\n")
     csv_path = _metrics_path(args.out)
-    with open(csv_path, "w") as f:
-        f.write(metrics_to_csv(records, include_timing=args.timing))
+    _write(csv_path, metrics_to_csv(records, include_timing=args.timing))
     print(f"wrote model to {args.out} and metrics to {csv_path}")
     print(metrics_to_csv(records[-1:], include_timing=args.timing), end="")
     return 0
@@ -150,9 +172,7 @@ def _cmd_eval(args) -> int:
         dataset = load_jsonl(args.data)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot load inputs: {exc}") from exc
-    named = dataset.meta.get("task")
-    if named in POPULATION_KINDS:
-        named = "population"
+    named = named_task(dataset.meta)
     task = args.task or named
     if task is None:
         raise UsageError("dataset carries no task; pass --task")
@@ -169,11 +189,7 @@ def _cmd_eval(args) -> int:
     except TrainingDiverged as exc:  # its epoch and batch mean nothing here
         raise UsageError(f"model {args.model} overflows on dataset {args.data}: "
                          f"the {task} metric is not finite") from exc
-    text = metrics_to_csv([record], include_timing=args.timing)
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+    _emit_csv(metrics_to_csv([record], include_timing=args.timing), args.out)
     return 0
 
 
@@ -232,16 +248,12 @@ def _cmd_expand(args) -> int:
     lines = ["rank,id,score"]
     for rank, (idx, score) in enumerate(ranked, start=1):
         lines.append(f"{rank},{ids[idx]},{score!r}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+    _emit_csv("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
-    results = checks.run_all(seed=args.seed)
+    results = checks.run_all(seed=require_int("seed", args.seed, 0, UsageError))
     print(checks.summary_table(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -256,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    train_tasks = ("population", "digit-sum", "outlier")
     timing_help = "record real wall seconds (breaks byte determinism)"
 
     p = command("gen", _cmd_gen, "generate a synthetic dataset")
@@ -270,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset JSONL path")
     p.add_argument("--out", help="model JSON path")
     p.add_argument("--config", help="train config JSON path")
-    p.add_argument("--task", choices=train_tasks)
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int, help="overrides the config's seed when given")
@@ -279,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("eval", _cmd_eval, "evaluate a saved model")
     p.add_argument("--model", help="model JSON path")
     p.add_argument("--data", help="dataset JSONL path")
-    p.add_argument("--task", choices=train_tasks)
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--out", help="metrics CSV path")
     p.add_argument("--timing", action="store_true", help=timing_help)
 

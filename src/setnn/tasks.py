@@ -13,6 +13,10 @@ Three families:
   one element shifted by a fixed distance in a random direction; the label is
   the outlier's index.
 
+``TASKS`` says what each task means: whether its target ``selects`` an
+element (outlier; else it is one scalar per set), the ``metric(outputs,
+targets)`` of its selections or predictions, and its dataset ``meta_keys``.
+
 Generation is deterministic and partitionable: every set derives its own
 generator from (seed, set index), so datasets are reproducible byte-for-byte
 and identical regardless of generation order. Serialization is JSONL (one
@@ -27,6 +31,7 @@ import io
 import json
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +49,20 @@ __all__ = [
     "save_jsonl",
     "load_jsonl",
     "POPULATION_KINDS",
+    "TASKS",
 ]
 
 POPULATION_KINDS = ("rotation", "correlation", "rank1", "random")
+
+Task = namedtuple("Task", "selects metric meta_keys")
+TASKS = {
+    "population": Task(False, lambda preds, targets: float(np.mean((preds - targets) ** 2)), (
+        "task", "kind", "d", "element_dim", "num_sets", "seed", "set_size_range", "target_kind", "alpha_fixed")),
+    "digit-sum": Task(False, lambda preds, targets: float(np.mean(np.round(preds) == targets)), (
+        "task", "max_set_size", "set_size_at_test", "num_sets", "seed", "target_kind")),
+    "outlier": Task(True, lambda picks, targets: float(np.mean(picks == targets)), (
+        "task", "set_size", "d", "shift", "num_sets", "seed", "target_kind")),
+}
 
 _DEFAULT_DIM = {"rotation": 2, "correlation": 16, "rank1": 32, "random": 32}
 
@@ -76,6 +92,12 @@ def require_real(name: str, value, error: type[ValueError] = TaskError):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
         raise error(f"{name} must be a finite number, got {value!r}")
     return value
+
+
+def named_task(meta: dict):
+    """The task ``meta`` names, or None; a population kind counts as ``population``."""
+    task = meta.get("task")
+    return "population" if task in POPULATION_KINDS else task
 
 
 @dataclass(frozen=True)
@@ -382,12 +404,6 @@ def save_jsonl(dataset: LabeledSetDataset, path: str) -> None:
 
 _ABSENT = object()
 
-_DATASET_META_KEYS = {
-    "population": ("task", "kind", "d", "element_dim", "num_sets", "seed", "set_size_range", "target_kind", "alpha_fixed"),
-    "digit-sum": ("task", "max_set_size", "set_size_at_test", "num_sets", "seed", "target_kind"),
-    "outlier": ("task", "set_size", "d", "shift", "num_sets", "seed", "target_kind"),
-}
-
 
 def load_jsonl(path: str) -> LabeledSetDataset:
     """Read a dataset written by :func:`save_jsonl`. Any malformed or invalid
@@ -421,7 +437,7 @@ def load_jsonl(path: str) -> LabeledSetDataset:
         raise TaskError(f"{path} contains no sets")
     first = per_set[0]
     task = first.get("task")
-    keys = _DATASET_META_KEYS.get(task, tuple(first)) if isinstance(task, str) else tuple(first)
+    keys = TASKS[task].meta_keys if isinstance(task, str) and task in TASKS else tuple(first)
     meta = {k: first[k] for k in keys if k in first}
     checked = sorted(set(keys) | {"task", "target_kind"})
     for m, number in zip(per_set[1:], line_numbers[1:]):

@@ -1,16 +1,16 @@
 """Training and evaluation driver for the synthetic set tasks.
 
-Three task/loss pairings are supported: scalar regression with mean squared
-error (population statistics, digit sum) and per-element selection with a
-set-wise softmax negative log likelihood (outlier). Mini-batches are whole
-sets; the gradient of each step is averaged over the sets in the batch.
+``tasks.TASKS`` gives each task's metric and says whether it is a scalar
+regression with mean squared error (population, digit sum) or a per-element
+selection with a set-wise softmax negative log likelihood (outlier).
+Mini-batches are whole sets; each step averages the gradient over its sets.
 Optimization is Adam with fixed defaults, a fixed epoch budget, and no early
 stopping, so a (config, dataset) pair fully determines the run.
 
 The task fixes the architecture, at fixed widths (the module constants
 ``PHI_WIDTHS``, ``RHO_WIDTHS`` and ``EQUIVARIANT_WIDTHS``): regression tasks
 use a per-element dense stack, the configured pooling reduction, and a
-per-set dense stack; the outlier task scores elements with a stack of
+per-set dense stack; a selection task scores elements with a stack of
 ``maxpool-normalized`` permutation-equivariant layers followed by a softmax
 across each set. Setting ``pooled_baseline`` swaps the equivariant stack for
 a pool-first model with identical layer shapes (hence identical parameter
@@ -36,7 +36,7 @@ from setnn.layers import (
     dense_stack,
     glorot_uniform,
 )
-from setnn.tasks import LabeledSetDataset, require_int, require_real
+from setnn.tasks import TASKS, LabeledSetDataset, named_task, require_int, require_real
 
 __all__ = [
     "ConfigError",
@@ -50,8 +50,6 @@ __all__ = [
     "metrics_to_csv",
     "METRICS_HEADER",
 ]
-
-TASKS = ("population", "digit-sum", "outlier")
 
 # Evaluation runs the model over slices of whole sets, each the largest
 # multiple of _EVAL_SET_STEP sets within _EVAL_ROWS element rows (at least
@@ -110,15 +108,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if not isinstance(self.task, str) or self.task not in TASKS:
+            raise ConfigError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
         if self.pool not in ("sum", "max", "mean"):
             raise ConfigError(f"pool must be sum/max/mean, got {self.pool!r}")
         if not isinstance(self.pooled_baseline, bool):
             raise ConfigError(f"pooled_baseline must be true or false, got {self.pooled_baseline!r}")
-        if self.pooled_baseline and self.task != "outlier":
+        if self.pooled_baseline and not TASKS[self.task].selects:
             raise ConfigError("pooled_baseline applies to the outlier task only")
-        if self.task == "outlier" and self.pool != "sum":
+        if TASKS[self.task].selects and self.pool != "sum":
             raise ConfigError("pool applies to the population and digit-sum tasks only; "
                               "the outlier models always pool by max")
         if require_real("step_size", self.step_size, ConfigError) <= 0:
@@ -192,7 +190,7 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
     """Instantiate the architecture a config describes for a given element width."""
     if element_dim < 1:
         raise ConfigError(f"element_dim must be positive, got {element_dim}")
-    if config.task in ("population", "digit-sum"):
+    if not TASKS[config.task].selects:
         phi = dense_stack(rng, [element_dim, *PHI_WIDTHS], "relu", final="relu")
         rho = dense_stack(rng, [PHI_WIDTHS[-1], *RHO_WIDTHS], "relu", final="linear")
         return InvariantModel(phi, config.pool, rho)
@@ -209,17 +207,14 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
     return EquivariantStack(layers)
 
 
-def _check_dataset(config: TrainConfig, dataset: LabeledSetDataset) -> None:
-    task = dataset.meta.get("task")
-    if task is not None and task != config.task:
-        raise ConfigError(f"config task {config.task!r} but dataset task {task!r}")
-    _check_targets(config.task, dataset)
-
-
-def _check_targets(task: str, dataset: LabeledSetDataset) -> None:
-    """Index targets exactly when the task is outlier."""
-    if (task == "outlier") != (dataset.meta.get("target_kind") == "index"):
+def _check_dataset(task: str, dataset: LabeledSetDataset, named) -> None:
+    """Refuse an unknown task, the wrong target kind or another ``named`` task."""
+    if not isinstance(task, str) or task not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    if TASKS[task].selects != (dataset.meta.get("target_kind") == "index"):
         raise ConfigError("target kind does not match the configured task")
+    if named is not None and named != task:
+        raise ConfigError(f"task {task!r} but dataset task {dataset.meta['task']!r}")
 
 
 def _element_scores(model, batch: SetBatch) -> Tensor:
@@ -232,7 +227,7 @@ def _element_scores(model, batch: SetBatch) -> Tensor:
 
 
 def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray) -> Tensor:
-    if config.task == "outlier":
+    if TASKS[config.task].selects:
         scores = _element_scores(model, batch)
         return ad.set_softmax_nll(scores, batch.offsets, targets)
     pred = model.forward(batch)
@@ -246,7 +241,7 @@ def train(config: TrainConfig, dataset: LabeledSetDataset):
     dataset is never mutated: training batches are gathered copies, and
     evaluation reads slices of the dataset.
     """
-    _check_dataset(config, dataset)
+    _check_dataset(config.task, dataset, dataset.meta.get("task"))
     rng = np.random.default_rng(config.seed)
     model = build_model(config, dataset.element_dim, rng)
     params = model.params()
@@ -313,23 +308,15 @@ def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
 
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
-    """Score a model on a dataset: MSE for population, rounded-exact accuracy
-    for digit-sum, selection accuracy for outlier. Runs eagerly (no tape).
-    Raises ConfigError if the dataset's targets do not fit the task."""
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    if task != "outlier" and isinstance(model, EquivariantStack):
+    """Score a model on a dataset by the task's metric (no tape). Raises
+    ConfigError if the dataset does not fit the task, as ``train`` does, but
+    a population kind name counts as ``population``."""
+    _check_dataset(task, dataset, named_task(dataset.meta))
+    spec = TASKS[task]
+    if not spec.selects and isinstance(model, EquivariantStack):
         raise ConfigError(f"task {task!r} needs one prediction per set, but the model scores elements")
-    _check_targets(task, dataset)
     started = time.perf_counter()
-    if task == "outlier":
-        metric = float(np.mean(_selections(model, dataset) == dataset.targets))
-    else:
-        preds = _predictions(model, dataset)
-        if task == "population":
-            metric = float(np.mean((preds - dataset.targets) ** 2))
-        else:
-            metric = float(np.mean(np.round(preds) == dataset.targets))
+    metric = spec.metric((_selections if spec.selects else _predictions)(model, dataset), dataset.targets)
     if not math.isfinite(metric):
         raise TrainingDiverged(0, 0, [float(np.linalg.norm(p.data)) for p in model.params()])
     return MetricsRecord(0, float("nan"), metric, time.perf_counter() - started)

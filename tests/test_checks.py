@@ -30,7 +30,7 @@ def test_summary_table_formats_pass_and_fail():
 def test_gradient_cases_cover_every_primitive():
     """A primitive cannot be registered without a finite-difference case."""
     kinds = set()
-    for _, f, params, _ in checks._gradient_cases(np.random.default_rng(0)):
+    for _, f, params, _ in checks._gradient_cases(0):
         with ad.Tape() as tape:
             f(params)
         kinds |= {node.kind for node in tape.nodes}
@@ -42,7 +42,7 @@ def test_every_recorded_vjp_returns_one_gradient_per_input():
     must also hand back one gradient per input, shaped like that input, and
     read only earlier nodes."""
     kinds = set()
-    for name, f, params, _ in checks._gradient_cases(np.random.default_rng(0)):
+    for name, f, params, _ in checks._gradient_cases(0):
         with ad.Tape() as tape:
             f(params)
         for nid, node in enumerate(tape.nodes):

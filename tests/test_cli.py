@@ -174,6 +174,30 @@ def test_a_dataset_whose_task_is_a_kind_name_evaluates_but_does_not_train(tmp_pa
     assert "task must be one of" in err and "but dataset task 'rotation'" in err
 
 
+@pytest.mark.parametrize("where", ["config", "dataset"])
+def test_a_task_that_is_not_a_string_is_a_usage_error(tmp_path, capsys, where):
+    """A list-valued task, in a train config or in the dataset's metadata,
+    exits 2 with the task message for train and eval alike."""
+    data, model, cfg = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "c.json"
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    cfg.write_text(json.dumps({"task": ["digit-sum"]} if where == "config" else {}))
+    if where == "dataset":
+        lines = [json.loads(line) for line in data.read_text().splitlines()]
+        for line in lines:
+            line["meta"]["task"] = ["digit-sum"]
+        data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    runs = [["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--config", str(cfg)]]
+    if where == "dataset":
+        runs.append(["eval", "--model", str(model), "--data", str(data)])
+    for argv in runs:
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: task must be one of ('population', 'digit-sum', 'outlier')"), err
+        assert err.count("\n") == 1
+
+
 def test_train_eval_roundtrip(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "64",
@@ -678,6 +702,53 @@ def test_default_pool_cli_outputs_match_golden_sha256(tmp_path):
     assert digests == _DEFAULT_POOL_SHA256
 
 
+# sha256 of the files ``gen`` writes in the test below, for each --task, on
+# the OpenBLAS named above (the population kinds draw through LAPACK and libm)
+_GEN_SHA256 = {
+    "rotation": "84bda8cd3e644de557d8b78d11912d48f16e882911c827a62bb3140e6403c442",
+    "correlation": "1ccea2d11293a3d591a74f89a71d6ad42d4dc9e42fb7c7c841ee3560d03fdd7c",
+    "rank1": "0ddfd4a7ea8569dfa376615b5431055437f1337d05907607631ab291c014c190",
+    "random": "79f523c543ecc8dcf76695ad3ead03dd3fdd1a2917dc5ab35b850c4dc0677f04",
+    "digit-sum": "240bd9d6b03e981dc2486c704c298b971e6cf5e245961ced20fbaa58dbb2b907",
+    "outlier": "d5b44c764cd36520adc42872a7f57c1c691ba8d789d4097ea4c100e34c42957a",
+}
+
+
+def test_gen_outputs_match_golden_sha256(tmp_path):
+    """Three small sets per --task, seed 4, population sets of 3-6 rows, on
+    one BLAS thread: the bytes of every generator and of save_jsonl are
+    pinned."""
+    run = _golden_cli(tmp_path)
+    (tmp_path / "p.cfg").write_text(json.dumps({"set_size_range": [3, 6]}))
+    (tmp_path / "empty.cfg").write_text("{}")
+    digests = {}
+    for task in _GEN_SHA256:
+        config = "empty.cfg" if task in ("digit-sum", "outlier") else "p.cfg"
+        run("-m", "setnn", "gen", "--task", task, "--n", "3", "--seed", "4", "--config", config,
+            "--out", f"{task}.jsonl")
+        digests[task] = hashlib.sha256((tmp_path / f"{task}.jsonl").read_bytes()).hexdigest()
+    assert digests == _GEN_SHA256
+
+
+_EXPAND_SHA256 = "fd92e159b86a287614a24b6949c558c77315d8b40f54de40fc6d37a371ece3a6"
+
+
+def test_expand_output_matches_golden_sha256(tmp_path):
+    """expand of 60 candidates of 24 bits against 5 query rows, under a
+    non-uniform prior and --k 20, on one BLAS thread: the bytes of the
+    ranking CSV (scores through lgamma and log1p) are pinned."""
+    run = _golden_cli(tmp_path)
+    rng = np.random.default_rng(17)
+    proto = rng.random(24) < 0.3
+    query = [(proto ^ (rng.random(24) < 0.1)).astype(int).tolist() for _ in range(5)]
+    candidates = [(f"c{i}", (rng.random(24) < 0.3).astype(int).tolist()) for i in range(60)]
+    _write_expand_file(tmp_path / "cand.jsonl", query, candidates)
+    (tmp_path / "prior.json").write_text(json.dumps({"beta_plus": [0.5 + 0.1 * i for i in range(24)],
+                                                     "beta_minus": [2.0] * 24}))
+    run("-m", "setnn", "expand", "--data", "cand.jsonl", "--model", "prior.json", "--k", "20", "--out", "r.csv")
+    assert hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest() == _EXPAND_SHA256
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -718,6 +789,41 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, comman
     assert cli_dispatch(argv + [flag, value]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _refuses_to_write(capsys, argv, path):
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+
+
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    """Every command that writes a file exits 2 with one error line when it
+    cannot: a missing directory, or a directory in place of the file."""
+    missing = tmp_path / "missing"
+    data, model, cand = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "cand.jsonl"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    _write_expand_file(cand, [[1, 0]], [("a", [1, 0])])
+    capsys.readouterr()
+    for out in (missing / "o.jsonl", missing / "o.jsonl.gz"):
+        _refuses_to_write(capsys, ["gen", "--task", "outlier", "--n", "4", "--out", str(out)], out)
+    for out in (missing / "m.json", tmp_path):
+        _refuses_to_write(capsys, ["train", "--data", str(data), "--out", str(out), "--epochs", "1"], out)
+    out = missing / "e.csv"
+    _refuses_to_write(capsys, ["eval", "--model", str(model), "--data", str(data), "--out", str(out)], out)
+    out = missing / "r.csv"
+    _refuses_to_write(capsys, ["expand", "--data", str(cand), "--out", str(out)], out)
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_check_rejects_a_negative_seed(capsys, seed):
+    assert cli_dispatch(["check", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be an integer >= 0, got {seed}\n"
 
 
 def test_check_runs_green(capsys):

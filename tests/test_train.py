@@ -7,7 +7,14 @@ from setnn import autodiff as ad
 from setnn import train as tr
 from setnn.autodiff import Tape, Tensor
 from setnn.layers import EquivariantLayer, EquivariantStack, InvariantModel, SetBatch, model_to_json
-from setnn.tasks import GaussianTaskSpec, LabeledSetDataset, gen_digit_sum, gen_outlier_sets, gen_population_task
+from setnn.tasks import (
+    TASKS,
+    GaussianTaskSpec,
+    LabeledSetDataset,
+    gen_digit_sum,
+    gen_outlier_sets,
+    gen_population_task,
+)
 from setnn.train import (
     Adam,
     ConfigError,
@@ -191,8 +198,11 @@ class _ConstantZero:
 
 
 class _ExactDigitSum:
+    def __init__(self, scale=1.0):
+        self.scale = scale
+
     def forward(self, batch):
-        values = Tensor(np.arange(10.0).reshape(10, 1))
+        values = Tensor(self.scale * np.arange(10.0).reshape(10, 1))
         return ad.segment_sum(ad.dense(Tensor(batch.elements), values, Tensor([0.0]), "linear"), batch.offsets)
 
     def params(self):
@@ -222,6 +232,68 @@ def test_evaluate_refuses_targets_that_do_not_fit_the_task():
     with pytest.raises(ConfigError, match="target kind does not match"):
         train(TrainConfig(task="outlier", pooled_baseline=True, epochs=1), LabeledSetDataset(
             out.batch, out.targets, {"target_kind": "scalar"}))
+
+
+def test_evaluate_refuses_a_dataset_that_names_another_task():
+    """Population and digit-sum targets are both scalars; the dataset's task
+    name tells them apart, for evaluate as for train."""
+    rng = np.random.default_rng(4)
+    pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=2, set_size_range=(5, 9)))
+    dig = gen_digit_sum(4, 5, None, seed=3)
+    for ds, task, named in ((pop, "digit-sum", "population"), (dig, "population", "digit-sum")):
+        model = build_model(TrainConfig(task=task), ds.element_dim, rng)
+        with pytest.raises(ConfigError, match=f"but dataset task '{named}'"):
+            evaluate(model, ds, task)
+
+
+def test_a_dataset_that_names_a_population_kind_evaluates_as_population():
+    pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=6, seed=2, set_size_range=(5, 9)))
+    renamed = LabeledSetDataset(pop.batch, pop.targets, dict(pop.meta, task="rotation"))
+    model = build_model(TrainConfig(task="population"), 2, np.random.default_rng(5))
+    assert evaluate(model, renamed, "population").eval_metric == evaluate(model, pop, "population").eval_metric
+    with pytest.raises(ConfigError, match="task must be one of"):
+        evaluate(model, renamed, "rotation")
+    with pytest.raises(ConfigError, match="task 'population' but dataset task 'rotation'"):
+        train(TrainConfig(task="population", epochs=1), renamed)
+
+
+@pytest.mark.parametrize("task", [["digit-sum"], {"task": "outlier"}, None, 3])
+def test_a_task_that_is_not_a_string_is_refused_by_name(task):
+    """A task read from JSON may be any value; each is refused with the task
+    message, not a TypeError from a dict lookup."""
+    with pytest.raises(ConfigError, match="task must be one of"):
+        TrainConfig(task=task)
+    dig = gen_digit_sum(4, 5, None, seed=3)
+    model = build_model(TrainConfig(task="digit-sum"), 10, np.random.default_rng(6))
+    with pytest.raises(ConfigError, match="task must be one of"):
+        evaluate(model, dig, task)
+
+
+def test_each_task_metric_is_its_direct_formula():
+    """evaluate gives, for every TASKS entry, the metric written out in numpy
+    over the model's own outputs."""
+    rng = np.random.default_rng(7)
+    datasets = {
+        "population": gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=20, seed=8,
+                                                           set_size_range=(5, 30))),
+        "digit-sum": gen_digit_sum(40, 6, None, seed=9),
+        "outlier": gen_outlier_sets(40, set_size=6, d=3, shift=3.0, seed=10),
+    }
+    assert list(datasets) == list(TASKS)
+    for task, ds in datasets.items():
+        model = build_model(TrainConfig(task=task), ds.element_dim, rng)
+        if task == "digit-sum":  # 1.05 times the sum: right for sums below 10 only
+            model = _ExactDigitSum(scale=1.05)
+        got = evaluate(model, ds, task).eval_metric
+        if task == "outlier":
+            scores = model.forward_batch(ds.to_set_batch()).data[:, 0]
+            picks = np.array([np.argmax(scores[a:b]) for a, b in zip(ds.batch.offsets[:-1], ds.batch.offsets[1:])])
+            want = np.mean(picks == ds.targets)
+        else:
+            preds = model.forward(ds.to_set_batch()).data[:, 0]
+            want = np.mean((preds - ds.targets) ** 2) if task == "population" else np.mean(np.round(preds) == ds.targets)
+        assert got == want, task
+        assert 0 < want < 1 or task == "population", task
 
 
 def _permuted_copy(ds, seed=0):
