@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import re
 import sys
 
@@ -30,14 +31,12 @@ from setnn.autodiff import NonFiniteError, ShapeError
 from setnn.layers import model_from_json, model_to_json
 from setnn.tasks import (
     POPULATION_KINDS,
-    TASKS,
     GaussianTaskSpec,
     TaskError,
     gen_digit_sum,
     gen_outlier_sets,
     gen_population_task,
     load_jsonl,
-    named_task,
     require_int,
     save_jsonl,
 )
@@ -89,6 +88,16 @@ def _write(path: str, content) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a path that is a directory or whose directory does not exist,
+    so that a run whose result could not be saved does not start."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def _emit_csv(text: str, out: str | None) -> None:
     """Write the CSV to ``out`` when given, then print it."""
     if out:
@@ -123,17 +132,13 @@ def _metrics_path(model_path: str) -> str:
 
 def _train_config(args, dataset) -> TrainConfig:
     obj = _load_json(args.config, "train config") if args.config else {}
-    obj.setdefault("task", dataset.meta.get("task") or args.task)
-    if args.task:
-        obj["task"] = args.task
+    obj.setdefault("task", dataset.meta["task"])
     if args.epochs is not None:
         obj["epochs"] = args.epochs
     if args.batch is not None:
         obj["batch_size"] = args.batch
     if args.seed is not None:
         obj["seed"] = args.seed
-    if obj.get("task") is None:
-        raise UsageError("dataset carries no task; pass --task or a config file")
     try:
         return TrainConfig.from_dict(obj)
     except (ConfigError, TypeError) as exc:
@@ -143,6 +148,9 @@ def _train_config(args, dataset) -> TrainConfig:
 def _cmd_train(args) -> int:
     if args.data is None or args.out is None:
         raise UsageError("train requires --data and --out")
+    csv_path = _metrics_path(args.out)
+    for path in (args.out, csv_path):
+        _check_writable(path)
     try:
         dataset = load_jsonl(args.data)
     except (OSError, TaskError) as exc:
@@ -156,7 +164,6 @@ def _cmd_train(args) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
     _write(args.out, model_to_json(model) + "\n")
-    csv_path = _metrics_path(args.out)
     _write(csv_path, metrics_to_csv(records, include_timing=args.timing))
     print(f"wrote model to {args.out} and metrics to {csv_path}")
     print(metrics_to_csv(records[-1:], include_timing=args.timing), end="")
@@ -172,12 +179,7 @@ def _cmd_eval(args) -> int:
         dataset = load_jsonl(args.data)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot load inputs: {exc}") from exc
-    named = named_task(dataset.meta)
-    task = args.task or named
-    if task is None:
-        raise UsageError("dataset carries no task; pass --task")
-    if named is not None and task != named:
-        raise UsageError(f"--task {task!r} but dataset task {dataset.meta['task']!r}")
+    task = dataset.meta["task"]
     try:
         record = evaluate(model, dataset, task)
     except ConfigError as exc:
@@ -281,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset JSONL path")
     p.add_argument("--out", help="model JSON path")
     p.add_argument("--config", help="train config JSON path")
-    p.add_argument("--task", choices=TASKS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int, help="overrides the config's seed when given")
@@ -290,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("eval", _cmd_eval, "evaluate a saved model")
     p.add_argument("--model", help="model JSON path")
     p.add_argument("--data", help="dataset JSONL path")
-    p.add_argument("--task", choices=TASKS)
     p.add_argument("--out", help="metrics CSV path")
     p.add_argument("--timing", action="store_true", help=timing_help)
 

@@ -86,7 +86,8 @@ class SortedSample:
 
     @classmethod
     def from_values(cls, values) -> "SortedSample":
-        return cls(np.sort(np.asarray(values, dtype=np.float64)))
+        arr = np.asarray(values, dtype=np.float64)
+        return cls(np.sort(arr) if arr.ndim == 1 else arr)  # the constructor refuses other ranks
 
     @property
     def M(self) -> int:
@@ -143,9 +144,10 @@ def countable_encode(items, code: dict) -> float:
 def power_sums(values) -> PowerSumVector:
     """Power sums Z_0..Z_M of arbitrary real values (sorted first, so the
     result is exactly permutation-invariant)."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
+    v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise PowerSumError("values must be a non-empty vector")
+    v = np.sort(v)
     M = v.size
     Z = np.empty(M + 1)
     Z[0] = M

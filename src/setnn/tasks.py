@@ -31,6 +31,7 @@ import io
 import json
 import numbers
 import sys
+import zlib
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -92,12 +93,6 @@ def require_real(name: str, value, error: type[ValueError] = TaskError):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
         raise error(f"{name} must be a finite number, got {value!r}")
     return value
-
-
-def named_task(meta: dict):
-    """The task ``meta`` names, or None; a population kind counts as ``population``."""
-    task = meta.get("task")
-    return "population" if task in POPULATION_KINDS else task
 
 
 @dataclass(frozen=True)
@@ -406,9 +401,9 @@ _ABSENT = object()
 
 
 def load_jsonl(path: str) -> LabeledSetDataset:
-    """Read a dataset written by :func:`save_jsonl`. Any malformed or invalid
-    line raises a TaskError that names it, as does a line whose dataset keys
-    (or whose ``task`` or ``target_kind``) differ from the first line's."""
+    """Read a dataset written by :func:`save_jsonl`. A corrupt gzip file, a
+    malformed or invalid line, a first line whose ``task`` is not in ``TASKS``
+    and a line whose dataset keys differ from it raise a TaskError naming it."""
     opener = gzip.open if path.endswith(".gz") else open
     sets = []
     targets = []
@@ -431,19 +426,21 @@ def load_jsonl(path: str) -> LabeledSetDataset:
                     raise TaskError(f"{path} line {number}: {exc}") from exc
                 per_set.append(obj["meta"])
                 line_numbers.append(number)
-    except (EOFError, UnicodeDecodeError) as exc:  # truncated gzip, binary junk
+    except (EOFError, UnicodeDecodeError, zlib.error, gzip.BadGzipFile) as exc:  # corrupt gzip, binary junk
         raise TaskError(f"{path}: {exc}") from exc
     if not sets:
         raise TaskError(f"{path} contains no sets")
     first = per_set[0]
     task = first.get("task")
-    keys = TASKS[task].meta_keys if isinstance(task, str) and task in TASKS else tuple(first)
+    if not isinstance(task, str) or task not in TASKS:
+        raise TaskError(f"{path} line {line_numbers[0]}: task must be one of {tuple(TASKS)}, got {task!r}")
+    keys = TASKS[task].meta_keys
     meta = {k: first[k] for k in keys if k in first}
-    checked = sorted(set(keys) | {"task", "target_kind"})
     for m, number in zip(per_set[1:], line_numbers[1:]):
-        differ = [k for k in checked if m.get(k, _ABSENT) != first.get(k, _ABSENT)]
+        differ = [k for k in keys if m.get(k, _ABSENT) != first.get(k, _ABSENT)]
         if differ:
-            raise TaskError(f"{path} line {number}: dataset fields {differ} differ from line {line_numbers[0]}")
+            raise TaskError(f"{path} line {number}: dataset fields {sorted(differ)} "
+                            f"differ from line {line_numbers[0]}")
     extras = [{k: v for k, v in m.items() if k not in keys} for m in per_set]
     if all(not e for e in extras):
         extras = None

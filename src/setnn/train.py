@@ -36,7 +36,7 @@ from setnn.layers import (
     dense_stack,
     glorot_uniform,
 )
-from setnn.tasks import TASKS, LabeledSetDataset, named_task, require_int, require_real
+from setnn.tasks import TASKS, LabeledSetDataset, require_int, require_real
 
 __all__ = [
     "ConfigError",
@@ -207,14 +207,14 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
     return EquivariantStack(layers)
 
 
-def _check_dataset(task: str, dataset: LabeledSetDataset, named) -> None:
-    """Refuse an unknown task, the wrong target kind or another ``named`` task."""
+def _check_dataset(task: str, dataset: LabeledSetDataset) -> None:
+    """Refuse an unknown task, the wrong target kind or a dataset whose task is not ``task``."""
     if not isinstance(task, str) or task not in TASKS:
         raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
     if TASKS[task].selects != (dataset.meta.get("target_kind") == "index"):
         raise ConfigError("target kind does not match the configured task")
-    if named is not None and named != task:
-        raise ConfigError(f"task {task!r} but dataset task {dataset.meta['task']!r}")
+    if dataset.meta.get("task") != task:
+        raise ConfigError(f"task {task!r} but dataset task {dataset.meta.get('task')!r}")
 
 
 def _element_scores(model, batch: SetBatch) -> Tensor:
@@ -241,7 +241,7 @@ def train(config: TrainConfig, dataset: LabeledSetDataset):
     dataset is never mutated: training batches are gathered copies, and
     evaluation reads slices of the dataset.
     """
-    _check_dataset(config.task, dataset, dataset.meta.get("task"))
+    _check_dataset(config.task, dataset)
     rng = np.random.default_rng(config.seed)
     model = build_model(config, dataset.element_dim, rng)
     params = model.params()
@@ -309,9 +309,8 @@ def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
     """Score a model on a dataset by the task's metric (no tape). Raises
-    ConfigError if the dataset does not fit the task, as ``train`` does, but
-    a population kind name counts as ``population``."""
-    _check_dataset(task, dataset, named_task(dataset.meta))
+    ConfigError if the dataset does not fit the task, as ``train`` does."""
+    _check_dataset(task, dataset)
     spec = TASKS[task]
     if not spec.selects and isinstance(model, EquivariantStack):
         raise ConfigError(f"task {task!r} needs one prediction per set, but the model scores elements")

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line surface."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setnn.cli import cli_dispatch
+from setnn.cli import _build_parser, cli_dispatch
 from setnn.layers import (
     EquivariantLayer,
     EquivariantStack,
@@ -156,28 +158,36 @@ def test_gen_takes_an_integer_for_a_float_setting(tmp_path, task, setting):
     assert json.loads(out.read_text().splitlines()[0])["meta"].items() >= setting.items()
 
 
-def test_a_dataset_whose_task_is_a_kind_name_evaluates_but_does_not_train(tmp_path, capsys):
-    """gen writes "task": "population" for every population kind; a file that
-    names the kind instead still evaluates, but does not train."""
+@pytest.mark.parametrize("task", [None, "sorting", "rotation"], ids=["missing", "unknown", "kind-name"])
+def test_a_dataset_that_names_no_task_is_refused_at_load(tmp_path, capsys, task):
+    """gen writes "task": "population" for every population kind; a file
+    whose lines name no task, another name or a kind name is refused when it
+    loads, by train and eval alike."""
     data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
     assert cli_dispatch(["gen", "--task", "rotation", "--n", "16", "--out", str(data)]) == 0
     assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
     lines = [json.loads(line) for line in data.read_text().splitlines()]
-    for line in lines:  # an unknown task's lines must agree on every meta key
-        line["meta"].update(task="rotation", alpha=0.0)
+    for line in lines:
+        del line["meta"]["task"]
+        if task is not None:
+            line["meta"]["task"] = task
     data.write_text("".join(json.dumps(line) + "\n" for line in lines))
     capsys.readouterr()
-    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 0
-    for flags in ([], ["--task", "population"]):
-        assert cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), *flags]) == 2
-    err = capsys.readouterr().err
-    assert "task must be one of" in err and "but dataset task 'rotation'" in err
+    message = f"task must be one of ('population', 'digit-sum', 'outlier'), got {task!r}"
+    for argv in (["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--epochs", "1"],
+                 ["eval", "--model", str(model), "--data", str(data)]):
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"{data} line 1: {message}" in captured.err
+    assert not (tmp_path / "m2.json").exists()
 
 
 @pytest.mark.parametrize("where", ["config", "dataset"])
 def test_a_task_that_is_not_a_string_is_a_usage_error(tmp_path, capsys, where):
-    """A list-valued task, in a train config or in the dataset's metadata,
-    exits 2 with the task message for train and eval alike."""
+    """A list-valued task exits 2 with the task message: in a train config
+    when train checks it, in the dataset's metadata when train or eval loads
+    the file, which names line 1."""
     data, model, cfg = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "c.json"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "8", "--out", str(data)]) == 0
     assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
@@ -191,10 +201,14 @@ def test_a_task_that_is_not_a_string_is_a_usage_error(tmp_path, capsys, where):
     runs = [["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--config", str(cfg)]]
     if where == "dataset":
         runs.append(["eval", "--model", str(model), "--data", str(data)])
+    message = "task must be one of ('population', 'digit-sum', 'outlier'), got ['digit-sum']"
     for argv in runs:
         assert cli_dispatch(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: task must be one of ('population', 'digit-sum', 'outlier')"), err
+        if where == "config":
+            assert err.startswith(f"error: {message}"), err
+        else:
+            assert err.startswith("error: cannot load") and f"{data} line 1: {message}" in err, err
         assert err.count("\n") == 1
 
 
@@ -319,6 +333,22 @@ def test_train_and_eval_reject_a_line_that_changes_the_task(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_train_and_eval_refuse_a_corrupt_gzip_dataset(tmp_path, capsys):
+    data, bad, model = tmp_path / "d.jsonl.gz", tmp_path / "bad.jsonl.gz", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "64", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    flipped = bytearray(data.read_bytes())
+    flipped[30:60] = bytes(b ^ 0xFF for b in flipped[30:60])
+    bad.write_bytes(bytes(flipped))
+    capsys.readouterr()
+    for argv in (["train", "--data", str(bad), "--out", str(tmp_path / "m2.json"), "--epochs", "1"],
+                 ["eval", "--model", str(model), "--data", str(bad)]):
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot load") and str(bad) in captured.err
+
+
 @pytest.mark.parametrize("text", ["[]", '{"type": "invariant", "pool": "sum", "phi": 5, "rho": []}',
                                   '{"type": "equivariant_stack", "layers": [5]}', _NESTED_TOO_DEEP],
                          ids=["list", "phi-number", "layer-number", "nested-too-deep"])
@@ -367,6 +397,8 @@ def test_eval_rejects_a_model_that_does_not_fit_the_data(tmp_path, capsys, task,
     ("outlier", "outlier", "population", {"pooled_baseline": True}),
 ])
 def test_eval_refuses_a_task_the_dataset_does_not_name(tmp_path, capsys, gen_task, named, flag, config):
+    """eval reads the task from the dataset alone, so it has no ``--task``
+    flag; train refuses a config that names another task."""
     data, model, cfg = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     assert cli_dispatch(["gen", "--task", gen_task, "--n", "32", "--out", str(data)]) == 0
@@ -375,9 +407,19 @@ def test_eval_refuses_a_task_the_dataset_does_not_name(tmp_path, capsys, gen_tas
     capsys.readouterr()
     assert cli_dispatch(["eval", "--model", str(model), "--data", str(data), "--task", flag]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --task {flag!r} but dataset task {named!r}\n"
-    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data), "--task", named]) == 0
+    assert captured.out == "" and "unrecognized arguments: --task" in captured.err
+    cfg.write_text(json.dumps({"task": flag}))
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--epochs", "1",
+                         "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    # a scalar task on index targets, or the reverse, fails on the target kind first
+    if flag == "digit-sum":
+        assert captured.err == f"error: task {flag!r} but dataset task {named!r}\n"
+    else:
+        assert captured.err == "error: target kind does not match the configured task\n"
+    assert captured.out == "" and not (tmp_path / "m2.json").exists()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 0
+    assert capsys.readouterr().out.startswith("epoch,train_loss,eval_metric,wall_seconds\n")
 
 
 @pytest.mark.parametrize("kind, task", [("invariant", "rotation"), ("invariant", "outlier"),
@@ -771,7 +813,8 @@ def test_expand_accepts_prior_parameters(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("eval", "--seed"), ("eval", "--config"),
+    ("train", "--task"),
+    ("eval", "--task"), ("eval", "--seed"), ("eval", "--config"),
     ("expand", "--task"), ("expand", "--seed"), ("expand", "--config"),
     ("check", "--task"), ("check", "--out"), ("check", "--config"),
 ])
@@ -780,7 +823,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, comman
     assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
     assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
     _write_expand_file(cand, [[1, 0]], [("a", [1, 0])])
-    argv = {"eval": ["eval", "--model", str(model), "--data", str(data)],
+    argv = {"train": ["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--epochs", "1"],
+            "eval": ["eval", "--model", str(model), "--data", str(data)],
             "expand": ["expand", "--data", str(cand)],
             "check": ["check"]}[command]
     value = {"--seed": "1", "--task": "outlier", "--out": str(tmp_path / "x"),
@@ -788,7 +832,24 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, comman
     capsys.readouterr()
     assert cli_dispatch(argv + [flag, value]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    assert not (tmp_path / "x").exists() and not (tmp_path / "m2.json").exists()
+
+
+def test_the_readme_flag_table_matches_the_parser():
+    """Each row of README's ``| Command | Flags |`` table names exactly the
+    options its subcommand declares, ``--help`` aside."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        readme = f.read()
+    table = readme.split("| Command | Flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+        documented[command] = set(re.findall(r"`(--[\w-]+)`", flags))
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+                for name, p in commands.items()}
+    assert documented == declared
 
 
 def _refuses_to_write(capsys, argv, path):
@@ -798,19 +859,29 @@ def _refuses_to_write(capsys, argv, path):
     assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
 
 
-def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """Every command that writes a file exits 2 with one error line when it
-    cannot: a missing directory, or a directory in place of the file."""
+    cannot: a missing directory, or a directory in place of the file. train
+    checks its model and metrics paths before it trains."""
     missing = tmp_path / "missing"
     data, model, cand = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "cand.jsonl"
     assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
     assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
     _write_expand_file(cand, [[1, 0]], [("a", [1, 0])])
     capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train ran before its output paths were checked")
+
+    monkeypatch.setattr("setnn.cli.train", refuse)
     for out in (missing / "o.jsonl", missing / "o.jsonl.gz"):
         _refuses_to_write(capsys, ["gen", "--task", "outlier", "--n", "4", "--out", str(out)], out)
     for out in (missing / "m.json", tmp_path):
         _refuses_to_write(capsys, ["train", "--data", str(data), "--out", str(out), "--epochs", "1"], out)
+    metrics = tmp_path / "n.metrics.csv"
+    metrics.mkdir()
+    _refuses_to_write(capsys, ["train", "--data", str(data), "--out", str(tmp_path / "n.json")], metrics)
+    assert not (tmp_path / "n.json").exists()
     out = missing / "e.csv"
     _refuses_to_write(capsys, ["eval", "--model", str(model), "--data", str(data), "--out", str(out)], out)
     out = missing / "r.csv"

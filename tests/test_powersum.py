@@ -62,6 +62,15 @@ def test_sorted_sample_validation():
     np.testing.assert_array_equal(s.values, [0.1, 0.9])
 
 
+@pytest.mark.parametrize("fn", [power_sums, embed, SortedSample.from_values],
+                         ids=["power_sums", "embed", "from_values"])
+@pytest.mark.parametrize("value", [3.0, 0.5, np.float64(0.5)], ids=["three", "half", "numpy-half"])
+def test_a_scalar_is_not_a_sample(fn, value):
+    """The rank is checked before sorting, so a scalar is a PowerSumError."""
+    with pytest.raises(PowerSumError, match="non-empty vector"):
+        fn(value)
+
+
 def test_power_sum_vector_validation():
     with pytest.raises(PowerSumError):
         PowerSumVector([2.5, 0.7, 0.29])  # Z_0 not integral

@@ -221,18 +221,41 @@ def test_load_empty_file_errors(tmp_path):
 
 
 def test_load_rejects_truncated_and_undecodable_files(tmp_path):
+    """A cut or corrupt gzip stream, a wrong gzip checksum, binary junk and
+    too-deep nesting each raise a TaskError that names the file."""
     ds = gen_digit_sum(20, 6, None, seed=1)
     whole = tmp_path / "whole.jsonl.gz"
     save_jsonl(ds, str(whole))
     cut = tmp_path / "cut.jsonl.gz"
     cut.write_bytes(whole.read_bytes()[:-12])
+    flipped = bytearray(whole.read_bytes())
+    flipped[30:60] = bytes(b ^ 0xFF for b in flipped[30:60])
+    corrupt = tmp_path / "corrupt.jsonl.gz"
+    corrupt.write_bytes(bytes(flipped))
+    flipped = bytearray(whole.read_bytes())
+    flipped[-6] ^= 1
+    crc = tmp_path / "crc.jsonl.gz"
+    crc.write_bytes(bytes(flipped))
     junk = tmp_path / "junk.jsonl"
     junk.write_bytes(b"\xff\xfe\x00garbage\n")
     nested = tmp_path / "nested.jsonl"
     nested.write_bytes(b"[" * 100000 + b"]" * 100000 + b"\n")
-    for path in (cut, junk, nested):
+    for path in (cut, corrupt, crc, junk, nested):
         with pytest.raises(TaskError, match=path.name):
             load_jsonl(str(path))
+
+
+@pytest.mark.parametrize("meta", [{}, {"task": "sorting"}, {"task": "rotation"}, {"task": ["digit-sum"]}],
+                         ids=["missing", "unknown", "kind-name", "list"])
+def test_load_refuses_a_first_line_that_names_no_task(tmp_path, meta):
+    """The dataset names its task on line 1; anything but a key of TASKS is
+    refused there, with the three task names."""
+    path = tmp_path / "d.jsonl"
+    _write_lines(path, [{"elements": [[0.0, 1.0]], "target": 1.0, "meta": dict(meta, target_kind="scalar")}] * 2)
+    with pytest.raises(TaskError) as info:
+        load_jsonl(str(path))
+    assert str(info.value) == (f"{path} line 1: task must be one of ('population', 'digit-sum', 'outlier'), "
+                               f"got {meta.get('task')!r}")
 
 
 def test_prefix_sets_are_stable_under_dataset_growth():

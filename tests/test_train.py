@@ -246,15 +246,21 @@ def test_evaluate_refuses_a_dataset_that_names_another_task():
             evaluate(model, ds, task)
 
 
-def test_a_dataset_that_names_a_population_kind_evaluates_as_population():
+@pytest.mark.parametrize("meta", [{"task": "rotation"}, {"task": None}, {}], ids=["kind-name", "null", "missing"])
+def test_a_dataset_that_does_not_name_the_task_is_refused(meta):
+    """train and evaluate require the dataset's own task name: a population
+    kind is not ``population``, and a dataset with no task fits no task."""
     pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=6, seed=2, set_size_range=(5, 9)))
-    renamed = LabeledSetDataset(pop.batch, pop.targets, dict(pop.meta, task="rotation"))
+    meta = {**{k: v for k, v in pop.meta.items() if k != "task"}, **meta}
+    renamed = LabeledSetDataset(pop.batch, pop.targets, meta)
     model = build_model(TrainConfig(task="population"), 2, np.random.default_rng(5))
-    assert evaluate(model, renamed, "population").eval_metric == evaluate(model, pop, "population").eval_metric
+    message = f"task 'population' but dataset task {meta.get('task')!r}"
+    with pytest.raises(ConfigError, match=message):
+        evaluate(model, renamed, "population")
+    with pytest.raises(ConfigError, match=message):
+        train(TrainConfig(task="population", epochs=1), renamed)
     with pytest.raises(ConfigError, match="task must be one of"):
         evaluate(model, renamed, "rotation")
-    with pytest.raises(ConfigError, match="task 'population' but dataset task 'rotation'"):
-        train(TrainConfig(task="population", epochs=1), renamed)
 
 
 @pytest.mark.parametrize("task", [["digit-sum"], {"task": "outlier"}, None, 3])
