@@ -17,8 +17,6 @@ same JSONL file. ``check`` runs the property battery and prints its table.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import inspect
 import json
 import os
 import re
@@ -45,14 +43,6 @@ from setnn.train import ConfigError, TrainConfig, TrainingDiverged, evaluate, me
 GEN_TASKS = POPULATION_KINDS + ("digit-sum", "outlier")
 
 _GENERATORS = {"digit-sum": gen_digit_sum, "outlier": gen_outlier_sets}
-
-
-def _gen_keys(task: str) -> set[str]:
-    """Generator config fields: the parameters the generator has defaults for."""
-    if task in POPULATION_KINDS:
-        return {f.name for f in dataclasses.fields(GaussianTaskSpec) if f.default is not dataclasses.MISSING}
-    params = inspect.signature(_GENERATORS[task]).parameters.values()
-    return {p.name for p in params if p.default is not p.empty}
 
 
 class UsageError(ValueError):
@@ -106,12 +96,8 @@ def _emit_csv(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.out is None:
-        raise UsageError("gen requires --out")
+    _check_writable(args.out)
     ov = _load_json(args.config, "generator config") if args.config else {}
-    unknown = set(ov) - _gen_keys(args.task)
-    if unknown:
-        raise UsageError(f"unknown generator config fields for {args.task}: {sorted(unknown)}")
     try:
         if args.task in POPULATION_KINDS:
             dataset = gen_population_task(GaussianTaskSpec(kind=args.task, num_sets=args.n,
@@ -140,14 +126,12 @@ def _train_config(args, dataset) -> TrainConfig:
     if args.seed is not None:
         obj["seed"] = args.seed
     try:
-        return TrainConfig.from_dict(obj)
+        return TrainConfig(**obj)
     except (ConfigError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_train(args) -> int:
-    if args.data is None or args.out is None:
-        raise UsageError("train requires --data and --out")
     csv_path = _metrics_path(args.out)
     for path in (args.out, csv_path):
         _check_writable(path)
@@ -171,8 +155,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.model is None or args.data is None:
-        raise UsageError("eval requires --model and --data")
     try:
         with open(args.model) as f:
             model = model_from_json(f.read())
@@ -196,8 +178,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.data is None:
-        raise UsageError("expand requires --data")
     try:
         with open(args.data) as f:
             lines = f.readlines()
@@ -276,12 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=GEN_TASKS)
     p.add_argument("--n", type=int, required=True, help="number of sets")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--config", help="generator config JSON path")
 
     p = command("train", _cmd_train, "train a model on a dataset")
-    p.add_argument("--data", help="dataset JSONL path")
-    p.add_argument("--out", help="model JSON path")
+    p.add_argument("--data", required=True, help="dataset JSONL path")
+    p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--config", help="train config JSON path")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
@@ -289,13 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true", help=timing_help)
 
     p = command("eval", _cmd_eval, "evaluate a saved model")
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--data", help="dataset JSONL path")
+    p.add_argument("--model", required=True, help="model JSON path")
+    p.add_argument("--data", required=True, help="dataset JSONL path")
     p.add_argument("--out", help="metrics CSV path")
     p.add_argument("--timing", action="store_true", help=timing_help)
 
     p = command("expand", _cmd_expand, "rank candidate bit-vectors against a query set")
-    p.add_argument("--data", help="bit-vector JSONL path")
+    p.add_argument("--data", required=True, help="bit-vector JSONL path")
     p.add_argument("--model", help="prior JSON path")
     p.add_argument("--k", type=int, help="how many candidates to keep")
     p.add_argument("--out", help="ranking CSV path")

@@ -403,7 +403,9 @@ _ABSENT = object()
 def load_jsonl(path: str) -> LabeledSetDataset:
     """Read a dataset written by :func:`save_jsonl`. A corrupt gzip file, a
     malformed or invalid line, a first line whose ``task`` is not in ``TASKS``
-    and a line whose dataset keys differ from it raise a TaskError naming it."""
+    or whose ``target_kind`` is not the task's (``"index"`` for a task that
+    selects, else ``"scalar"``), and a line whose dataset keys differ from it
+    raise a TaskError naming it."""
     opener = gzip.open if path.endswith(".gz") else open
     sets = []
     targets = []
@@ -434,6 +436,10 @@ def load_jsonl(path: str) -> LabeledSetDataset:
     task = first.get("task")
     if not isinstance(task, str) or task not in TASKS:
         raise TaskError(f"{path} line {line_numbers[0]}: task must be one of {tuple(TASKS)}, got {task!r}")
+    kind = "index" if TASKS[task].selects else "scalar"
+    if first.get("target_kind") != kind:
+        raise TaskError(f"{path} line {line_numbers[0]}: task {task!r} needs target_kind {kind!r}, "
+                        f"got {first.get('target_kind')!r}")
     keys = TASKS[task].meta_keys
     meta = {k: first[k] for k in keys if k in first}
     for m, number in zip(per_set[1:], line_numbers[1:]):

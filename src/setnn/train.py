@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss.
+    """Raised when a training step produces a non-finite loss, or when the
+    weights after an epoch's last step overflow in that epoch's evaluation.
 
     Carries where the run died and the parameter norms at that point, which
     is usually enough to tell an exploding step size from bad data.
@@ -85,7 +86,7 @@ class TrainingDiverged(RuntimeError):
         self.param_norms = param_norms
         norms = ", ".join(f"{n:.3e}" for n in param_norms)
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch_index}; parameter norms: [{norms}]"
+            f"non-finite values at epoch {epoch}, batch {batch_index}; parameter norms: [{norms}]"
         )
 
 
@@ -123,19 +124,6 @@ class TrainConfig:
             raise ConfigError(f"step_size must be a positive finite number, got {self.step_size!r}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             require_int(name, getattr(self, name), least, ConfigError)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "task" not in obj:
-            raise ConfigError("config needs a 'task' field")
-        return cls(**obj)
 
 
 @dataclass
@@ -253,21 +241,21 @@ def train(config: TrainConfig, dataset: LabeledSetDataset):
         order = rng.permutation(n)
         loss_sum = 0.0
         sets_seen = 0
-        for batch_index, lo in enumerate(range(0, n, config.batch_size)):
-            idx = order[lo:lo + config.batch_size]
-            batch = dataset.to_set_batch(idx)
-            targets = dataset.targets[idx]
-            try:
+        try:  # a step's loss or gradient, or the epoch's evaluation after its last step
+            for batch_index, lo in enumerate(range(0, n, config.batch_size)):
+                idx = order[lo:lo + config.batch_size]
+                batch = dataset.to_set_batch(idx)
+                targets = dataset.targets[idx]
                 with Tape() as tape:
                     loss = _batch_loss(config, model, batch, targets)
                 grads = ad.backprop(tape, loss, params)
-            except ad.NonFiniteError as exc:
-                norms = [float(np.linalg.norm(p.data)) for p in params]
-                raise TrainingDiverged(epoch, batch_index, norms) from exc
-            opt.step(grads)
-            loss_sum += float(loss.data) * idx.size
-            sets_seen += idx.size
-        metric = evaluate(model, dataset, config.task).eval_metric
+                opt.step(grads)
+                loss_sum += float(loss.data) * idx.size
+                sets_seen += idx.size
+            metric = evaluate(model, dataset, config.task).eval_metric
+        except (ad.NonFiniteError, TrainingDiverged) as exc:
+            norms = [float(np.linalg.norm(p.data)) for p in params]
+            raise TrainingDiverged(epoch, batch_index, norms) from exc
         records.append(MetricsRecord(epoch, loss_sum / sets_seen, metric,
                                      time.perf_counter() - started))
     return model, records

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setnn import cli
 from setnn.cli import _build_parser, cli_dispatch
 from setnn.layers import (
     EquivariantLayer,
@@ -52,9 +53,29 @@ def test_help_exits_cleanly(capsys):
     assert "gen" in capsys.readouterr().out
 
 
-def test_gen_requires_out(capsys):
+def test_gen_requires_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "4"]) == 2
-    assert "requires --out" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --out\n")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--n", "4", "--out", "d.jsonl"], "--task"),
+    (["gen", "--task", "outlier", "--out", "d.jsonl"], "--n"),
+    (["train", "--out", "m.json"], "--data"),
+    (["train", "--data", "d.jsonl"], "--out"),
+    (["eval", "--data", "d.jsonl", "--out", "e.csv"], "--model"),
+    (["eval", "--model", "m.json", "--out", "e.csv"], "--data"),
+    (["expand", "--out", "r.csv"], "--data"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_missing_required_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    """The parser refuses it before any file is read or written (gen's --out:
+    test_gen_requires_out)."""
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {flag}\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_gen_rejects_unknown_config_fields(tmp_path, capsys):
@@ -64,6 +85,19 @@ def test_gen_rejects_unknown_config_fields(tmp_path, capsys):
                          "--out", str(tmp_path / "d.jsonl"), "--config", str(cfg)])
     assert code == 2
     assert "volume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["rotation", "correlation", "rank1", "random", "digit-sum", "outlier"])
+def test_gen_rejects_unknown_or_flag_set_config_fields_on_every_task(tmp_path, capsys, task):
+    """The config is the generator's keyword arguments: a field it does not
+    take, or one the flags already set, exits 2 naming the field."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+    for name in ("volume", "seed", "num_sets", "kind"):
+        cfg.write_text(json.dumps({name: 3}))
+        assert cli_dispatch(["gen", "--task", task, "--n", "4", "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"argument '{name}'" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gen_writes_a_loadable_dataset(tmp_path, capsys):
@@ -183,6 +217,31 @@ def test_a_dataset_that_names_no_task_is_refused_at_load(tmp_path, capsys, task)
     assert not (tmp_path / "m2.json").exists()
 
 
+@pytest.mark.parametrize("task, kind", [("outlier", "scalar"), ("outlier", "bogus"), ("outlier", None),
+                                        ("digit-sum", "index"), ("digit-sum", "bogus")])
+def test_a_target_kind_that_does_not_fit_the_task_is_refused_at_load(tmp_path, capsys, task, kind):
+    """Line 1's target_kind must be the one its task implies ("index" for
+    outlier, "scalar" otherwise); train and eval both refuse the file there."""
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", task, "--n", "8", "--out", str(data)]) == 0
+    assert cli_dispatch(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+    lines = [json.loads(line) for line in data.read_text().splitlines()]
+    for line in lines:
+        del line["meta"]["target_kind"]
+        if kind is not None:
+            line["meta"]["target_kind"] = kind
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    want = "index" if task == "outlier" else "scalar"
+    for argv in (["train", "--data", str(data), "--out", str(tmp_path / "m2.json"), "--epochs", "1"],
+                 ["eval", "--model", str(model), "--data", str(data)]):
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"{data} line 1: task {task!r} needs target_kind {want!r}, got {kind!r}" in captured.err
+    assert not (tmp_path / "m2.json").exists()
+
+
 @pytest.mark.parametrize("where", ["config", "dataset"])
 def test_a_task_that_is_not_a_string_is_a_usage_error(tmp_path, capsys, where):
     """A list-valued task exits 2 with the task message: in a train config
@@ -281,7 +340,8 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert cli_dispatch(["gen", "--task", "outlier", "--n", "8",
                          "--seed", "5", "--out", str(data)]) == 0
     cfg = tmp_path / "cfg.json"
-    for text, message in ((json.dumps({"loss": "margin"}), "unknown config fields: ['loss']"),
+    for text, message in ((json.dumps({"loss": "margin"}), "unexpected keyword argument 'loss'"),
+                          (json.dumps({"loss": "margin", "momentum": 0.9}), "unexpected keyword argument 'loss'"),
                           (_NESTED_TOO_DEEP, "cannot read train config"),
                           (json.dumps({"batch_size": 2.5}), "error: batch_size must be an integer"),
                           (json.dumps({"seed": 1.5}), "error: seed must be an integer"),
@@ -291,6 +351,7 @@ def test_train_rejects_bad_config(tmp_path, capsys):
                              "--config", str(cfg), "--epochs", "1"])
         assert code == 2
         assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 _SCALAR_META = {"task": "digit-sum", "target_kind": "scalar"}
@@ -475,6 +536,23 @@ def test_eval_rejects_a_model_whose_metric_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: model {model} overflows on dataset {data}")
     assert err.count("\n") == 1 and "epoch" not in err and "batch" not in err
+
+
+def test_train_reports_an_overflow_in_the_epoch_evaluation_as_divergence(tmp_path, capsys):
+    """The one step of epoch 1 leaves weights that overflow when that epoch is
+    evaluated: train exits 1 naming the epoch, and writes nothing."""
+    data, cfg, model = tmp_path / "d.jsonl", tmp_path / "cfg.json", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "32", "--seed", "1", "--out", str(data)]) == 0
+    cfg.write_text(json.dumps({"step_size": 1e300, "batch_size": 64}))
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        code = cli_dispatch(["train", "--data", str(data), "--out", str(model), "--config", str(cfg),
+                             "--epochs", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("training diverged: non-finite values at epoch 1, batch 0;")
+    assert not model.exists() and not (tmp_path / "m.metrics.csv").exists()
 
 
 def test_eval_missing_model_is_a_usage_error(tmp_path, capsys):
@@ -837,19 +915,24 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, comman
 
 def test_the_readme_flag_table_matches_the_parser():
     """Each row of README's ``| Command | Flags |`` table names exactly the
-    options its subcommand declares, ``--help`` aside."""
+    options its subcommand declares, ``--help`` aside, and marks "(required)"
+    or "(both required)" exactly the ones the parser requires."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
         readme = f.read()
     table = readme.split("| Command | Flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
-    documented = {}
+    documented, required = {}, {}
     for row in table.splitlines():
         command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
         documented[command] = set(re.findall(r"`(--[\w-]+)`", flags))
+        required[command] = {flag for part in flags.split(", ") if "required)" in part
+                             for flag in re.findall(r"`(--[\w-]+)`", part)}
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     declared = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
                 for name, p in commands.items()}
     assert documented == declared
+    assert required == {name: {o for a in p._actions if a.required for o in a.option_strings}
+                        for name, p in commands.items()}
 
 
 def _refuses_to_write(capsys, argv, path):
@@ -861,8 +944,9 @@ def _refuses_to_write(capsys, argv, path):
 
 def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """Every command that writes a file exits 2 with one error line when it
-    cannot: a missing directory, or a directory in place of the file. train
-    checks its model and metrics paths before it trains."""
+    cannot: a missing directory, or a directory in place of the file. gen
+    checks its path before it generates, and train its model and metrics
+    paths before it trains."""
     missing = tmp_path / "missing"
     data, model, cand = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "cand.jsonl"
     assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
@@ -871,11 +955,15 @@ def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatc
     capsys.readouterr()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("train ran before its output paths were checked")
+        raise AssertionError("a run started before its output paths were checked")
 
     monkeypatch.setattr("setnn.cli.train", refuse)
-    for out in (missing / "o.jsonl", missing / "o.jsonl.gz"):
-        _refuses_to_write(capsys, ["gen", "--task", "outlier", "--n", "4", "--out", str(out)], out)
+    monkeypatch.setattr("setnn.cli.gen_population_task", refuse)
+    for task in ("digit-sum", "outlier"):
+        monkeypatch.setitem(cli._GENERATORS, task, refuse)
+    for task, out in (("outlier", missing / "o.jsonl"), ("digit-sum", missing / "o.jsonl.gz"),
+                      ("rotation", tmp_path)):
+        _refuses_to_write(capsys, ["gen", "--task", task, "--n", "4", "--out", str(out)], out)
     for out in (missing / "m.json", tmp_path):
         _refuses_to_write(capsys, ["train", "--data", str(data), "--out", str(out), "--epochs", "1"], out)
     metrics = tmp_path / "n.metrics.csv"
