@@ -139,12 +139,12 @@ class Tape:
 
 # Activations of ``dense``. Each forward overwrites its argument and returns
 # it; each backward scales the incoming gradient using the activation's output
-# alone.
+# alone. The keys, in order, are ``layers.NONLINEARITIES``.
 _ACTIVATIONS = {
-    "linear": (lambda out: out, lambda g, out: g),
     # derivative at exactly 0 is 0
     "relu": (lambda out: np.maximum(out, 0.0, out=out), lambda g, out: g * (out > 0.0)),
     "tanh": (lambda out: np.tanh(out, out=out), lambda g, out: g * (1.0 - out * out)),
+    "linear": (lambda out: out, lambda g, out: g),
 }
 
 

@@ -54,7 +54,7 @@ __all__ = [
     "model_from_json",
 ]
 
-NONLINEARITIES = ("relu", "tanh", "linear")
+NONLINEARITIES = tuple(ad._ACTIVATIONS)
 
 
 class SetBatch:
@@ -239,7 +239,7 @@ class EquivariantLayer:
         if nonlinearity not in NONLINEARITIES:
             raise ShapeError(f"unknown nonlinearity {nonlinearity!r}")
         if pool not in _POOLS:
-            raise ShapeError(f"pool must be sum/max/mean, got {pool!r}")
+            raise ShapeError(f"pool must be one of {sorted(_POOLS)}, got {pool!r}")
         if variant == "maxpool-normalized" and pool != "max":
             raise ShapeError(f"maxpool-normalized pools by max, got pool {pool!r}")
         self.variant = variant

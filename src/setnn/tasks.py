@@ -78,6 +78,13 @@ class TaskError(ValueError):
         self.set_index = set_index
 
 
+def _require_task(task, error: type[ValueError] = TaskError) -> Task:
+    """``TASKS[task]``; raises ``error`` if ``task`` is not one of its keys."""
+    if not isinstance(task, str) or task not in TASKS:
+        raise error(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    return TASKS[task]
+
+
 def require_int(name: str, value, least: int, error: type[ValueError] = TaskError):
     """``value`` if it is an integer of at least ``least`` (a bool is not one);
     otherwise raises ``error`` naming the setting ``name``."""
@@ -142,8 +149,9 @@ class GaussianTaskSpec:
 class LabeledSetDataset:
     """Sets packed in one :class:`SetBatch`, with one target per set.
 
-    Targets are scalars, or with ``meta["target_kind"] == "index"`` the row of
-    one element within its set. The dataset is validated once, here: finite
+    ``meta`` names a ``task`` of ``TASKS`` and its ``target_kind``: ``"index"``
+    (the row of one element within its set) when it ``selects``, else
+    ``"scalar"``. The dataset is validated once, here: that metadata, finite
     elements, one finite target per set, and index targets that are integers
     in ``[0, set size)``. A failure raises a TaskError naming the first bad set.
     """
@@ -154,6 +162,11 @@ class LabeledSetDataset:
     per_set_meta: list[dict] | None = None
 
     def __post_init__(self):
+        index_targets = _require_task(self.meta.get("task")).selects
+        kind = "index" if index_targets else "scalar"
+        if self.meta.get("target_kind") != kind:
+            raise TaskError(f"task {self.meta['task']!r} needs target_kind {kind!r}, "
+                            f"got {self.meta.get('target_kind')!r}")
         n = self.batch.num_sets
         targets = np.asarray(self.targets, dtype=np.float64)
         if targets.shape != (n,):
@@ -164,7 +177,6 @@ class LabeledSetDataset:
             row = int(np.argmin(np.isfinite(self.batch.elements).all(axis=1)))
             i = int(np.searchsorted(self.batch.offsets, row, side="right")) - 1
             raise TaskError(f"set {i} has a non-finite element", i)
-        index_targets = self.meta.get("target_kind") == "index"
         bad = ~np.isfinite(targets)
         if index_targets:
             bad |= (targets != np.floor(targets)) | (targets < 0) | (targets >= self.batch.sizes())
@@ -377,7 +389,7 @@ def gen_outlier_sets(num_sets: int, set_size: int = 16, d: int = 8, shift: float
 
 def save_jsonl(dataset: LabeledSetDataset, path: str) -> None:
     """One JSON object per set; deterministic bytes (gzip mtime pinned to 0)."""
-    index_targets = dataset.meta.get("target_kind") == "index"
+    index_targets = TASKS[dataset.meta["task"]].selects
     buf = io.StringIO()
     for i in range(len(dataset)):
         line_meta = dict(dataset.meta)
@@ -402,10 +414,9 @@ _ABSENT = object()
 
 def load_jsonl(path: str) -> LabeledSetDataset:
     """Read a dataset written by :func:`save_jsonl`. A corrupt gzip file, a
-    malformed or invalid line, a first line whose ``task`` is not in ``TASKS``
-    or whose ``target_kind`` is not the task's (``"index"`` for a task that
-    selects, else ``"scalar"``), and a line whose dataset keys differ from it
-    raise a TaskError naming it."""
+    malformed or invalid line, and a line whose dataset keys differ from the
+    first line's raise a TaskError naming the line; metadata the dataset
+    refuses is named on the first line."""
     opener = gzip.open if path.endswith(".gz") else open
     sets = []
     targets = []
@@ -433,24 +444,14 @@ def load_jsonl(path: str) -> LabeledSetDataset:
     if not sets:
         raise TaskError(f"{path} contains no sets")
     first = per_set[0]
-    task = first.get("task")
-    if not isinstance(task, str) or task not in TASKS:
-        raise TaskError(f"{path} line {line_numbers[0]}: task must be one of {tuple(TASKS)}, got {task!r}")
-    kind = "index" if TASKS[task].selects else "scalar"
-    if first.get("target_kind") != kind:
-        raise TaskError(f"{path} line {line_numbers[0]}: task {task!r} needs target_kind {kind!r}, "
-                        f"got {first.get('target_kind')!r}")
-    keys = TASKS[task].meta_keys
-    meta = {k: first[k] for k in keys if k in first}
-    for m, number in zip(per_set[1:], line_numbers[1:]):
-        differ = [k for k in keys if m.get(k, _ABSENT) != first.get(k, _ABSENT)]
-        if differ:
-            raise TaskError(f"{path} line {number}: dataset fields {sorted(differ)} "
-                            f"differ from line {line_numbers[0]}")
-    extras = [{k: v for k, v in m.items() if k not in keys} for m in per_set]
-    if all(not e for e in extras):
-        extras = None
-    try:
-        return LabeledSetDataset(SetBatch.from_sets(sets), np.array(targets), meta, extras)
+    try:  # an error's set_index (None for the whole dataset: line 1) names its line
+        keys = _require_task(first.get("task")).meta_keys
+        for i, m in enumerate(per_set):
+            differ = [k for k in keys if m.get(k, _ABSENT) != first.get(k, _ABSENT)]
+            if differ:
+                raise TaskError(f"dataset fields {sorted(differ)} differ from line {line_numbers[0]}", i)
+        extras = [{k: v for k, v in m.items() if k not in keys} for m in per_set]
+        return LabeledSetDataset(SetBatch.from_sets(sets), np.array(targets),
+                                 {k: first[k] for k in keys if k in first}, extras if any(extras) else None)
     except (ShapeError, TaskError) as exc:
-        raise TaskError(f"{path} line {line_numbers[exc.set_index]}: {exc}") from exc
+        raise TaskError(f"{path} line {line_numbers[exc.set_index or 0]}: {exc}") from exc

@@ -33,10 +33,11 @@ from setnn.layers import (
     EquivariantStack,
     InvariantModel,
     SetBatch,
+    _POOLS,
     dense_stack,
     glorot_uniform,
 )
-from setnn.tasks import TASKS, LabeledSetDataset, require_int, require_real
+from setnn.tasks import TASKS, LabeledSetDataset, _require_task, require_int, require_real
 
 __all__ = [
     "ConfigError",
@@ -73,7 +74,7 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss, or when the
+    """Raised by ``train`` when a step produces a non-finite value, or when the
     weights after an epoch's last step overflow in that epoch's evaluation.
 
     Carries where the run died and the parameter norms at that point, which
@@ -109,10 +110,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.task, str) or self.task not in TASKS:
-            raise ConfigError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
-        if self.pool not in ("sum", "max", "mean"):
-            raise ConfigError(f"pool must be sum/max/mean, got {self.pool!r}")
+        _require_task(self.task, ConfigError)
+        if not isinstance(self.pool, str) or self.pool not in _POOLS:
+            raise ConfigError(f"pool must be one of {sorted(_POOLS)}, got {self.pool!r}")
         if not isinstance(self.pooled_baseline, bool):
             raise ConfigError(f"pooled_baseline must be true or false, got {self.pooled_baseline!r}")
         if self.pooled_baseline and not TASKS[self.task].selects:
@@ -196,13 +196,10 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
 
 
 def _check_dataset(task: str, dataset: LabeledSetDataset) -> None:
-    """Refuse an unknown task, the wrong target kind or a dataset whose task is not ``task``."""
-    if not isinstance(task, str) or task not in TASKS:
-        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
-    if TASKS[task].selects != (dataset.meta.get("target_kind") == "index"):
-        raise ConfigError("target kind does not match the configured task")
-    if dataset.meta.get("task") != task:
-        raise ConfigError(f"task {task!r} but dataset task {dataset.meta.get('task')!r}")
+    """Refuse a dataset whose task is not ``task``. The dataset has checked
+    that its task is a key of ``TASKS`` and that its targets fit it."""
+    if dataset.meta["task"] != task:
+        raise ConfigError(f"task {task!r} but dataset task {dataset.meta['task']!r}")
 
 
 def _element_scores(model, batch: SetBatch) -> Tensor:
@@ -253,8 +250,9 @@ def train(config: TrainConfig, dataset: LabeledSetDataset):
                 loss_sum += float(loss.data) * idx.size
                 sets_seen += idx.size
             metric = evaluate(model, dataset, config.task).eval_metric
-        except (ad.NonFiniteError, TrainingDiverged) as exc:
-            norms = [float(np.linalg.norm(p.data)) for p in params]
+        except ad.NonFiniteError as exc:
+            # hypot, unlike squaring, does not overflow on weights near 1e300
+            norms = [float(np.hypot.reduce(p.data, axis=None)) for p in params]
             raise TrainingDiverged(epoch, batch_index, norms) from exc
         records.append(MetricsRecord(epoch, loss_sum / sets_seen, metric,
                                      time.perf_counter() - started))
@@ -297,7 +295,8 @@ def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
     """Score a model on a dataset by the task's metric (no tape). Raises
-    ConfigError if the dataset does not fit the task, as ``train`` does."""
+    ConfigError if the dataset names another task, as ``train`` does, and
+    NonFiniteError if the model's outputs or the metric overflow."""
     _check_dataset(task, dataset)
     spec = TASKS[task]
     if not spec.selects and isinstance(model, EquivariantStack):
@@ -305,5 +304,5 @@ def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
     started = time.perf_counter()
     metric = spec.metric((_selections if spec.selects else _predictions)(model, dataset), dataset.targets)
     if not math.isfinite(metric):
-        raise TrainingDiverged(0, 0, [float(np.linalg.norm(p.data)) for p in model.params()])
+        raise ad.NonFiniteError(f"the {task} metric is not finite")
     return MetricsRecord(0, float("nan"), metric, time.perf_counter() - started)

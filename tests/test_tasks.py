@@ -278,16 +278,20 @@ def test_subset_copies_and_relabels():
     assert _sets(ds)[4][0, 0] != 99.0
 
 
+_SCALAR = {"task": "digit-sum", "target_kind": "scalar"}
+_INDEX = {"task": "outlier", "target_kind": "index"}
+
+
 def test_dataset_validation():
     one = SetBatch.from_sets([np.zeros((2, 2))])
     with pytest.raises(TaskError):
-        LabeledSetDataset(one, np.array([1.0, 2.0]))
+        LabeledSetDataset(one, np.array([1.0, 2.0]), _SCALAR)
     with pytest.raises(TaskError):
-        LabeledSetDataset(one, np.array([np.inf]))
+        LabeledSetDataset(one, np.array([np.inf]), _SCALAR)
     with pytest.raises(TaskError, match="one target each"):
-        LabeledSetDataset(one, np.array([[1.0]]))
+        LabeledSetDataset(one, np.array([[1.0]]), _SCALAR)
     with pytest.raises(TaskError, match="metadata"):
-        LabeledSetDataset(one, np.array([1.0]), {}, [{}, {}])
+        LabeledSetDataset(one, np.array([1.0]), _SCALAR, [{}, {}])
 
     three = SetBatch.from_sets([np.zeros((2, 2)), np.ones((3, 2)), np.ones((1, 2))])
     scalar_cases = [
@@ -297,17 +301,37 @@ def test_dataset_validation():
     ]
     for elements, targets, bad in scalar_cases:
         with pytest.raises(TaskError, match=f"set {bad} ") as info:
-            LabeledSetDataset(SetBatch(elements, three.offsets), np.array(targets))
+            LabeledSetDataset(SetBatch(elements, three.offsets), np.array(targets), _SCALAR)
         assert info.value.set_index == bad
 
-    index = {"target_kind": "index"}
     for targets, bad in (([0, 3, 0], 1), ([0, 0, 1], 2), ([-1, 0, 0], 0), ([0, 1.5, 0], 1)):
         with pytest.raises(TaskError, match=f"set {bad} .*integer in") as info:
-            LabeledSetDataset(three, np.array(targets), index)
+            LabeledSetDataset(three, np.array(targets), _INDEX)
         assert info.value.set_index == bad
-    ok = LabeledSetDataset(three, np.array([1.0, 2.0, 0.0]), index)
+    ok = LabeledSetDataset(three, np.array([1.0, 2.0, 0.0]), _INDEX)
     assert ok.targets.dtype == np.int64 and ok.targets.tolist() == [1, 2, 0]
-    assert LabeledSetDataset(three, np.array([1, 2, 3])).targets.dtype == np.float64
+    assert LabeledSetDataset(three, np.array([1, 2, 3]), _SCALAR).targets.dtype == np.float64
+
+
+_ONE_OF = "task must be one of ('population', 'digit-sum', 'outlier'), got "
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({}, _ONE_OF + "None"),
+    ({"task": "rotation", "target_kind": "scalar"}, _ONE_OF + "'rotation'"),
+    ({"task": ["outlier"], "target_kind": "index"}, _ONE_OF + "['outlier']"),
+    ({"task": "outlier", "target_kind": "scalar"}, "task 'outlier' needs target_kind 'index', got 'scalar'"),
+    ({"task": "outlier"}, "task 'outlier' needs target_kind 'index', got None"),
+    ({"task": "population", "target_kind": "index"}, "task 'population' needs target_kind 'scalar', got 'index'"),
+    ({"task": "digit-sum", "target_kind": "bogus"}, "task 'digit-sum' needs target_kind 'scalar', got 'bogus'"),
+], ids=["no-task", "kind-name", "list", "outlier-scalar", "outlier-none", "population-index", "digit-sum-bogus"])
+def test_a_dataset_refuses_metadata_that_does_not_fit_its_task(meta, message):
+    """An in-memory dataset checks its own task and target kind when it is
+    made, as a loaded one does, so no later reader needs to."""
+    one = SetBatch.from_sets([np.zeros((2, 2))])
+    with pytest.raises(TaskError) as info:
+        LabeledSetDataset(one, np.array([1.0]), meta)
+    assert str(info.value) == message and info.value.set_index is None
 
 
 def _write_lines(path, objs):

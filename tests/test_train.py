@@ -12,6 +12,7 @@ from setnn.tasks import (
     TASKS,
     GaussianTaskSpec,
     LabeledSetDataset,
+    TaskError,
     gen_digit_sum,
     gen_outlier_sets,
     gen_population_task,
@@ -40,6 +41,10 @@ def test_config_validation():
         TrainConfig(task="population", pooled_baseline=True)
     with pytest.raises(ConfigError, match="pool applies"):
         TrainConfig(task="outlier", pool="mean")
+    for pool in ("median", ["sum"]):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(task="population", pool=pool)
+        assert str(info.value) == f"pool must be one of ['max', 'mean', 'sum'], got {pool!r}"
     # the architecture and Adam's constants are fixed, not configured
     for name, value in (("phi_widths", [64, 64, 64]), ("rho_widths", [64, 2]),
                         ("equivariant_widths", [64, 64, 1]), ("equivariant_variant", "full-lambda-gamma"),
@@ -223,58 +228,65 @@ def test_evaluate_perfect_digit_sum_stub():
 
 
 def test_evaluate_refuses_targets_that_do_not_fit_the_task():
-    """Index targets exactly when the task is outlier, as train requires."""
-    rng = np.random.default_rng(3)
-    pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=2, set_size_range=(5, 9)))
+    """Outlier sets relabelled with scalar targets never reach train or
+    evaluate: the dataset refuses a target kind its task does not have when
+    it is made."""
     out = gen_outlier_sets(4, set_size=5, d=2, seed=3)
-    baseline = build_model(TrainConfig(task="outlier", pooled_baseline=True), 2, rng)
-    for ds, task in ((pop, "outlier"), (out, "population"), (out, "digit-sum")):
-        with pytest.raises(ConfigError, match="target kind does not match"):
-            evaluate(baseline, ds, task)
-    with pytest.raises(ConfigError, match="target kind does not match"):
-        train(TrainConfig(task="outlier", pooled_baseline=True, epochs=1), LabeledSetDataset(
-            out.batch, out.targets, {"target_kind": "scalar"}))
+    for target_kind in ("scalar", None):
+        with pytest.raises(TaskError) as info:
+            LabeledSetDataset(out.batch, out.targets.astype(float), {**out.meta, "target_kind": target_kind})
+        assert str(info.value) == f"task 'outlier' needs target_kind 'index', got {target_kind!r}"
 
 
 def test_evaluate_refuses_a_dataset_that_names_another_task():
-    """Population and digit-sum targets are both scalars; the dataset's task
-    name tells them apart, for evaluate as for train."""
-    rng = np.random.default_rng(4)
-    pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=2, set_size_range=(5, 9)))
-    dig = gen_digit_sum(4, 5, None, seed=3)
-    for ds, task, named in ((pop, "digit-sum", "population"), (dig, "population", "digit-sum")):
-        model = build_model(TrainConfig(task=task), ds.element_dim, rng)
-        with pytest.raises(ConfigError, match=f"but dataset task '{named}'"):
-            evaluate(model, ds, task)
+    """Every (dataset task, asked task) pair that differs is a ConfigError
+    naming both tasks, from train as from evaluate, whether the target kinds
+    differ (outlier against the rest) or not (population against digit-sum)."""
+    rng = np.random.default_rng(3)
+    datasets = {
+        "population": gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=2,
+                                                           set_size_range=(5, 9))),
+        "digit-sum": gen_digit_sum(4, 5, None, seed=3),
+        "outlier": gen_outlier_sets(4, set_size=5, d=2, seed=3),
+    }
+    pairs = [(named, asked) for named in TASKS for asked in TASKS if named != asked]
+    assert len(pairs) == 6
+    for named, asked in pairs:
+        ds = datasets[named]
+        model = build_model(TrainConfig(task=asked), ds.element_dim, rng)
+        for run in (lambda: evaluate(model, ds, asked), lambda: train(TrainConfig(task=asked, epochs=1), ds)):
+            with pytest.raises(ConfigError) as info:
+                run()
+            assert str(info.value) == f"task {asked!r} but dataset task {named!r}"
 
 
 @pytest.mark.parametrize("meta", [{"task": "rotation"}, {"task": None}, {}], ids=["kind-name", "null", "missing"])
 def test_a_dataset_that_does_not_name_the_task_is_refused(meta):
-    """train and evaluate require the dataset's own task name: a population
-    kind is not ``population``, and a dataset with no task fits no task."""
+    """A dataset must name its own task: a population kind is not
+    ``population``, and a dataset with no task is refused when it is made.
+    train and evaluate then refuse to run it as any task it does not name."""
     pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=6, seed=2, set_size_range=(5, 9)))
     meta = {**{k: v for k, v in pop.meta.items() if k != "task"}, **meta}
-    renamed = LabeledSetDataset(pop.batch, pop.targets, meta)
+    message = f"task must be one of ('population', 'digit-sum', 'outlier'), got {meta.get('task')!r}"
+    with pytest.raises(TaskError) as info:
+        LabeledSetDataset(pop.batch, pop.targets, meta)
+    assert str(info.value) == message
     model = build_model(TrainConfig(task="population"), 2, np.random.default_rng(5))
-    message = f"task 'population' but dataset task {meta.get('task')!r}"
-    with pytest.raises(ConfigError, match=message):
-        evaluate(model, renamed, "population")
-    with pytest.raises(ConfigError, match=message):
-        train(TrainConfig(task="population", epochs=1), renamed)
-    with pytest.raises(ConfigError, match="task must be one of"):
-        evaluate(model, renamed, "rotation")
+    with pytest.raises(ConfigError, match="task 'rotation' but dataset task 'population'"):
+        evaluate(model, pop, "rotation")
 
 
 @pytest.mark.parametrize("task", [["digit-sum"], {"task": "outlier"}, None, 3])
 def test_a_task_that_is_not_a_string_is_refused_by_name(task):
-    """A task read from JSON may be any value; each is refused with the task
-    message, not a TypeError from a dict lookup."""
+    """A task read from JSON may be any value; each is refused with a message
+    that names it, not a TypeError from a dict lookup."""
     with pytest.raises(ConfigError, match="task must be one of"):
         TrainConfig(task=task)
     dig = gen_digit_sum(4, 5, None, seed=3)
     model = build_model(TrainConfig(task="digit-sum"), 10, np.random.default_rng(6))
-    with pytest.raises(ConfigError, match="task must be one of"):
+    with pytest.raises(ConfigError) as info:
         evaluate(model, dig, task)
+    assert str(info.value) == f"task {task!r} but dataset task 'digit-sum'"
 
 
 def test_each_task_metric_is_its_direct_formula():
