@@ -263,8 +263,8 @@ def segment_argmax(x, off):
     ``(total, H)`` matrix, as ``(nsets, H)``; ``off`` is validated offsets.
 
     The lowest row equal to the maximum wins (``-0.0 == 0.0``): ``argmax`` over
-    each run block. Max pooling (so max-centering too) and outlier selection
-    use it.
+    each run block. Max pooling (so max-centering too) uses it in its vjp, and
+    in its forward pass when the input has a zero; outlier selection uses it.
     """
     return np.concatenate([block.argmax(axis=1) for block in _run_blocks(x, off)]) + off[:-1, None]
 
@@ -282,14 +282,23 @@ def _segment_mean(xs, attrs):
 
 def _segment_max(xs, attrs):
     x, off = _seg_starts(xs, attrs)
-    argrows = segment_argmax(x, off)
+    if x.all():
+        # with no zero there is no -0.0/0.0 tie, so the maximum has the first
+        # maximum's bits; the vjp alone needs its rows, and finds them itself
+        argrows = None
+        out = np.concatenate([block.max(axis=1) for block in _run_blocks(x, off)])
+    else:
+        # with a zero, not a max (block.max or np.maximum.reduceat): of
+        # [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
+        argrows = segment_argmax(x, off)
+        out = np.take_along_axis(x, argrows, axis=0)
 
     def vjp(g):
+        rows = segment_argmax(x, off) if argrows is None else argrows
         gx = np.zeros_like(x)
-        gx[argrows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
+        gx[rows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
         return (gx,)
-    # not np.maximum.reduceat: of [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
-    return np.take_along_axis(x, argrows, axis=0), vjp
+    return out, vjp
 
 
 def _segment_center(xs, attrs):

@@ -2,12 +2,15 @@
 
 `segment_max` (forward and backward), `set_softmax_nll` and the outlier
 task's element selection reduce each run of equal-size sets as one block;
-these loops are the per-set form they replaced. Max-centering, recorded as
-`segment_max` then `segment_center`, must also match the arithmetic of the
-four tape nodes it once took, with backprop adding the gradient through the
-maximum to the direct one. All must agree bit for bit, sign of zero
-included, on ragged batches and on long equal-size runs between ragged sets,
-with ties and a signed-zero maximum.
+these loops are the per-set form they replaced. `segment_max` takes a plain
+maximum forward when its input has no zero and finds the first maximum's
+rows in its vjp, so both paths are checked, and so is where the rows are
+found; training with it and with the loop must write the same bytes.
+Max-centering, recorded as `segment_max` then `segment_center`, must also
+match the arithmetic of the four tape nodes it once took, with backprop
+adding the gradient through the maximum to the direct one. All must agree
+bit for bit, sign of zero included, on ragged batches and on long
+equal-size runs between ragged sets, with ties and a signed-zero maximum.
 """
 
 import numpy as np
@@ -15,8 +18,8 @@ import pytest
 
 from setnn import autodiff as ad
 from setnn import train as tr
-from setnn.layers import SetBatch
-from setnn.tasks import LabeledSetDataset
+from setnn.layers import SetBatch, model_to_json
+from setnn.tasks import LabeledSetDataset, gen_digit_sum, gen_outlier_sets
 
 # set sizes below 8, at multiples of 8 and between them: the pairwise sum
 # behind ndarray.sum works in blocks of 8
@@ -25,6 +28,7 @@ SIZES = [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 40, 1, 40, 6, 4]
 # large set, and a run of two single-row sets
 RUNS = [16] * 40 + [3, 3, 7] + [16] * 8 + [400] + [1, 1] + [5]
 LAYOUTS = [SIZES * 4, RUNS]  # SIZES * 4 has more rows than one reduction group
+UNIFORM = [16] * 96  # one block, as an outlier batch is
 
 
 def ref_segment_max(x, off):
@@ -46,6 +50,14 @@ def ref_segment_max_grad(g, x, off, argrows):
     for s in range(off.size - 1):
         gx[argrows[s], cols] += g[s]
     return gx
+
+
+def ref_segment_max_primitive(xs, attrs):
+    """``segment_max`` as the per-set loops above, in the registry's form."""
+    (x,) = xs
+    off = np.asarray(attrs["offsets"], dtype=np.int64)
+    out, argrows = ref_segment_max(x, off)
+    return out, lambda g: (ref_segment_max_grad(g, x, off, argrows),)
 
 
 def ref_set_softmax_nll(flat, off, targets):
@@ -115,6 +127,30 @@ def ragged(seed, width, sizes):
     return x, off
 
 
+def relu_like(seed, width, sizes):
+    """ReLU outputs with integer ties: mostly zeros of both signs, and about
+    40% of each set's columns nothing but zeros, whose maximum is the first
+    zero, -0.0 or 0.0."""
+    rng = np.random.default_rng(seed)
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    x = np.maximum(rng.integers(-4, 3, size=(off[-1], width)), 0).astype(np.float64)
+    x[np.repeat(rng.random((len(sizes), width)) < 0.4, sizes, axis=0)] = 0.0
+    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    return x, off
+
+
+def count_argmax(monkeypatch):
+    """The shapes ``ad.segment_argmax`` is called with from now on."""
+    calls = []
+    original = ad.segment_argmax
+
+    def counting(x, off):
+        calls.append(x.shape)
+        return original(x, off)
+    monkeypatch.setattr(ad, "segment_argmax", counting)
+    return calls
+
+
 def upstream(seed, shape):
     """A gradient with inexact entries, so sums round, and with zeros of
     both signs."""
@@ -139,6 +175,75 @@ def test_segment_max_matches_the_per_set_loop(width, seed):
         (gx,) = vjp(g)
         assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
         assert not np.signbit(gx[gx == 0]).any()
+
+
+@pytest.mark.parametrize("zeros", [True, False], ids=["relu", "no-zero"])
+@pytest.mark.parametrize("width", [1, 8, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_segment_max_finds_the_first_maximum_rows_once(zeros, width, seed, monkeypatch):
+    """An input with a zero takes the first maximum's rows in the forward
+    pass and hands them to the vjp; one with none (here with integer ties)
+    takes a plain maximum, and the vjp finds the rows."""
+    calls = count_argmax(monkeypatch)
+    for sizes in [UNIFORM, *LAYOUTS]:
+        if zeros:
+            x, off = relu_like(seed, width, sizes)
+        else:
+            x, off = ragged(seed, width, sizes)
+            x[x == 0] = 0.5
+        out, vjp = ad._PRIMITIVES["segment_max"]((x,), {"offsets": tuple(off.tolist())})
+        assert len(calls) == zeros
+        ref_out, argrows = ref_segment_max(x, off)
+        assert same_bits(out, ref_out)
+        if zeros:
+            zero = ref_out == 0
+            assert zero.mean() >= 0.3
+            assert np.signbit(ref_out[zero]).any() and not np.signbit(ref_out[zero]).all()
+        g = upstream(seed, out.shape)
+        (gx,) = vjp(g)
+        assert len(calls) == 1
+        assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
+        calls.clear()
+
+
+def test_evaluate_finds_first_maxima_only_for_the_selection(monkeypatch):
+    ds = gen_outlier_sets(128, seed=31)
+    model, _ = tr.train(tr.TrainConfig(task="outlier", epochs=1, batch_size=64, seed=32), ds)
+    calls = count_argmax(monkeypatch)
+    tr.evaluate(model, ds, "outlier")
+    assert calls == [(len(ds.batch.elements), 1)]
+
+
+def test_a_training_step_finds_first_maxima_in_backward_only(monkeypatch):
+    ds = gen_outlier_sets(64, seed=33)
+    cfg = tr.TrainConfig(task="outlier")
+    model = tr.build_model(cfg, ds.element_dim, np.random.default_rng(34))
+    calls = count_argmax(monkeypatch)
+    with ad.Tape() as tape:
+        loss = tr._batch_loss(cfg, model, ds.to_set_batch(), ds.targets)
+    assert sum(node.kind == "segment_max" for node in tape.nodes) == 3
+    assert calls == []
+    ad.backprop(tape, loss, model.params())
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (lambda: gen_outlier_sets(192, seed=41), tr.TrainConfig(task="outlier", epochs=3, batch_size=64, seed=42)),
+    (lambda: gen_outlier_sets(192, seed=41),
+     tr.TrainConfig(task="outlier", pooled_baseline=True, epochs=3, batch_size=64, seed=42)),
+    (lambda: gen_digit_sum(256, 10, None, seed=43),
+     tr.TrainConfig(task="digit-sum", pool="max", epochs=3, batch_size=32, seed=44)),
+], ids=["outlier", "pooled-baseline", "relu-max-pool"])
+def test_training_matches_the_per_set_loop_bit_for_bit(make, cfg, monkeypatch):
+    """Model and metrics bytes of training with the shipped segment_max and
+    with the per-set loop. Both runs use the same BLAS, so unlike the CLI's
+    golden hashes this holds on any machine."""
+    ds = make()
+    model, records = tr.train(cfg, ds)
+    monkeypatch.setitem(ad._PRIMITIVES, "segment_max", ref_segment_max_primitive)
+    ref_model, ref_records = tr.train(cfg, ds)
+    assert model_to_json(model) == model_to_json(ref_model)
+    assert tr.metrics_to_csv(records) == tr.metrics_to_csv(ref_records)
 
 
 def _probe(g):

@@ -126,6 +126,21 @@ def test_pooled_baseline_scores_are_constant_within_a_set():
         assert np.ptp(seg) == 0.0
 
 
+def test_the_pooled_baseline_trains_nothing():
+    """Its scores are constant within a set, so the set softmax is uniform,
+    the loss is log M and the gradient is exactly zero: Adam never moves a
+    weight."""
+    ds = gen_outlier_sets(256, seed=5)
+    cfg = TrainConfig(task="outlier", pooled_baseline=True, epochs=3)
+    model, recs = train(cfg, ds)
+    init = build_model(cfg, ds.element_dim, np.random.default_rng(cfg.seed))
+    for p, q in zip(model.params(), init.params(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes()
+    assert len(recs) == 3
+    for r in recs:
+        assert r.train_loss == pytest.approx(np.log(16), rel=0, abs=1e-12)
+
+
 def test_metrics_csv_format_and_timing():
     recs = [MetricsRecord(1, 0.5, 0.25, 1.234567), MetricsRecord(2, 0.25, 0.125, 2.0)]
     text = metrics_to_csv(recs)
