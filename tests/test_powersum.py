@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setnn.powersum import (
+    MAX_SET_SIZE,
     PowerSumError,
     PowerSumVector,
     RootConvergenceError,
@@ -60,6 +62,33 @@ def test_sorted_sample_validation():
         SortedSample([0.5, 1.2])
     s = SortedSample.from_values([0.9, 0.1])
     np.testing.assert_array_equal(s.values, [0.1, 0.9])
+
+
+@pytest.mark.parametrize("values", [[np.nan, 0.2, 0.5], [0.1, np.nan, 0.5], [0.2, 0.5, np.nan], [np.nan]],
+                         ids=["first", "middle", "last", "alone"])
+@pytest.mark.parametrize("fn", [SortedSample, embed], ids=["SortedSample", "embed"])
+def test_a_nan_is_outside_the_unit_interval(fn, values):
+    """Every comparison with NaN is False, so only an explicit check refuses it."""
+    with pytest.raises(PowerSumError, match=r"must lie in \[0,1\], got NaN"):
+        fn(values)
+
+
+@pytest.mark.parametrize("fn", [power_sums, embed], ids=["power_sums", "embed"])
+def test_embedding_is_capped_at_the_invertible_size(fn):
+    x = np.linspace(0.0, 1.0, MAX_SET_SIZE + 1)
+    with pytest.raises(PowerSumError, match=f"{MAX_SET_SIZE + 1} values exceed the supported set size {MAX_SET_SIZE}"):
+        fn(x)
+    assert fn(x[:MAX_SET_SIZE]).M == MAX_SET_SIZE
+
+
+@pytest.mark.parametrize("make", [lambda: power_sums([1e200, 2.0]), lambda: power_sums([-1e200, 1e200]),
+                                  lambda: invert(PowerSumVector([2.0, 1e300, 1e300]))],
+                         ids=["overflow", "inf-minus-inf", "newton-girard-overflow"])
+def test_overflow_is_a_power_sum_error_not_a_warning(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PowerSumError, match="must be finite"):
+            make()
 
 
 @pytest.mark.parametrize("fn", [power_sums, embed, SortedSample.from_values],
@@ -250,3 +279,110 @@ def test_closed_form_validation():
         closed_form_eval("poly_x1x2", [1.0, 2.0, 3.0])
     with pytest.raises(PowerSumError):
         closed_form_eval("second_largest_smooth", [0.5], alpha=10.0)
+
+
+# --- the bits of the numpy-scalar implementation --------------------------------
+# A frozen copy of the power-sum round trip as first written: one multiply and
+# one sum per power, Newton-Girard on numpy float64 scalars, and np.roots with
+# a near-real projection of every complex eigenvalue. The shipped code must give
+# the same bits, and the same exception, on every sample.
+
+def _ref_power_sums(v):
+    v = np.sort(np.asarray(v, dtype=np.float64))
+    Z = np.empty(v.size + 1)
+    Z[0] = v.size
+    powers = np.ones_like(v)
+    for q in range(1, v.size + 1):
+        powers = powers * v
+        Z[q] = powers.sum()
+    return Z
+
+
+def _ref_newton_girard(p):
+    M = p.size - 1
+    e = np.zeros(M + 1)
+    e[0] = 1.0
+    for k in range(1, M + 1):
+        acc = 0.0
+        sign = 1.0
+        for i in range(1, k + 1):
+            acc += sign * e[k - i] * p[i]
+            sign = -sign
+        e[k] = acc / k
+    return e[1:]
+
+
+def _ref_coeffs(e):
+    signs = np.where(np.arange(1, e.size + 1) % 2 == 1, -1.0, 1.0)
+    return np.concatenate(([1.0], signs * e))
+
+
+def _ref_poly_roots(e):
+    coeffs = _ref_coeffs(e)
+    roots = np.roots(coeffs).astype(np.complex128)
+    noise_floor = 100.0 * np.finfo(np.float64).eps * max(1.0, np.abs(coeffs).max())
+    near = np.flatnonzero((roots.imag != 0.0) & (np.abs(roots.imag) <= 1e-6))
+    if near.size:
+        p_here = np.abs(np.polyval(coeffs, roots[near]))
+        p_real = np.abs(np.polyval(coeffs, roots[near].real))
+        project = near[p_real <= np.maximum(p_here, noise_floor)]
+        roots[project] = roots[project].real
+    if np.max(np.abs(roots.imag)) > 1e-8:
+        raise RootConvergenceError(f"complex residual {np.max(np.abs(roots.imag)):.3e} above tolerance")
+    return np.sort(roots.real)
+
+
+def _ref_invert(p):
+    x = (_ref_poly_roots(_ref_newton_girard(p)) + 1.0) / 2.0
+    if x[0] < -1e-9 or x[-1] > 1.0 + 1e-9:
+        raise PowerSumError(f"recovered values [{x[0]}, {x[-1]}] fall outside [0,1]")
+    return np.clip(x, 0.0, 1.0)
+
+
+def _outcome(fn, *args):
+    """The result's bytes, or the exception's type and message."""
+    try:
+        return np.asarray(fn(*args), dtype=np.float64).tobytes()
+    except PowerSumError as exc:
+        return type(exc), str(exc)
+
+
+def _bit_pin_samples():
+    rng = np.random.default_rng(2209)
+    samples = [np.sort(rng.uniform(0.0, 1.0, M)) for M in range(1, MAX_SET_SIZE + 1) for _ in range(120)]
+    for M in range(1, MAX_SET_SIZE + 1):
+        samples += [np.full(M, 0.5), np.full(M, rng.uniform()), np.zeros(M), np.ones(M),
+                    np.linspace(0.0, 1.0, M), np.round(rng.uniform(0.0, 1.0, M), 1)]
+        if M >= 2:
+            samples.append(np.concatenate(([0.5], rng.uniform(0.0, 1.0, M - 1))))
+            samples.append(np.concatenate(([0.5, 0.5], rng.uniform(0.0, 1.0, M - 2))))
+    return [np.sort(x) for x in samples]
+
+
+def test_round_trip_keeps_the_bits_of_the_numpy_scalar_implementation():
+    paths = {"one zero root": 0, "zero roots": 0, "complex": 0, "raised": 0}
+    for x in _bit_pin_samples():
+        Z = embed(x)
+        p = _ref_power_sums(2.0 * x - 1.0)
+        assert Z.Z.tobytes() == p.tobytes(), x
+        e = newton_girard(Z)
+        ref_e = _ref_newton_girard(p)
+        assert e.tobytes() == ref_e.tobytes(), x
+        assert _outcome(poly_roots, e) == _outcome(_ref_poly_roots, ref_e), x
+        got = _outcome(lambda z: invert(z).values, Z)
+        assert got == _outcome(_ref_invert, p), x
+        coeffs = _ref_coeffs(ref_e)
+        zero_roots = coeffs.size - 1 - np.flatnonzero(coeffs)[-1]
+        paths["one zero root"] += zero_roots == 1
+        paths["zero roots"] += zero_roots >= 2
+        paths["complex"] += bool(np.any(np.roots(coeffs).imag != 0.0))
+        paths["raised"] += isinstance(got, tuple)
+    # every branch of the shipped code is compared, not just the common one
+    assert all(n >= 5 for n in paths.values()), paths
+
+
+def test_power_sums_of_unsorted_reals_keep_their_bits():
+    rng = np.random.default_rng(2210)
+    for _ in range(400):
+        v = rng.normal(0.0, 2.0, int(rng.integers(1, MAX_SET_SIZE + 1)))
+        assert power_sums(v).Z.tobytes() == _ref_power_sums(v).tobytes(), v
