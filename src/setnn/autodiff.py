@@ -15,10 +15,11 @@ arrays that needs. A tape node keeps its kind, its input node ids, that
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), the only affine map or activation on the tape;
-segment pooling over ragged batches, and three ways to spread one pooled row
-back over its segment (repeat it, subtract it as ``x - pooled``, or append
-its negation as ``[x, -pooled]``); and the two loss heads used by the
-training driver. A pooled row comes from its own pooling node, so the
+segment pooling over ragged batches, whose layout is one validated
+:class:`Segments` passed as the ``offsets`` attr, and three ways to spread a
+pooled row back over its segment (repeat it, subtract it as ``x - pooled``,
+or append its negation as ``[x, -pooled]``); and the two loss heads used in
+training. A pooled row comes from its own pooling node, so the
 gradient through the pool reaches ``x`` by backprop's sum rule. All arrays
 are float64; any primitive producing a NaN/Inf raises immediately rather
 than letting it propagate.
@@ -30,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Segments",
     "Tape",
     "apply_primitive",
     "backprop",
@@ -183,21 +185,51 @@ def _mse_loss(xs, attrs):
     return np.asarray((d * d).mean()), vjp
 
 
-def _check_offsets(offsets, total):
-    off = np.asarray(offsets, dtype=np.int64)
-    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != total:
-        raise ShapeError(f"offsets must span [0, {total}], got {off.tolist()}")
-    if np.any(np.diff(off) <= 0):
-        raise ShapeError("offsets must be strictly increasing (no empty segments)")
-    return off
+# One np.add.reduceat over a matrix that does not fit in cache runs about 3x
+# slower than the same sums over cache-sized groups of whole segments, with the
+# same bits; block row sums or a per-segment ndarray.sum add in other orders.
+_REDUCE_ROWS = 1024
 
 
-def _run_blocks(x, off):
-    """``x`` split at validated offsets into one ``(sets, size, ...)`` view per
-    maximal run of consecutive equal-size segments."""
-    sizes = np.diff(off)
-    bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), sizes.size]
-    return [x[off[a]:off[b]].reshape(b - a, sizes[a], *x.shape[1:]) for a, b in zip(bounds[:-1], bounds[1:])]
+class Segments:
+    """A ragged batch's validated layout: segment ``i`` is rows ``offsets[i]:
+    offsets[i+1]``; offsets are 1-D integers from 0, strictly increasing. Its
+    arrays (``offsets``, ``sizes``) are read-only, so it stays valid.
+    """
+
+    def __init__(self, offsets):
+        off = np.asarray(offsets)
+        if off.dtype.kind not in "iu" or off.ndim != 1 or off.size < 2 or off[0] != 0:
+            raise ShapeError(f"offsets must be a 1-D integer array from 0, got {off.tolist()!r}")
+        self.offsets = off = off.astype(np.int64)  # a copy; a uint64 past int64 turns negative
+        self.sizes = sizes = np.diff(off)
+        if np.any(sizes <= 0):
+            raise ShapeError("offsets must be strictly increasing (no empty segments)")
+        off.flags.writeable = sizes.flags.writeable = False
+        cut = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), sizes.size]
+        self.runs = [(off[a], off[b], b - a, sizes[a]) for a, b in zip(cut[:-1], cut[1:])]
+        # group g runs from the first segment starting at or after row g * _REDUCE_ROWS
+        cut = np.unique(np.searchsorted(off[:-1], np.arange(0, off[-1] + _REDUCE_ROWS, _REDUCE_ROWS))).tolist()
+        self.groups = [(a, b, off[b]) for a, b in zip(cut[:-1], cut[1:])]
+
+    @classmethod
+    def of(cls, offsets, rows: int | None = None) -> "Segments":
+        """``offsets`` as a Segments, refused unless it spans ``rows`` rows, if given."""
+        segs = offsets if isinstance(offsets, cls) else cls(offsets)
+        if rows is not None and segs.offsets[-1] != rows:
+            raise ShapeError(f"offsets span {segs.offsets[-1]} rows, but the input has {rows}")
+        return segs
+
+    def blocks(self, x):
+        """``x`` as one ``(segments, size, ...)`` view per maximal run of equal sizes."""
+        return [x[lo:hi].reshape(n, m, *x.shape[1:]) for lo, hi, n, m in self.runs]
+
+    def sums(self, x):
+        """``np.add.reduceat(x, offsets[:-1], axis=0)``, a group at a time."""
+        out = np.empty((self.sizes.size, x.shape[1]), dtype=x.dtype)
+        for a, b, end in self.groups:
+            np.add.reduceat(x[:end], self.offsets[a:b], axis=0, out=out[a:b])
+        return out
 
 
 def _set_softmax_nll(xs, attrs):
@@ -205,19 +237,20 @@ def _set_softmax_nll(xs, attrs):
     flat = scores.reshape(-1) if scores.ndim == 2 and scores.shape[1] == 1 else scores
     if flat.ndim != 1:
         raise ShapeError(f"set_softmax_nll expects (total,) or (total,1) scores, got {scores.shape}")
-    off = _check_offsets(attrs["offsets"], flat.shape[0])
-    targets = np.asarray(attrs["targets"], dtype=np.int64)
-    nsets = off.size - 1
-    if targets.shape != (nsets,):
-        raise ShapeError(f"need one target per set, got {targets.shape} for {nsets} sets")
-    sizes = np.diff(off)
+    segs = Segments.of(attrs["offsets"], flat.shape[0])
+    off, sizes = segs.offsets, segs.sizes
+    targets = np.asarray(attrs["targets"])
+    nsets = sizes.size
+    if targets.dtype.kind not in "iu" or targets.shape != (nsets,):
+        raise ShapeError(f"need one integer target per set, got {targets.dtype} {targets.shape} for {nsets} sets")
+    targets = targets.astype(np.int64)
     bad = np.flatnonzero((targets < 0) | (targets >= sizes))
     if bad.size:
         raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {sizes[bad[0]]}")
     e = np.exp(flat - np.repeat(np.maximum.reduceat(flat, off[:-1]), sizes))
     # row sums add pairwise as a 1-D ndarray.sum does; np.add.reduceat adds in
     # another order and disagrees in the last bit for about half the sizes past 5
-    totals = np.concatenate([block.sum(axis=1) for block in _run_blocks(e, off)])
+    totals = np.concatenate([block.sum(axis=1) for block in segs.blocks(e)])
     probs = e / np.repeat(totals, sizes)
     nll = sum(-np.log(probs[off[:-1] + targets]))  # in set order, from 0
 
@@ -230,71 +263,53 @@ def _set_softmax_nll(xs, attrs):
 
 
 def _seg_starts(xs, attrs):
-    """The first input, a ``(total, H)`` matrix, and its validated offsets; a
-    second input must hold one ``(H,)`` row per segment."""
+    """The first input, a ``(total, H)`` matrix, and the Segments of its
+    rows; a second input must hold one ``(H,)`` row per segment."""
     x = xs[0]
     if x.ndim != 2:
         raise ShapeError(f"segment ops expect a (total, H) matrix, got {x.shape}")
-    off = _check_offsets(attrs["offsets"], x.shape[0])
-    if len(xs) > 1 and xs[1].shape != (off.size - 1, x.shape[1]):
+    segs = Segments.of(attrs["offsets"], x.shape[0])
+    if len(xs) > 1 and xs[1].shape != (segs.sizes.size, x.shape[1]):
         raise ShapeError(f"segment ops want one ({x.shape[1]},) pooled row per segment, got {xs[1].shape}")
-    return x, off
+    return x, segs
 
 
-# One np.add.reduceat over a matrix that does not fit in cache runs about 3x
-# slower than the same sums over cache-sized groups of whole segments, with the
-# same bits; block row sums or a per-segment ndarray.sum add in other orders.
-_REDUCE_ROWS = 1024
-
-
-def _segment_sums(x, off):
-    """``np.add.reduceat(x, off[:-1], axis=0)`` for validated offsets."""
-    starts = off[:-1]
-    out = np.empty((starts.size, x.shape[1]), dtype=x.dtype)
-    # group g runs from the first segment starting at or after row g * _REDUCE_ROWS
-    groups = np.unique(np.searchsorted(starts, np.arange(0, off[-1] + _REDUCE_ROWS, _REDUCE_ROWS)))
-    for a, b in zip(groups[:-1], groups[1:]):
-        np.add.reduceat(x[off[a]:off[b]], starts[a:b] - off[a], axis=0, out=out[a:b])
-    return out
-
-
-def segment_argmax(x, off):
+def segment_argmax(x, segs):
     """Row of each segment's first maximum in each column of a finite
-    ``(total, H)`` matrix, as ``(nsets, H)``; ``off`` is validated offsets.
+    ``(total, H)`` matrix, as ``(nsets, H)``; ``segs`` is its Segments.
 
     The lowest row equal to the maximum wins (``-0.0 == 0.0``): ``argmax`` over
     each run block. Max pooling (so max-centering too) uses it in its vjp, and
     in its forward pass when the input has a zero; outlier selection uses it.
     """
-    return np.concatenate([block.argmax(axis=1) for block in _run_blocks(x, off)]) + off[:-1, None]
+    return np.concatenate([block.argmax(axis=1) for block in segs.blocks(x)]) + segs.offsets[:-1, None]
 
 
 def _segment_sum(xs, attrs):
-    x, off = _seg_starts(xs, attrs)
-    return _segment_sums(x, off), lambda g: (np.repeat(g, np.diff(off), axis=0),)
+    x, segs = _seg_starts(xs, attrs)
+    return segs.sums(x), lambda g: (np.repeat(g, segs.sizes, axis=0),)
 
 
 def _segment_mean(xs, attrs):
-    x, off = _seg_starts(xs, attrs)
-    counts = np.diff(off)
-    return _segment_sums(x, off) / counts[:, None], lambda g: (np.repeat(g / counts[:, None], counts, axis=0),)
+    x, segs = _seg_starts(xs, attrs)
+    return segs.sums(x) / segs.sizes[:, None], lambda g: (np.repeat(g / segs.sizes[:, None], segs.sizes, axis=0),)
 
 
 def _segment_max(xs, attrs):
-    x, off = _seg_starts(xs, attrs)
+    x, segs = _seg_starts(xs, attrs)
     if x.all():
         # with no zero there is no -0.0/0.0 tie, so the maximum has the first
         # maximum's bits; the vjp alone needs its rows, and finds them itself
         argrows = None
-        out = np.concatenate([block.max(axis=1) for block in _run_blocks(x, off)])
+        out = np.concatenate([block.max(axis=1) for block in segs.blocks(x)])
     else:
         # with a zero, not a max (block.max or np.maximum.reduceat): of
         # [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
-        argrows = segment_argmax(x, off)
+        argrows = segment_argmax(x, segs)
         out = np.take_along_axis(x, argrows, axis=0)
 
     def vjp(g):
-        rows = segment_argmax(x, off) if argrows is None else argrows
+        rows = segment_argmax(x, segs) if argrows is None else argrows
         gx = np.zeros_like(x)
         gx[rows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
         return (gx,)
@@ -302,24 +317,23 @@ def _segment_max(xs, attrs):
 
 
 def _segment_center(xs, attrs):
-    x, off = _seg_starts(xs, attrs)
-    return x - np.repeat(xs[1], np.diff(off), axis=0), lambda g: (g, -_segment_sums(g, off))
+    x, segs = _seg_starts(xs, attrs)
+    return x - np.repeat(xs[1], segs.sizes, axis=0), lambda g: (g, -segs.sums(g))
 
 
 def _segment_broadcast(xs, attrs):
     (x,) = xs
-    off = np.asarray(attrs["offsets"], dtype=np.int64)
-    if x.ndim != 2 or off.ndim != 1 or x.shape[0] != off.size - 1:
-        raise ShapeError(f"segment_broadcast expects one row per segment, got {x.shape} for {off.size - 1} segments")
-    off = _check_offsets(off, off[-1])
-    return np.repeat(x, np.diff(off), axis=0), lambda g: (_segment_sums(g, off),)
+    segs = Segments.of(attrs["offsets"])
+    if x.ndim != 2 or x.shape[0] != segs.sizes.size:
+        raise ShapeError(f"segment_broadcast expects one row per segment, got {x.shape} for {segs.sizes.size} segments")
+    return np.repeat(x, segs.sizes, axis=0), lambda g: (segs.sums(g),)
 
 
 def _segment_augment(xs, attrs):
-    x, off = _seg_starts(xs, attrs)
+    x, segs = _seg_starts(xs, attrs)
     d = x.shape[1]
-    return (np.concatenate([x, -np.repeat(xs[1], np.diff(off), axis=0)], axis=1),
-            lambda g: (g[:, :d], -_segment_sums(g[:, d:], off)))
+    return (np.concatenate([x, -np.repeat(xs[1], segs.sizes, axis=0)], axis=1),
+            lambda g: (g[:, :d], -segs.sums(g[:, d:])))
 
 
 _PRIMITIVES = {

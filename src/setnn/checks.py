@@ -208,7 +208,7 @@ def check_gradients(seed: int = 0) -> CheckResult:
     sel = build_model(TrainConfig(task="outlier"), 5, rng)
     sbatch = SetBatch.from_sets([rng.normal(size=(m, 5)) for m in (4, 6, 5)])
     stargets = (2, 0, 4)
-    err = grad_check(lambda ps: ad.set_softmax_nll(sel.forward_batch(sbatch), sbatch.offsets, stargets),
+    err = grad_check(lambda ps: ad.set_softmax_nll(sel.forward_batch(sbatch), sbatch.segments, stargets),
                      sel.params(), step=1e-6, seed=seed)
     if err > 1e-4:
         failures.append(f"selection architecture: relative error {err:.3e} > 1e-4")

@@ -60,16 +60,17 @@ NONLINEARITIES = tuple(ad._ACTIVATIONS)
 class SetBatch:
     """Ragged batch of sets: flat (total, D) element matrix plus offsets.
 
-    Set ``i`` occupies rows ``offsets[i]:offsets[i+1]``. Offsets must start at
-    0, end at the total row count, and be strictly increasing; empty sets are
-    rejected.
+    Set ``i`` occupies rows ``offsets[i]:offsets[i+1]``. The offsets (plain or
+    an ``autodiff.Segments``) become ``segments`` here, validated once, ending
+    at the total row count; the models pass it to every segment primitive.
     """
 
     def __init__(self, elements, offsets):
         self.elements = np.ascontiguousarray(np.asarray(elements, dtype=np.float64))
         if self.elements.ndim != 2:
             raise ShapeError(f"elements must be (total, D), got {self.elements.shape}")
-        self.offsets = ad._check_offsets(offsets, self.elements.shape[0])
+        self.segments = ad.Segments.of(offsets, self.elements.shape[0])
+        self.offsets = self.segments.offsets
 
     @classmethod
     def from_sets(cls, sets) -> "SetBatch":
@@ -105,7 +106,7 @@ class SetBatch:
         return self.elements.shape[1]
 
     def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.segments.sizes
 
     def set_at(self, i: int) -> np.ndarray:
         return self.elements[self.offsets[i]:self.offsets[i + 1]]
@@ -114,7 +115,7 @@ class SetBatch:
         """The sets at ``indices``, in that order, as a new batch (a copy)."""
         idx = np.asarray(indices, dtype=np.int64)
         starts = self.offsets[:-1][idx]
-        sizes = self.offsets[1:][idx] - starts
+        sizes = self.sizes()[idx]
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         rows = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
@@ -133,7 +134,7 @@ class SetBatch:
         sizes = self.sizes()
         perms = [rng.permutation(m) for m in sizes]
         rows = np.concatenate(perms) + np.repeat(self.offsets[:-1], sizes)
-        return SetBatch(self.elements[rows], self.offsets.copy()), perms
+        return SetBatch(self.elements[rows], self.segments), perms
 
 
 class DenseLayer:
@@ -202,7 +203,7 @@ class InvariantModel:
         h = Tensor(batch.elements)
         for layer in self.phi:
             h = layer.forward(h)
-        out = _POOLS[self.pool](h, batch.offsets)
+        out = _POOLS[self.pool](h, batch.segments)
         for layer in self.rho:
             out = layer.forward(out)
         return out
@@ -317,7 +318,7 @@ class EquivariantStack:
         return x
 
     def forward_batch(self, batch: SetBatch) -> Tensor:
-        return self.forward(Tensor(batch.elements), batch.offsets)
+        return self.forward(Tensor(batch.elements), batch.segments)
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]

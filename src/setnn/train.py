@@ -208,13 +208,13 @@ def _element_scores(model, batch: SetBatch) -> Tensor:
     if isinstance(model, EquivariantStack):
         return model.forward_batch(batch)
     per_set = model.forward(batch)
-    return ad.segment_broadcast(per_set, batch.offsets)
+    return ad.segment_broadcast(per_set, batch.segments)
 
 
 def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray) -> Tensor:
     if TASKS[config.task].selects:
         scores = _element_scores(model, batch)
-        return ad.set_softmax_nll(scores, batch.offsets, targets)
+        return ad.set_softmax_nll(scores, batch.segments, targets)
     pred = model.forward(batch)
     return ad.mse_loss(pred, Tensor(targets.reshape(-1, 1)))
 
@@ -288,9 +288,9 @@ def _predictions(model, dataset: LabeledSetDataset) -> np.ndarray:
 
 def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
     """Each set's highest-scoring element; ties go to the lowest index."""
-    off = dataset.batch.offsets
+    segs = dataset.batch.segments
     scores = _column(lambda batch: _element_scores(model, batch), dataset)
-    return ad.segment_argmax(scores, off)[:, 0] - off[:-1]
+    return ad.segment_argmax(scores, segs)[:, 0] - segs.offsets[:-1]
 
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from setnn import autodiff as ad
 from setnn.checks import _off_kink_dense
-from setnn.layers import NONLINEARITIES
+from setnn.layers import NONLINEARITIES, SetBatch
 from setnn.autodiff import (
     NonDeterministicError,
     NonFiniteError,
@@ -370,6 +370,10 @@ def test_set_softmax_nll_validates_targets_and_offsets():
         ad.set_softmax_nll(s, [0, 2, 2, 4], [0, 0, 0])
     with pytest.raises(ShapeError):
         ad.set_softmax_nll(s, [1, 4], [0])
+    # a fractional target is refused, not truncated to a row
+    for targets in ([0.9, 1.2], np.array([1.0, 0.0]), ["0", "1"]):
+        with pytest.raises(ShapeError, match="integer target"):
+            ad.set_softmax_nll(s, [0, 2, 4], targets)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,6 +428,37 @@ def test_offsets_validation():
     for bad in ([1, 2, 3], [0, 2, 2], [0, 3, 1]):
         with pytest.raises(ShapeError):
             ad.segment_broadcast(Tensor(np.zeros((2, 2))), bad)
+    # offsets that are not an integer array are refused, not truncated, by
+    # the primitives and by SetBatch alike
+    for bad in ([0, 1.5, 4], ["0", "2", "4"], [0, 2**63, 4], np.array([0.0, 2.0, 4.0]), [], [[0, 4]]):
+        with pytest.raises(ShapeError, match="integer array"):
+            ad.segment_sum(x, bad)
+        with pytest.raises(ShapeError, match="integer array"):
+            SetBatch(x.data, bad)
+    with pytest.raises(ShapeError, match="strictly increasing"):
+        ad.segment_sum(x, np.array([0, 2**63, 4], dtype=np.uint64))
+
+
+def test_a_validated_layout_stays_valid():
+    off = np.array([0, 2, 5])
+    segs = ad.Segments(off)
+    off[1] = 4  # the caller's array is copied, not frozen or aliased
+    assert segs.offsets.tolist() == [0, 2, 5] and segs.sizes.tolist() == [2, 3]
+    batch = SetBatch(np.zeros((5, 2)), segs)
+    assert batch.segments is segs
+    for arr in (segs.offsets, segs.sizes, batch.offsets, batch.sizes()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # a Segments is checked against its input's rows, naming both counts
+    x, pooled = Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2)))
+    for op in (lambda: ad.segment_sum(x, segs), lambda: ad.segment_mean(x, segs), lambda: ad.segment_max(x, segs),
+               lambda: ad.segment_center(x, pooled, segs), lambda: ad.segment_augment(x, pooled, segs),
+               lambda: ad.set_softmax_nll(Tensor(np.zeros(4)), segs, [0, 0]), lambda: SetBatch(x.data, segs)):
+        with pytest.raises(ShapeError, match="span 5 rows, but the input has 4"):
+            op()
+    with pytest.raises(ShapeError, match="one row per segment"):
+        ad.segment_broadcast(Tensor(np.zeros((3, 2))), segs)
+    assert ad.segment_sum(Tensor(np.ones((5, 2))), segs).data.tolist() == [[2.0, 2.0], [3.0, 3.0]]
 
 
 @pytest.mark.parametrize("spread", [ad.segment_center, ad.segment_augment])

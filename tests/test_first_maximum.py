@@ -55,7 +55,7 @@ def ref_segment_max_grad(g, x, off, argrows):
 def ref_segment_max_primitive(xs, attrs):
     """``segment_max`` as the per-set loops above, in the registry's form."""
     (x,) = xs
-    off = np.asarray(attrs["offsets"], dtype=np.int64)
+    off = attrs["offsets"].offsets  # training passes each batch's Segments
     out, argrows = ref_segment_max(x, off)
     return out, lambda g: (ref_segment_max_grad(g, x, off, argrows),)
 

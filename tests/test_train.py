@@ -402,6 +402,31 @@ def test_evaluate_chunking_matches_single_batch():
     assert np.array_equal(_selections(model, out), whole)
 
 
+@pytest.mark.parametrize("pooled_baseline", [False, True], ids=["equivariant", "pooled-baseline"])
+def test_the_layout_is_validated_once_per_batch(monkeypatch, pooled_baseline):
+    """A batch's offsets are validated once, where its SetBatch is made: one
+    Segments per gathered training batch and per evaluation slice, and none
+    in the primitives that read it."""
+    from setnn.train import _eval_slices
+
+    ds = gen_outlier_sets(300, set_size=16, d=2, shift=3.0, seed=7)
+    config = TrainConfig(task="outlier", pooled_baseline=pooled_baseline, batch_size=64, epochs=2, seed=3)
+    built = []
+    init = ad.Segments.__init__
+
+    def counting(self, offsets):
+        built.append(len(offsets))
+        init(self, offsets)
+    monkeypatch.setattr(ad.Segments, "__init__", counting)
+    model, _ = train(config, ds)
+    evaluate(model, ds, "outlier")
+    # one per batch, told apart by its offsets' length: sets + 1
+    batches = [min(config.batch_size, len(ds) - lo) + 1 for lo in range(0, len(ds), config.batch_size)]
+    slices = [hi - lo + 1 for lo, hi in _eval_slices(ds.batch.offsets)]
+    assert len(slices) > 1
+    assert sorted(built) == sorted(config.epochs * batches + (config.epochs + 1) * slices)
+
+
 def test_every_primitive_is_recorded_by_some_model():
     """The invariant models with each pool, the pooled baseline and stacks of
     each equivariant variant, through both losses, record every primitive:
