@@ -401,8 +401,6 @@ def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
         if node.kind == "leaf" or nid not in grads:
             continue
         g = grads[nid] if nid in wanted else grads.pop(nid)
-        if any(i >= nid for i in node.inputs):
-            raise AutodiffError(f"tape order violated at node {nid}")
         for iid, ig in zip(node.inputs, node.vjp(g)):
             if iid in grads:
                 # out of place: a vjp may return its incoming gradient itself

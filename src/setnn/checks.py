@@ -106,8 +106,8 @@ def check_equivariance(seed: int = 0) -> CheckResult:
         m = int(rng.integers(1, 13))
         x = rng.normal(size=(m, in_width))
         perm = rng.permutation(m)
-        direct = stack.forward(Tensor(x[perm]), [0, m]).data
-        routed = stack.forward(Tensor(x), [0, m]).data[perm]
+        direct = stack.forward(SetBatch(x[perm], [0, m])).data
+        routed = stack.forward(SetBatch(x, [0, m])).data[perm]
         tol = _stack_tolerance(stack)
         err = float(np.max(np.abs(direct - routed))) if direct.size else 0.0
         bound = tol * max(1.0, float(np.max(np.abs(routed))) if routed.size else 1.0)
@@ -208,7 +208,7 @@ def check_gradients(seed: int = 0) -> CheckResult:
     sel = build_model(TrainConfig(task="outlier"), 5, rng)
     sbatch = SetBatch.from_sets([rng.normal(size=(m, 5)) for m in (4, 6, 5)])
     stargets = (2, 0, 4)
-    err = grad_check(lambda ps: ad.set_softmax_nll(sel.forward_batch(sbatch), sbatch.segments, stargets),
+    err = grad_check(lambda ps: ad.set_softmax_nll(sel.forward(sbatch), sbatch.segments, stargets),
                      sel.params(), step=1e-6, seed=seed)
     if err > 1e-4:
         failures.append(f"selection architecture: relative error {err:.3e} > 1e-4")

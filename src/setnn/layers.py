@@ -179,6 +179,13 @@ def dense_stack(rng: np.random.Generator, widths, nonlinearity: str, final: str 
 _POOLS = {"sum": ad.segment_sum, "max": ad.segment_max, "mean": ad.segment_mean}
 
 
+def _check_chain(layers) -> None:
+    """Refuse consecutive layers whose widths do not chain."""
+    for a, b in zip(layers, layers[1:]):
+        if a.out_width != b.in_width:
+            raise ShapeError(f"layer widths disagree: {a.out_width} -> {b.in_width}")
+
+
 class InvariantModel:
     """Per-element dense stack, commutative pooling, then a per-set stack."""
 
@@ -188,14 +195,8 @@ class InvariantModel:
         self.phi = list(phi)
         self.pool = pool
         self.rho = list(rho)
-        for a, b in zip(self.phi, self.phi[1:]):
-            if a.out_width != b.in_width:
-                raise ShapeError(f"phi widths disagree: {a.out_width} -> {b.in_width}")
-        for a, b in zip(self.rho, self.rho[1:]):
-            if a.out_width != b.in_width:
-                raise ShapeError(f"rho widths disagree: {a.out_width} -> {b.in_width}")
-        if self.phi and self.rho and self.rho[0].in_width != self.phi[-1].out_width:
-            raise ShapeError(f"rho input width {self.rho[0].in_width} != pooled width {self.phi[-1].out_width}")
+        # pooling keeps the width, so phi's output feeds rho's input
+        _check_chain(self.phi + self.rho)
 
     def forward(self, batch: SetBatch) -> Tensor:
         if self.phi and batch.width != self.phi[0].in_width:
@@ -226,10 +227,11 @@ class EquivariantLayer:
     lambda-gamma variants; ``maxpool-normalized`` always uses max and takes
     no other value.
 
-    ``W`` is the weight of the layer's one ``dense`` node: ``Lambda`` for
-    ``maxpool-normalized``, the stacked ``[Lambda; Gamma]`` for
-    ``full-lambda-gamma`` and None for the scalar variant, whose weight is
-    built for the input width at each forward pass."""
+    ``dense`` is the :class:`DenseLayer` of the layer's one ``dense`` node:
+    its weight is ``Lambda`` for ``maxpool-normalized`` and the stacked
+    ``[Lambda; Gamma]`` for ``full-lambda-gamma``. It is None for the scalar
+    variant, whose dense layer is built for the input width at each forward
+    pass."""
 
     VARIANTS = ("scalar-lambda-gamma", "full-lambda-gamma", "maxpool-normalized")
 
@@ -248,8 +250,7 @@ class EquivariantLayer:
         self.nonlinearity = nonlinearity
         self.lam = None
         self.gam = None
-        self.W = None
-        self.beta = None
+        self.dense = None
         if variant == "scalar-lambda-gamma":
             if lam is None or gam is None:
                 raise ShapeError("scalar variant needs lam and gam")
@@ -258,47 +259,44 @@ class EquivariantLayer:
             return
         if Lambda is None:
             raise ShapeError(f"{variant} needs a Lambda matrix")
-        self.W = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
-        if self.W.data.ndim != 2:
+        W = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
+        if W.data.ndim != 2:
             raise ShapeError("Lambda must be a (D, D') matrix")
-        d_out = self.W.data.shape[1]
-        self.beta = beta if isinstance(beta, Tensor) else Tensor(np.zeros(d_out) if beta is None else beta)
-        if self.beta.data.shape != (d_out,):
-            raise ShapeError(f"beta must be ({d_out},)")
         if variant == "full-lambda-gamma":
             if Gamma is None:
                 raise ShapeError("full-lambda-gamma needs a Gamma matrix")
             Gamma = Gamma.data if isinstance(Gamma, Tensor) else np.asarray(Gamma, dtype=np.float64)
-            if Gamma.shape != self.W.data.shape:
+            if Gamma.shape != W.data.shape:
                 raise ShapeError("Gamma must match Lambda's shape")
-            self.W = Tensor(np.concatenate([self.W.data, Gamma]))
+            W = Tensor(np.concatenate([W.data, Gamma]))
+        self.dense = DenseLayer(W, np.zeros(W.data.shape[1]) if beta is None else beta, nonlinearity)
 
     @property
     def in_width(self) -> int | None:
-        if self.W is None:
+        if self.dense is None:
             return None
-        return self.W.data.shape[0] // (2 if self.variant == "full-lambda-gamma" else 1)
+        return self.dense.in_width // (2 if self.variant == "full-lambda-gamma" else 1)
 
     @property
     def out_width(self) -> int | None:
-        return None if self.W is None else self.W.data.shape[1]
+        return None if self.dense is None else self.dense.out_width
 
-    def forward(self, x: Tensor, offsets) -> Tensor:
+    def forward(self, x: Tensor, segments) -> Tensor:
         """Apply to a flat (total, D) matrix, pooling within each segment."""
-        if self.in_width is not None and x.data.shape[1] != self.in_width:
-            raise ShapeError(f"element width {x.data.shape[1]} != layer input {self.in_width}")
         # maxpool-normalized: sigma(beta + (x - pool(x)) @ Lambda); the others:
         # sigma(beta + [x, -pool(x)] @ [Lambda; Gamma]), where the scalar
         # variant's Lambda and Gamma are lam * I and -gam * I
-        W, beta = self.W, self.beta
-        if W is None:
+        dense = self.dense
+        if dense is None:
             d = x.data.shape[1]
-            W, beta = Tensor(np.kron([[self.lam], [-self.gam]], np.eye(d))), Tensor(np.zeros(d))
+            dense = DenseLayer(np.kron([[self.lam], [-self.gam]], np.eye(d)), np.zeros(d), self.nonlinearity)
+        elif x.data.shape[1] != self.in_width:
+            raise ShapeError(f"element width {x.data.shape[1]} != layer input {self.in_width}")
         spread = ad.segment_center if self.variant == "maxpool-normalized" else ad.segment_augment
-        return ad.dense(spread(x, _POOLS[self.pool](x, offsets), offsets), W, beta, self.nonlinearity)
+        return dense.forward(spread(x, _POOLS[self.pool](x, segments), segments))
 
     def params(self) -> list[Tensor]:
-        return [] if self.W is None else [self.W, self.beta]
+        return [] if self.dense is None else self.dense.params()
 
 
 class EquivariantStack:
@@ -307,18 +305,13 @@ class EquivariantStack:
     def __init__(self, layers: list[EquivariantLayer]):
         self.layers = list(layers)
         # the scalar layers keep any width, so only the others must chain
-        sized = [l for l in self.layers if l.in_width is not None]
-        for a, b in zip(sized, sized[1:]):
-            if a.out_width != b.in_width:
-                raise ShapeError(f"equivariant layer widths disagree: {a.out_width} -> {b.in_width}")
+        _check_chain([l for l in self.layers if l.in_width is not None])
 
-    def forward(self, x: Tensor, offsets) -> Tensor:
+    def forward(self, batch: SetBatch) -> Tensor:
+        x = Tensor(batch.elements)
         for layer in self.layers:
-            x = layer.forward(x, offsets)
+            x = layer.forward(x, batch.segments)
         return x
-
-    def forward_batch(self, batch: SetBatch) -> Tensor:
-        return self.forward(Tensor(batch.elements), batch.segments)
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -466,10 +459,10 @@ def _equivariant_layer_to_obj(layer: EquivariantLayer) -> dict:
         obj["gam"] = layer.gam
     else:
         d = layer.in_width
-        obj["Lambda"] = layer.W.data[:d].tolist()
-        obj["beta"] = layer.beta.data.tolist()
+        obj["Lambda"] = layer.dense.W.data[:d].tolist()
+        obj["beta"] = layer.dense.b.data.tolist()
         if layer.variant == "full-lambda-gamma":
-            obj["Gamma"] = layer.W.data[d:].tolist()
+            obj["Gamma"] = layer.dense.W.data[d:].tolist()
     return obj
 
 

@@ -430,7 +430,10 @@ def load_jsonl(path: str) -> LabeledSetDataset:
                 try:
                     obj = json.loads(line)
                     sets.append(np.asarray(obj["elements"], dtype=np.float64))
-                    targets.append(float(obj["target"]))
+                    target = obj["target"]
+                    if isinstance(target, bool) or not isinstance(target, (int, float)):
+                        raise TypeError(f"target must be a JSON number, got {target!r}")
+                    targets.append(float(target))
                     if not isinstance(obj["meta"], dict):
                         raise TypeError("meta must be a JSON object")
                 except KeyError as exc:

@@ -13,9 +13,9 @@ use a per-element dense stack, the configured pooling reduction, and a
 per-set dense stack; a selection task scores elements with a stack of
 ``maxpool-normalized`` permutation-equivariant layers followed by a softmax
 across each set. Setting ``pooled_baseline`` swaps the equivariant stack for
-a pool-first model with identical layer shapes (hence identical parameter
-count) whose score is necessarily constant within a set, the collapse control
-for the selection task.
+a pool-first model built from the same dense layers as the stack, drawn the
+same way, whose score is necessarily constant within a set: the collapse
+control for the selection task.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ import numpy as np
 
 from setnn import autodiff as ad
 from setnn.autodiff import Tape, Tensor
-from setnn.layers import (
-    EquivariantLayer,
-    EquivariantStack,
-    InvariantModel,
-    SetBatch,
-    _POOLS,
-    dense_stack,
-    glorot_uniform,
-)
+from setnn.layers import EquivariantLayer, EquivariantStack, InvariantModel, SetBatch, _POOLS, dense_stack
 from setnn.tasks import TASKS, LabeledSetDataset, _require_task, require_int, require_real
 
 __all__ = [
@@ -182,17 +174,11 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
         phi = dense_stack(rng, [element_dim, *PHI_WIDTHS], "relu", final="relu")
         rho = dense_stack(rng, [PHI_WIDTHS[-1], *RHO_WIDTHS], "relu", final="linear")
         return InvariantModel(phi, config.pool, rho)
+    layers = dense_stack(rng, [element_dim, *EQUIVARIANT_WIDTHS], "tanh", final="linear")
     if config.pooled_baseline:
-        rho = dense_stack(rng, [element_dim, *EQUIVARIANT_WIDTHS], "tanh", final="linear")
-        return InvariantModel([], "max", rho)
-    layers = []
-    widths = [element_dim, *EQUIVARIANT_WIDTHS]
-    for i in range(len(widths) - 1):
-        act = "tanh" if i < len(widths) - 2 else "linear"
-        Lambda = glorot_uniform(rng, widths[i], widths[i + 1])
-        layers.append(EquivariantLayer("maxpool-normalized", Lambda=Lambda, beta=np.zeros(widths[i + 1]),
-                                       nonlinearity=act))
-    return EquivariantStack(layers)
+        return InvariantModel([], "max", layers)
+    return EquivariantStack([EquivariantLayer("maxpool-normalized", Lambda=l.W, beta=l.b, nonlinearity=l.nonlinearity)
+                             for l in layers])
 
 
 def _check_dataset(task: str, dataset: LabeledSetDataset) -> None:
@@ -205,10 +191,8 @@ def _check_dataset(task: str, dataset: LabeledSetDataset) -> None:
 def _element_scores(model, batch: SetBatch) -> Tensor:
     """Per-element selection scores as a (total, 1) tensor. A per-set scorer
     (the pooled baseline) is broadcast back to its elements."""
-    if isinstance(model, EquivariantStack):
-        return model.forward_batch(batch)
-    per_set = model.forward(batch)
-    return ad.segment_broadcast(per_set, batch.segments)
+    scores = model.forward(batch)
+    return scores if isinstance(model, EquivariantStack) else ad.segment_broadcast(scores, batch.segments)
 
 
 def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray) -> Tensor:

@@ -165,8 +165,8 @@ def test_equivariance_random_stacks(seed):
     M = int(rng.integers(1, 21))
     x = rng.normal(size=(M, width))
     perm = rng.permutation(M)
-    base = stack.forward(Tensor(x), [0, M]).data
-    permuted = stack.forward(Tensor(x[perm]), [0, M]).data
+    base = stack.forward(SetBatch(x, [0, M])).data
+    permuted = stack.forward(SetBatch(x[perm], [0, M])).data
     tol = _stack_tol(stack)
     np.testing.assert_allclose(permuted, base[perm], rtol=tol, atol=tol)
 
@@ -176,10 +176,10 @@ def test_stack_respects_segment_boundaries():
     stack = random_equivariant_stack(rng, 3)
     sets = [rng.normal(size=(m, 3)) for m in (2, 7, 4)]
     batch = SetBatch.from_sets(sets)
-    flat = stack.forward_batch(batch).data
+    flat = stack.forward(batch).data
     for i, s in enumerate(sets):
         lo, hi = batch.offsets[i], batch.offsets[i + 1]
-        np.testing.assert_allclose(flat[lo:hi], stack.forward(Tensor(s), [0, len(s)]).data, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(flat[lo:hi], stack.forward(SetBatch(s, [0, len(s)])).data, rtol=1e-9, atol=1e-9)
 
 
 def test_equivariant_width_mismatch():
@@ -244,6 +244,9 @@ def test_layer_constructor_validation():
         EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((3, 2)), Gamma=np.zeros((2, 2)))
+    for Lambda in (1.0, np.zeros(3), np.zeros((3, 2, 1))):
+        with pytest.raises(ShapeError, match="Lambda must be a"):
+            EquivariantLayer("maxpool-normalized", Lambda=Lambda)
 
 
 @pytest.mark.parametrize("pool", ["sum", "mean"])
@@ -312,7 +315,8 @@ def test_equivariant_stack_json_roundtrip_bit_exact():
     clone = model_from_json(text)
     assert model_to_json(clone) == text
     x = rng.normal(size=(6, 4))
-    np.testing.assert_array_equal(stack.forward(Tensor(x), [0, 6]).data, clone.forward(Tensor(x), [0, 6]).data)
+    batch = SetBatch(x, [0, 6])
+    np.testing.assert_array_equal(stack.forward(batch).data, clone.forward(batch).data)
 
 
 def test_json_is_single_document_with_descriptor():

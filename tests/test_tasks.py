@@ -348,6 +348,8 @@ def _write_lines(path, objs):
     ({"elements": [[1.0, 2.0], [3]], "target": 1.0}, "inhomogeneous"),
     ({"elements": [[1.0, 2.0]], "target": [1.0]}, "line 3"),
     ({"elements": [[1.0, 2.0]], "target": 10 ** 400}, "line 3"),
+    ({"elements": [[1.0, 2.0]], "target": "2"}, "target must be a JSON number, got '2'"),
+    ({"elements": [[1.0, 2.0]], "target": True}, "target must be a JSON number, got True"),
     ({"elements": [[1.0, 2.0]]}, "missing field 'target'"),
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": 4}, "meta must be a JSON object"),
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": {"task": "outlier", "target_kind": "index"}},
@@ -355,7 +357,7 @@ def _write_lines(path, objs):
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": {"task": "digit-sum"}},
      "dataset fields ['target_kind'] differ from line 1"),
 ], ids=["ragged", "empty", "nan-element", "inf-target", "ragged-rows", "list-target", "huge-target",
-        "no-target", "meta-not-object", "task-changes", "key-dropped"])
+        "string-target", "bool-target", "no-target", "meta-not-object", "task-changes", "key-dropped"])
 def test_load_names_the_bad_line(tmp_path, second, message):
     meta = {"task": "digit-sum", "target_kind": "scalar"}
     path = tmp_path / "bad.jsonl"

@@ -111,6 +111,39 @@ def test_build_model_shapes_and_parity():
     assert isinstance(base, InvariantModel) and not base.phi
     count = lambda m: sum(p.data.size for p in m.params())
     assert count(base) == count(sel)
+    # from one seed, the baseline holds the stack's own dense layers: the same draws in the same order
+    seeded = lambda baseline: build_model(TrainConfig(task="outlier", pooled_baseline=baseline), 8,
+                                          np.random.default_rng(5)).params()
+    as_bytes = lambda params: [(p.data.shape, p.data.tobytes()) for p in params]
+    assert as_bytes(seeded(True)) == as_bytes(seeded(False))
+
+
+@pytest.mark.parametrize("task", ["digit-sum", "outlier"])
+def test_training_visits_sets_in_the_documented_order(monkeypatch, task):
+    """``train`` seeds one generator, draws the model from it, then takes one
+    ``rng.permutation(n)`` per epoch and cuts it into ``batch_size`` slices.
+    The golden CLI digests pin this on one BLAS only; this pins it on any."""
+    ds = gen_digit_sum(11, 4, None, seed=3) if task == "digit-sum" else gen_outlier_sets(11, 4, 3, seed=3)
+    config = TrainConfig(task=task, batch_size=4, epochs=3, seed=9)
+    seen = []
+    gather = LabeledSetDataset.to_set_batch
+
+    def recording(self, indices=None):
+        if isinstance(indices, np.ndarray):  # training batches; evaluation passes slices
+            seen.append(indices.copy())
+        return gather(self, indices)
+
+    monkeypatch.setattr(LabeledSetDataset, "to_set_batch", recording)
+    train(config, ds)
+    rng = np.random.default_rng(config.seed)
+    build_model(config, ds.element_dim, rng)
+    want = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(ds))
+        want += [order[lo:lo + config.batch_size] for lo in range(0, len(ds), config.batch_size)]
+    assert len(seen) == len(want) == 9
+    for got, expected in zip(seen, want):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_pooled_baseline_scores_are_constant_within_a_set():
@@ -321,7 +354,7 @@ def test_each_task_metric_is_its_direct_formula():
             model = _ExactDigitSum(scale=1.05)
         got = evaluate(model, ds, task).eval_metric
         if task == "outlier":
-            scores = model.forward_batch(ds.to_set_batch()).data[:, 0]
+            scores = model.forward(ds.to_set_batch()).data[:, 0]
             picks = np.array([np.argmax(scores[a:b]) for a, b in zip(ds.batch.offsets[:-1], ds.batch.offsets[1:])])
             want = np.mean(picks == ds.targets)
         else:
