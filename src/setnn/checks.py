@@ -3,8 +3,8 @@
 Five suites, one per structural guarantee the library makes:
 
 * invariance: random pooled models are unchanged by element permutations;
-* equivariance: random equivariant stacks commute with permutations, and
-  the commutant of the permutation group is exactly two dimensional;
+* equivariance: random equivariant stacks and the outlier stack commute with
+  permutations, and the permutation commutant is exactly two dimensional;
 * gradients: every autodiff primitive and both default architectures agree
   with central finite differences;
 * powersum-roundtrip: the sum-of-powers embedding inverts, the countable
@@ -95,11 +95,13 @@ def _stack_tolerance(stack) -> float:
 
 
 def check_equivariance(seed: int = 0) -> CheckResult:
-    """Random equivariant stacks: forward of a permuted set equals the
-    permuted forward; the permutation commutant has dimension 2."""
+    """Random equivariant stacks, and the outlier stack that training builds
+    on ragged sets: forward of a permuted set equals the permuted forward;
+    the permutation commutant has dimension 2."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     failures = []
+    cases = []
     for t in range(100):
         in_width = int(rng.integers(1, 7))
         stack = random_equivariant_stack(rng, in_width)
@@ -108,17 +110,26 @@ def check_equivariance(seed: int = 0) -> CheckResult:
         perm = rng.permutation(m)
         direct = stack.forward(SetBatch(x[perm], [0, m])).data
         routed = stack.forward(SetBatch(x, [0, m])).data[perm]
-        tol = _stack_tolerance(stack)
-        err = float(np.max(np.abs(direct - routed))) if direct.size else 0.0
-        bound = tol * max(1.0, float(np.max(np.abs(routed))) if routed.size else 1.0)
+        cases.append((f"trial {t}", stack, direct, routed))
+    # the trained architecture on ragged sets, each permuted on its own, so
+    # a spread that puts a pooled row on another set's rows is seen too
+    stack = build_model(TrainConfig(task="outlier"), 3, rng)
+    batch = SetBatch.from_sets([rng.normal(size=(m, 3)) for m in (5, 1, 9, 3)])
+    shuffled, perms = batch.permuted(rng)
+    rows = np.concatenate(perms) + np.repeat(batch.offsets[:-1], batch.sizes())
+    cases.append(("outlier stack", stack, stack.forward(shuffled).data, stack.forward(batch).data[rows]))
+    for name, stack, direct, routed in cases:
+        err = float(np.max(np.abs(direct - routed)))
+        bound = _stack_tolerance(stack) * max(1.0, float(np.max(np.abs(routed))))
         if err > bound:
-            failures.append(f"trial {t}: deviation {err:.3e} > {bound:.1e}")
+            failures.append(f"{name}: deviation {err:.3e} > {bound:.1e}")
     for m in range(2, 7):
         dim = commutant_dimension(m)
         if dim != 2:
             failures.append(f"commutant dimension at M={m} is {dim}, want 2")
     return _result("equivariance", started, failures,
-                   "100 random stacks commute; commutant dimension 2 for M in 2..6")
+                   "100 random stacks and the outlier stack on 4 ragged sets commute; "
+                   "commutant dimension 2 for M in 2..6")
 
 
 def _separated(rng: np.random.Generator, shape, gap: float = 0.1) -> np.ndarray:

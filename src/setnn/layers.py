@@ -5,23 +5,25 @@ commutative reduction, then applies a second dense stack. Its output depends
 only on the multiset of elements, which the test suite verifies behaviorally.
 
 Equivariant layers act on the rows of one set and commute with row
-permutations. Three weight-sharing variants are provided:
+permutations. Two weight-sharing variants are provided:
 
-* ``scalar-lambda-gamma``: ``sigma(lam*x + gam*pool(x))`` with scalar
-  coefficients; with sum pooling this is exactly the tied dense matrix
-  ``Theta = lam*I + gam*ones`` materialized by :func:`build_theta`.
 * ``full-lambda-gamma``: ``sigma(beta + x@Lambda - pool(x)@Gamma)`` with full
   weight matrices, pooling over the set and broadcasting back.
+  :meth:`EquivariantLayer.scalar` builds the paper's scalar form
+  ``sigma(lam*x + gam*pool(x))`` as this variant with ``Lambda = lam*I``,
+  ``Gamma = -gam*I`` and ``beta = 0``; with sum pooling it is exactly the
+  tied dense matrix ``Theta = lam*I + gam*ones`` materialized by
+  :func:`build_theta`.
 * ``maxpool-normalized``: ``sigma(beta + (x - pool(x))@Lambda)``, a single
   weight matrix applied after subtracting the per-channel pool (max by
   default; the mean gives the set-centring ``x - mean(x)``).
 
-Every variant is three tape nodes: pool, spread, ``dense``. A
+Both variants are three tape nodes: pool, spread, ``dense``. A
 ``segment_<pool>`` node pools each set; the pooled rows are spread back over
-the set's rows, and one fused ``dense`` applies the layer's weight. The two
-lambda-gamma forms spread with ``segment_augment`` into ``[x, -pool(x)]``,
-under the stacked weight ``[Lambda; Gamma]`` (``[lam*I; -gam*I]`` for the
-scalar form); ``maxpool-normalized`` spreads with ``segment_center`` into
+the set's rows, and one fused ``dense`` applies the layer's weight.
+``full-lambda-gamma`` spreads with ``segment_augment`` into
+``[x, -pool(x)]``, under the stacked weight ``[Lambda; Gamma]``;
+``maxpool-normalized`` spreads with ``segment_center`` into
 ``x - pool(x)``, under ``Lambda``.
 
 `commutes_with_all_permutations` and `commutant_dimension` check the algebra
@@ -216,39 +218,23 @@ class InvariantModel:
 
 class EquivariantLayer:
     """One permutation-equivariant layer; see the module docstring for the
-    three variants. ``pool`` selects the cross-element reduction of every
-    variant; ``maxpool-normalized`` subtracts it from each row.
+    two variants. ``pool`` selects the cross-element reduction of both
+    variants; ``maxpool-normalized`` subtracts it from each row.
 
     ``dense`` is the :class:`DenseLayer` of the layer's one ``dense`` node:
     its weight is ``Lambda`` for ``maxpool-normalized`` and the stacked
-    ``[Lambda; Gamma]`` for ``full-lambda-gamma``. It is None for the scalar
-    variant, whose dense layer is built for the input width at each forward
-    pass."""
+    ``[Lambda; Gamma]`` for ``full-lambda-gamma``."""
 
-    VARIANTS = ("scalar-lambda-gamma", "full-lambda-gamma", "maxpool-normalized")
+    VARIANTS = ("full-lambda-gamma", "maxpool-normalized")
 
-    def __init__(self, variant: str, *, lam: float | None = None, gam: float | None = None,
-                 Lambda=None, Gamma=None, beta=None, pool: str = "max", nonlinearity: str = "tanh"):
+    def __init__(self, variant: str, *, Lambda, Gamma=None, beta=None, pool: str = "max",
+                 nonlinearity: str = "tanh"):
         if variant not in self.VARIANTS:
             raise ShapeError(f"unknown variant {variant!r}")
-        if nonlinearity not in NONLINEARITIES:
-            raise ShapeError(f"unknown nonlinearity {nonlinearity!r}")
         if pool not in _POOLS:
             raise ShapeError(f"pool must be one of {sorted(_POOLS)}, got {pool!r}")
         self.variant = variant
         self.pool = pool
-        self.nonlinearity = nonlinearity
-        self.lam = None
-        self.gam = None
-        self.dense = None
-        if variant == "scalar-lambda-gamma":
-            if lam is None or gam is None:
-                raise ShapeError("scalar variant needs lam and gam")
-            self.lam = float(lam)
-            self.gam = float(gam)
-            return
-        if Lambda is None:
-            raise ShapeError(f"{variant} needs a Lambda matrix")
         W = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
         if W.data.ndim != 2:
             raise ShapeError("Lambda must be a (D, D') matrix")
@@ -261,32 +247,40 @@ class EquivariantLayer:
             W = Tensor(np.concatenate([W.data, Gamma]))
         self.dense = DenseLayer(W, np.zeros(W.data.shape[1]) if beta is None else beta, nonlinearity)
 
+    @classmethod
+    def scalar(cls, lam: float, gam: float, width: int, pool: str = "max",
+               nonlinearity: str = "tanh") -> "EquivariantLayer":
+        """The paper's scalar layer ``sigma(lam*x + gam*pool(x))`` on ``width``
+        channels: a ``full-lambda-gamma`` layer with ``Lambda = lam*I``,
+        ``Gamma = -gam*I`` and ``beta = 0``. Only its initial weights are tied;
+        they train like any other layer's, so a trained layer does not stay
+        scalar."""
+        W = np.kron([[lam], [-gam]], np.eye(width))
+        return cls("full-lambda-gamma", Lambda=W[:width], Gamma=W[width:], pool=pool, nonlinearity=nonlinearity)
+
     @property
-    def in_width(self) -> int | None:
-        if self.dense is None:
-            return None
+    def nonlinearity(self) -> str:
+        return self.dense.nonlinearity
+
+    @property
+    def in_width(self) -> int:
         return self.dense.in_width // (2 if self.variant == "full-lambda-gamma" else 1)
 
     @property
-    def out_width(self) -> int | None:
-        return None if self.dense is None else self.dense.out_width
+    def out_width(self) -> int:
+        return self.dense.out_width
 
     def forward(self, x: Tensor, segments) -> Tensor:
         """Apply to a flat (total, D) matrix, pooling within each segment."""
-        # maxpool-normalized: sigma(beta + (x - pool(x)) @ Lambda); the others:
-        # sigma(beta + [x, -pool(x)] @ [Lambda; Gamma]), where the scalar
-        # variant's Lambda and Gamma are lam * I and -gam * I
-        dense = self.dense
-        if dense is None:
-            d = x.data.shape[1]
-            dense = DenseLayer(np.kron([[self.lam], [-self.gam]], np.eye(d)), np.zeros(d), self.nonlinearity)
-        elif x.data.shape[1] != self.in_width:
+        # maxpool-normalized: sigma(beta + (x - pool(x)) @ Lambda);
+        # full-lambda-gamma: sigma(beta + [x, -pool(x)] @ [Lambda; Gamma])
+        if x.data.shape[1] != self.in_width:
             raise ShapeError(f"element width {x.data.shape[1]} != layer input {self.in_width}")
         spread = ad.segment_center if self.variant == "maxpool-normalized" else ad.segment_augment
-        return dense.forward(spread(x, _POOLS[self.pool](x, segments), segments))
+        return self.dense.forward(spread(x, _POOLS[self.pool](x, segments), segments))
 
     def params(self) -> list[Tensor]:
-        return [] if self.dense is None else self.dense.params()
+        return self.dense.params()
 
 
 class EquivariantStack:
@@ -294,8 +288,7 @@ class EquivariantStack:
 
     def __init__(self, layers: list[EquivariantLayer]):
         self.layers = list(layers)
-        # the scalar layers keep any width, so only the others must chain
-        _check_chain([l for l in self.layers if l.in_width is not None])
+        _check_chain(self.layers)
 
     def forward(self, batch: SetBatch) -> Tensor:
         x = Tensor(batch.elements)
@@ -382,12 +375,12 @@ def random_equivariant_stack(rng: np.random.Generator, in_width: int) -> Equivar
     layers = []
     width = in_width
     for _ in range(depth):
-        variant = str(rng.choice(EquivariantLayer.VARIANTS))
+        variant = str(rng.choice(["scalar", *EquivariantLayer.VARIANTS]))
         act = str(rng.choice(["tanh", "relu", "linear"]))
-        if variant == "scalar-lambda-gamma":
+        if variant == "scalar":
             pool = str(rng.choice(["sum", "max", "mean"]))
-            layers.append(EquivariantLayer(variant, lam=float(rng.normal()), gam=float(rng.normal()),
-                                           pool=pool, nonlinearity=act))
+            layers.append(EquivariantLayer.scalar(float(rng.normal()), float(rng.normal()), width,
+                                                  pool=pool, nonlinearity=act))
         else:
             out_w = int(rng.integers(1, 9))
             Lambda = rng.normal(scale=0.5, size=(width, out_w))
@@ -444,31 +437,23 @@ def _dense_from_obj(obj) -> DenseLayer:
 
 
 def _equivariant_layer_to_obj(layer: EquivariantLayer) -> dict:
-    obj = {"variant": layer.variant, "pool": layer.pool, "nonlinearity": layer.nonlinearity}
-    if layer.variant == "scalar-lambda-gamma":
-        obj["lam"] = layer.lam
-        obj["gam"] = layer.gam
-    else:
-        d = layer.in_width
-        obj["Lambda"] = layer.dense.W.data[:d].tolist()
-        obj["beta"] = layer.dense.b.data.tolist()
-        if layer.variant == "full-lambda-gamma":
-            obj["Gamma"] = layer.dense.W.data[d:].tolist()
+    d = layer.in_width
+    obj = {"variant": layer.variant, "pool": layer.pool, "nonlinearity": layer.nonlinearity,
+           "Lambda": layer.dense.W.data[:d].tolist(), "beta": layer.dense.b.data.tolist()}
+    if layer.variant == "full-lambda-gamma":
+        obj["Gamma"] = layer.dense.W.data[d:].tolist()
     return obj
 
 
 def _equivariant_layer_from_obj(obj) -> EquivariantLayer:
     variant = _field(obj, "variant", str)
-    kw = {"pool": _field(obj, "pool", str), "nonlinearity": _field(obj, "nonlinearity", str)}
     if variant == "scalar-lambda-gamma":
-        return EquivariantLayer(variant, lam=_floats(obj, "lam", 0), gam=_floats(obj, "gam", 0), **kw)
-    return EquivariantLayer(
-        variant,
-        Lambda=_floats(obj, "Lambda", 2),
-        Gamma=_floats(obj, "Gamma", 2) if variant == "full-lambda-gamma" else None,
-        beta=_floats(obj, "beta", 1),
-        **kw,
-    )
+        raise ShapeError("variant 'scalar-lambda-gamma' is not read; write the layer as 'full-lambda-gamma' "
+                         "with Lambda = lam*I, Gamma = -gam*I and beta = 0 at its input width")
+    return EquivariantLayer(variant, pool=_field(obj, "pool", str), nonlinearity=_field(obj, "nonlinearity", str),
+                            Lambda=_floats(obj, "Lambda", 2),
+                            Gamma=_floats(obj, "Gamma", 2) if variant == "full-lambda-gamma" else None,
+                            beta=_floats(obj, "beta", 1))
 
 
 def model_to_json(model) -> str:

@@ -9,7 +9,7 @@ shift = 4, unit noise) the best possible decision rule is to pick the element
 farthest from a slightly shrunken centroid, and a million-set Monte Carlo puts
 that rule's accuracy at 0.754 +/- 0.001 (0.784 even if the per-set mean were
 known exactly). The 0.80 floor therefore exceeds what any model can reach on
-held-out data; the trained stack lands around 0.72, and this test reports the
+held-out data; the trained stack lands around 0.76, and this test reports the
 shortfall honestly rather than weakening the threshold.
 """
 

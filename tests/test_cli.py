@@ -437,6 +437,23 @@ def test_eval_rejects_a_stack_whose_widths_do_not_chain(tmp_path, capsys):
     assert err.startswith("error: cannot load inputs") and "widths disagree: 4 -> 3" in err
 
 
+def test_eval_rejects_a_scalar_lambda_gamma_layer(tmp_path, capsys):
+    """A layer of the retired scalar variant, which has no width, is refused
+    with its full-lambda-gamma rewrite rather than read at a guessed width."""
+    data, model = tmp_path / "o.jsonl", tmp_path / "m.json"
+    assert cli_dispatch(["gen", "--task", "outlier", "--n", "4", "--out", str(data)]) == 0
+    model.write_text(json.dumps({"type": "equivariant_stack", "layers": [
+        {"variant": "scalar-lambda-gamma", "pool": "sum", "nonlinearity": "linear", "lam": 0.5, "gam": -0.25},
+        {"variant": "maxpool-normalized", "pool": "max", "nonlinearity": "tanh",
+         "Lambda": np.zeros((8, 1)).tolist(), "beta": [0.0]},
+    ]}))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--model", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load inputs")
+    assert "'scalar-lambda-gamma' is not read; write the layer as 'full-lambda-gamma'" in err
+
+
 @pytest.mark.parametrize("task, config, message", [
     ("outlier", {"d": 10}, "element width 10"),
     ("digit-sum", {}, "needs one prediction per set"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from setnn import autodiff as ad
 from setnn.autodiff import ShapeError, Tape, Tensor, grad_check
+from setnn.checks import _stack_tolerance
 from setnn.layers import (
     DenseLayer,
     EquivariantLayer,
@@ -124,9 +125,9 @@ def test_width_mismatch_raises():
 
 def test_scalar_variant_identity_and_sum_broadcast():
     x = Tensor([[1.0], [2.0], [3.0]])
-    layer = EquivariantLayer("scalar-lambda-gamma", lam=1.0, gam=0.0, pool="sum", nonlinearity="linear")
+    layer = EquivariantLayer.scalar(1.0, 0.0, 1, pool="sum", nonlinearity="linear")
     np.testing.assert_allclose(layer.forward(x, [0, 3]).data, [[1.0], [2.0], [3.0]])
-    layer = EquivariantLayer("scalar-lambda-gamma", lam=0.0, gam=1.0, pool="sum", nonlinearity="linear")
+    layer = EquivariantLayer.scalar(0.0, 1.0, 1, pool="sum", nonlinearity="linear")
     np.testing.assert_allclose(layer.forward(x, [0, 3]).data, [[6.0], [6.0], [6.0]])
 
 
@@ -142,19 +143,10 @@ def test_maxpool_normalized_hand_example():
 def test_scalar_layer_matches_materialized_theta():
     rng = np.random.default_rng(3)
     lam, gam = 0.8, -0.45
-    layer = EquivariantLayer("scalar-lambda-gamma", lam=lam, gam=gam, pool="sum", nonlinearity="tanh")
+    layer = EquivariantLayer.scalar(lam, gam, 1, pool="sum", nonlinearity="tanh")
     x = rng.normal(size=(5, 1))
     via_theta = np.tanh(build_theta(lam, gam, 5) @ x)
     np.testing.assert_allclose(layer.forward(Tensor(x), [0, 5]).data, via_theta, rtol=1e-12, atol=1e-12)
-
-
-def _stack_tol(stack) -> float:
-    layers = stack.layers if isinstance(stack, EquivariantStack) else [stack]
-    soft = any(
-        l.pool in ("sum", "mean") and l.variant != "maxpool-normalized"
-        for l in layers
-    )
-    return 1e-9 if soft else 1e-12
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -167,7 +159,7 @@ def test_equivariance_random_stacks(seed):
     perm = rng.permutation(M)
     base = stack.forward(SetBatch(x, [0, M])).data
     permuted = stack.forward(SetBatch(x[perm], [0, M])).data
-    tol = _stack_tol(stack)
+    tol = _stack_tolerance(stack)
     np.testing.assert_allclose(permuted, base[perm], rtol=tol, atol=tol)
 
 
@@ -195,9 +187,11 @@ _NUMPY_ACTS = {"linear": lambda a: a, "relu": lambda a: np.maximum(a, 0.0), "tan
 @pytest.mark.parametrize("pool", ["sum", "mean", "max"])
 @pytest.mark.parametrize("variant", ["scalar-lambda-gamma", "full-lambda-gamma"])
 def test_lambda_gamma_layer_is_pool_augment_dense(variant, pool):
-    """Both lambda-gamma forms record three nodes and compute
-    sigma(beta + x Lambda - repeat(pool(x)) Gamma); the scalar form's Lambda
-    and Gamma are lam * I and -gam * I with beta = 0."""
+    """A full-lambda-gamma layer and the scalar constructor's record three
+    nodes and compute sigma(beta + x Lambda - repeat(pool(x)) Gamma); the
+    scalar layer's Lambda and Gamma are lam * I and -gam * I with beta = 0,
+    and its output is bit for bit the frozen reference
+    dense(segment_augment(x, pool(x)), kron([lam; -gam], I), 0)."""
     rng = np.random.default_rng(8)
     sizes, d = (3, 1, 5), 4
     x = rng.normal(size=(sum(sizes), d))
@@ -205,8 +199,11 @@ def test_lambda_gamma_layer_is_pool_augment_dense(variant, pool):
     for act in ("linear", "relu", "tanh"):
         if variant == "scalar-lambda-gamma":
             lam, gam = rng.normal(size=2)
-            layer = EquivariantLayer(variant, lam=lam, gam=gam, pool=pool, nonlinearity=act)
+            layer = EquivariantLayer.scalar(lam, gam, d, pool=pool, nonlinearity=act)
             Lambda, Gamma, beta = lam * np.eye(d), -gam * np.eye(d), np.zeros(d)
+            frozen = DenseLayer(np.kron([[lam], [-gam]], np.eye(d)), np.zeros(d), act).forward(
+                ad.segment_augment(Tensor(x), getattr(ad, f"segment_{pool}")(Tensor(x), offsets), offsets))
+            np.testing.assert_array_equal(layer.forward(Tensor(x), offsets).data, frozen.data)
         else:
             Lambda, Gamma, beta = rng.normal(size=(d, 3)), rng.normal(size=(d, 3)), rng.normal(size=3)
             layer = EquivariantLayer(variant, Lambda=Lambda, Gamma=Gamma, beta=beta, pool=pool, nonlinearity=act)
@@ -221,25 +218,27 @@ def test_lambda_gamma_layer_is_pool_augment_dense(variant, pool):
 
 def test_stack_widths_must_chain():
     """A stack whose layer widths do not chain is refused when it is built
-    or loaded, not when data first reaches it; scalar layers keep any width."""
-    scalar = EquivariantLayer("scalar-lambda-gamma", lam=1.0, gam=0.5, pool="sum")
+    or loaded, not when data first reaches it; a scalar layer has a width
+    like any other."""
+    scalar = lambda width: EquivariantLayer.scalar(1.0, 0.5, width, pool="sum")
     first = EquivariantLayer("maxpool-normalized", Lambda=np.zeros((8, 4)))
     second = EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((3, 1)), Gamma=np.zeros((3, 1)))
-    for layers in ([first, second], [first, scalar, second]):
+    for layers in ([first, second], [first, scalar(4), second], [first, scalar(3)]):
         with pytest.raises(ShapeError, match="widths disagree: 4 -> 3"):
             EquivariantStack(layers)
         with pytest.raises(ShapeError, match="widths disagree: 4 -> 3"):
             model_from_json(json.dumps({"type": "equivariant_stack", "layers": [
                 json.loads(model_to_json(EquivariantStack([layer])))["layers"][0] for layer in layers]}))
     fits = EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((4, 1)), Gamma=np.zeros((4, 1)))
-    assert EquivariantStack([scalar, first, scalar, fits, scalar]).layers[3] is fits
+    assert EquivariantStack([scalar(8), first, scalar(4), fits, scalar(1)]).layers[3] is fits
 
 
 def test_layer_constructor_validation():
-    with pytest.raises(ShapeError):
-        EquivariantLayer("nonsense", lam=1.0, gam=1.0)
-    with pytest.raises(ShapeError):
-        EquivariantLayer("scalar-lambda-gamma", lam=1.0)
+    for variant in ("nonsense", "scalar-lambda-gamma"):
+        with pytest.raises(ShapeError, match="unknown variant"):
+            EquivariantLayer(variant, Lambda=np.eye(2))
+    with pytest.raises(ShapeError, match="unknown nonlinearity"):
+        EquivariantLayer("maxpool-normalized", Lambda=np.eye(2), nonlinearity="sigmoid")
     with pytest.raises(ShapeError):
         EquivariantLayer("full-lambda-gamma", Lambda=np.zeros((3, 2)))
     with pytest.raises(ShapeError):
@@ -349,7 +348,8 @@ _GOLDEN_INVARIANT = (
 )
 _GOLDEN_STACK = (
     '{"type": "equivariant_stack", "layers": ['
-    '{"variant": "scalar-lambda-gamma", "pool": "sum", "nonlinearity": "linear", "lam": 0.5, "gam": -0.25}, '
+    '{"variant": "full-lambda-gamma", "pool": "sum", "nonlinearity": "linear", '
+    '"Lambda": [[0.5]], "beta": [0.0], "Gamma": [[0.25]]}, '
     '{"variant": "full-lambda-gamma", "pool": "mean", "nonlinearity": "relu", '
     '"Lambda": [[1.0, 0.5]], "beta": [0.1, 0.0], "Gamma": [[0.0, -2.0]]}, '
     '{"variant": "maxpool-normalized", "pool": "max", "nonlinearity": "tanh", '
@@ -366,7 +366,7 @@ def test_model_json_golden_bytes():
     model = InvariantModel([DenseLayer([[0.5, -1.0]], [0.25, 0.0], "relu")], "mean",
                            [DenseLayer([[2.0], [0.1]], [-0.5], "linear")])
     stack = EquivariantStack([
-        EquivariantLayer("scalar-lambda-gamma", lam=0.5, gam=-0.25, pool="sum", nonlinearity="linear"),
+        EquivariantLayer.scalar(0.5, -0.25, 1, pool="sum", nonlinearity="linear"),
         EquivariantLayer("full-lambda-gamma", Lambda=[[1.0, 0.5]], Gamma=[[0.0, -2.0]], beta=[0.1, 0.0],
                          pool="mean", nonlinearity="relu"),
         EquivariantLayer("maxpool-normalized", Lambda=[[0.75], [1.5]], beta=[-1.0], nonlinearity="tanh"),
@@ -406,15 +406,17 @@ def _edited(text: str, path: tuple, value) -> str:
      "layer widths disagree: 2 -> 3"),
     (_edited(_GOLDEN_STACK, ("layers",), 5), "'layers' must be a list"),
     (_edited(_GOLDEN_STACK, ("layers", 1), "full"), "must be JSON objects"),
-    (_edited(_GOLDEN_STACK, ("layers", 0, "lam"), [0.5]), "'lam' must be a finite rank-0"),
-    (_edited(_GOLDEN_STACK, ("layers", 0, "gam"), None), "'gam' must be a finite"),
+    # the scalar variant, retired for the scalar constructor, is not read
+    (_edited(_GOLDEN_STACK, ("layers", 0), {"variant": "scalar-lambda-gamma", "pool": "sum",
+                                            "nonlinearity": "linear", "lam": 0.5, "gam": -0.25}),
+     "'scalar-lambda-gamma' is not read; write the layer as 'full-lambda-gamma' with Lambda = lam\\*I"),
     (_edited(_GOLDEN_STACK, ("layers", 1, "Gamma"), "x"), "could not convert"),
     (_edited(_GOLDEN_STACK, ("layers", 2, "variant"), 3), "'variant' must be a str"),
     (_edited(_GOLDEN_STACK, ("layers", 2, "pool"), "median"), "pool must be one of"),
     ("[" * 100000 + "]" * 100000, "nested too deeply"),
 ], ids=["list", "string", "no-type", "unknown-type", "phi-number", "rho-object", "layer-list", "pool-list",
         "W-object", "W-vector", "b-nan", "b-huge", "nonlinearity-list", "condition-mode", "condition-width",
-        "layers-number", "layer-string", "lam-list", "gam-null", "Gamma-string", "variant-number", "maxpool-pool",
+        "layers-number", "layer-string", "scalar-variant", "Gamma-string", "variant-number", "maxpool-pool",
         "nested-too-deep"])
 def test_model_from_json_rejects_malformed_documents(text, message):
     with pytest.raises(ValueError, match=message):
@@ -472,12 +474,12 @@ def test_lambda_gamma_gradients_match_central_differences(variant, pool, act):
     # distinct entries at least 0.02 apart keep each maximum under a 1e-6 step
     x = Tensor(rng.permutation(sum(sizes) * d).reshape(-1, d) * 0.02 - 0.3)
     if variant == "scalar-lambda-gamma":
-        layer = EquivariantLayer(variant, lam=0.7, gam=-0.4, pool=pool, nonlinearity=act)
+        layer = EquivariantLayer.scalar(0.7, -0.4, d, pool=pool, nonlinearity=act)
     else:
         layer = EquivariantLayer(variant, Lambda=rng.normal(scale=0.5, size=(d, 3)),
                                  Gamma=rng.normal(scale=0.5, size=(d, 3)),
                                  beta=rng.normal(scale=0.1, size=3), pool=pool, nonlinearity=act)
-    target = Tensor(rng.normal(size=(sum(sizes), layer.out_width or d)))
+    target = Tensor(rng.normal(size=(sum(sizes), layer.out_width)))
     err = grad_check(lambda ps: ad.mse_loss(layer.forward(x, offsets), target), [x, *layer.params()],
                      step=1e-6, seed=0)
     assert err <= 1e-6, f"relative gradient error {err:.3e}"

@@ -475,7 +475,7 @@ def test_every_primitive_is_recorded_by_some_model():
     for pool in ("sum", "mean", "max"):
         full = EquivariantLayer("full-lambda-gamma", Lambda=rng.normal(size=(3, 1)), Gamma=rng.normal(size=(3, 1)),
                                 pool=pool)
-        scalar = EquivariantLayer("scalar-lambda-gamma", lam=0.5, gam=-0.25, pool=pool)
+        scalar = EquivariantLayer.scalar(0.5, -0.25, 3, pool=pool)
         for layers in ([full], [scalar, head]):
             runs.append((outlier, np.array([0, 1])))
             models.append(EquivariantStack(layers))
