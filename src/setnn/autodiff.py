@@ -19,10 +19,10 @@ segment pooling over ragged batches, whose layout is one validated
 :class:`Segments` passed as the ``offsets`` attr, and three ways to spread a
 pooled row back over its segment (repeat it, subtract it as ``x - pooled``,
 or append its negation as ``[x, -pooled]``); and the two loss heads used in
-training. A pooled row comes from its own pooling node, so the
-gradient through the pool reaches ``x`` by backprop's sum rule. All arrays
-are float64; any primitive producing a NaN/Inf raises immediately rather
-than letting it propagate.
+training. Only ``Segments.spread``, ``sums``, ``max`` and ``argmax`` read
+which rows a segment holds. A pooled row comes from its own pooling node, so
+the gradient through the pool reaches ``x`` by backprop's sum rule. All arrays
+are float64; any primitive producing a NaN/Inf raises at once.
 """
 
 from __future__ import annotations
@@ -186,10 +186,11 @@ def _mse_loss(xs, attrs):
 
 
 class Segments:
-    """A ragged batch's validated layout: segment ``i`` is rows ``offsets[i]:
-    offsets[i+1]``; offsets are 1-D integers from 0, strictly increasing, and
-    ``runs`` are its maximal runs of equal-size segments, reduced one block
-    each. Its arrays (``offsets``, ``sizes``) are read-only, so it stays valid.
+    """A ragged batch's validated layout, and the only code that turns it into
+    rows: segment ``i`` is rows ``offsets[i]:offsets[i+1]``, from ``starts[i]``;
+    offsets are 1-D integers from 0, strictly increasing. ``spread`` repeats a
+    row per segment over its rows; ``sums``, ``max`` and ``argmax`` reduce one
+    block per maximal run of equal-size segments. Its arrays are read-only.
     """
 
     def __init__(self, offsets):
@@ -201,8 +202,9 @@ class Segments:
         if np.any(sizes <= 0):
             raise ShapeError("offsets must be strictly increasing (no empty segments)")
         off.flags.writeable = sizes.flags.writeable = False
+        self.starts = off[:-1]  # a view of read-only offsets, so read-only too
         cut = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), sizes.size]
-        self.runs = [(off[a], off[b], b - a, sizes[a]) for a, b in zip(cut[:-1], cut[1:])]
+        self._runs = [(off[a], off[b], b - a, sizes[a]) for a, b in zip(cut[:-1], cut[1:])]
 
     @classmethod
     def of(cls, offsets, rows: int | None = None) -> "Segments":
@@ -212,13 +214,29 @@ class Segments:
             raise ShapeError(f"offsets span {segs.offsets[-1]} rows, but the input has {rows}")
         return segs
 
-    def blocks(self, x):
+    def _blocks(self, x):
         """``x`` as one ``(segments, size, ...)`` view per maximal run of equal sizes."""
-        return [x[lo:hi].reshape(n, m, *x.shape[1:]) for lo, hi, n, m in self.runs]
+        return [x[lo:hi].reshape(n, m, *x.shape[1:]) for lo, hi, n, m in self._runs]
+
+    def spread(self, rows):
+        """Each segment's row of ``rows`` repeated over that segment's rows."""
+        return np.repeat(rows, self.sizes, axis=0)
 
     def sums(self, x):
         """Each segment's sum of the rows of ``x``, one row sum per run block."""
-        return np.concatenate([block.sum(axis=1) for block in self.blocks(x)])
+        return np.concatenate([block.sum(axis=1) for block in self._blocks(x)])
+
+    def max(self, x):
+        """Each segment's maximum of the rows of ``x``, one ``max`` per run block."""
+        return np.concatenate([block.max(axis=1) for block in self._blocks(x)])
+
+    def argmax(self, x):
+        """Row of each segment's first maximum of finite ``x``, per column: the
+        lowest row equal to the maximum (``-0.0 == 0.0``), as ``argmax`` breaks
+        ties. Max pooling uses it in its vjp, and in its forward pass when the
+        input has a zero; outlier selection uses it."""
+        local = np.concatenate([block.argmax(axis=1) for block in self._blocks(x)])
+        return local + self.starts.reshape(-1, *(1,) * (x.ndim - 1))
 
 
 def _set_softmax_nll(xs, attrs):
@@ -227,22 +245,22 @@ def _set_softmax_nll(xs, attrs):
     if flat.ndim != 1:
         raise ShapeError(f"set_softmax_nll expects (total,) or (total,1) scores, got {scores.shape}")
     segs = Segments.of(attrs["offsets"], flat.shape[0])
-    off, sizes = segs.offsets, segs.sizes
     targets = np.asarray(attrs["targets"])
-    nsets = sizes.size
+    nsets = segs.sizes.size
     if targets.dtype.kind not in "iu" or targets.shape != (nsets,):
         raise ShapeError(f"need one integer target per set, got {targets.dtype} {targets.shape} for {nsets} sets")
     targets = targets.astype(np.int64)
-    bad = np.flatnonzero((targets < 0) | (targets >= sizes))
+    bad = np.flatnonzero((targets < 0) | (targets >= segs.sizes))
     if bad.size:
-        raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {sizes[bad[0]]}")
-    e = np.exp(flat - np.repeat(np.maximum.reduceat(flat, off[:-1]), sizes))
-    probs = e / np.repeat(segs.sums(e), sizes)
-    nll = sum(-np.log(probs[off[:-1] + targets]))  # in set order, from 0
+        raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {segs.sizes[bad[0]]}")
+    e = np.exp(flat - segs.spread(segs.max(flat)))
+    probs = e / segs.spread(segs.sums(e))
+    picked = segs.starts + targets
+    nll = sum(-np.log(probs[picked]))  # in set order, from 0
 
     def vjp(g):
         gx = probs.copy()
-        gx[off[:-1] + targets] -= 1.0
+        gx[picked] -= 1.0
         gx *= g / nsets
         return (gx.reshape(scores.shape),)
     return np.asarray(nll / nsets), vjp
@@ -260,25 +278,14 @@ def _seg_starts(xs, attrs):
     return x, segs
 
 
-def segment_argmax(x, segs):
-    """Row of each segment's first maximum in each column of a finite
-    ``(total, H)`` matrix, as ``(nsets, H)``; ``segs`` is its Segments.
-
-    The lowest row equal to the maximum wins (``-0.0 == 0.0``): ``argmax`` over
-    each run block. Max pooling (so max-centering too) uses it in its vjp, and
-    in its forward pass when the input has a zero; outlier selection uses it.
-    """
-    return np.concatenate([block.argmax(axis=1) for block in segs.blocks(x)]) + segs.offsets[:-1, None]
-
-
 def _segment_sum(xs, attrs):
     x, segs = _seg_starts(xs, attrs)
-    return segs.sums(x), lambda g: (np.repeat(g, segs.sizes, axis=0),)
+    return segs.sums(x), lambda g: (segs.spread(g),)
 
 
 def _segment_mean(xs, attrs):
     x, segs = _seg_starts(xs, attrs)
-    return segs.sums(x) / segs.sizes[:, None], lambda g: (np.repeat(g / segs.sizes[:, None], segs.sizes, axis=0),)
+    return segs.sums(x) / segs.sizes[:, None], lambda g: (segs.spread(g / segs.sizes[:, None]),)
 
 
 def _segment_max(xs, attrs):
@@ -287,15 +294,14 @@ def _segment_max(xs, attrs):
         # with no zero there is no -0.0/0.0 tie, so the maximum has the first
         # maximum's bits; the vjp alone needs its rows, and finds them itself
         argrows = None
-        out = np.concatenate([block.max(axis=1) for block in segs.blocks(x)])
+        out = segs.max(x)
     else:
-        # with a zero, not a max (block.max or np.maximum.reduceat): of
-        # [-0.0, 0.0] it gives 0.0, the first maximum is -0.0
-        argrows = segment_argmax(x, segs)
+        # with a zero, not segs.max: of [-0.0, 0.0] it gives 0.0, not the first -0.0
+        argrows = segs.argmax(x)
         out = np.take_along_axis(x, argrows, axis=0)
 
     def vjp(g):
-        rows = segment_argmax(x, segs) if argrows is None else argrows
+        rows = segs.argmax(x) if argrows is None else argrows
         gx = np.zeros_like(x)
         gx[rows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
         return (gx,)
@@ -304,7 +310,7 @@ def _segment_max(xs, attrs):
 
 def _segment_center(xs, attrs):
     x, segs = _seg_starts(xs, attrs)
-    return x - np.repeat(xs[1], segs.sizes, axis=0), lambda g: (g, -segs.sums(g))
+    return x - segs.spread(xs[1]), lambda g: (g, -segs.sums(g))
 
 
 def _segment_broadcast(xs, attrs):
@@ -312,13 +318,13 @@ def _segment_broadcast(xs, attrs):
     segs = Segments.of(attrs["offsets"])
     if x.ndim != 2 or x.shape[0] != segs.sizes.size:
         raise ShapeError(f"segment_broadcast expects one row per segment, got {x.shape} for {segs.sizes.size} segments")
-    return np.repeat(x, segs.sizes, axis=0), lambda g: (segs.sums(g),)
+    return segs.spread(x), lambda g: (segs.sums(g),)
 
 
 def _segment_augment(xs, attrs):
     x, segs = _seg_starts(xs, attrs)
     d = x.shape[1]
-    return (np.concatenate([x, -np.repeat(xs[1], segs.sizes, axis=0)], axis=1),
+    return (np.concatenate([x, -segs.spread(xs[1])], axis=1),
             lambda g: (g[:, :d], -segs.sums(g[:, d:])))
 
 

@@ -108,21 +108,15 @@ class SetBatch:
     def width(self) -> int:
         return self.elements.shape[1]
 
-    def sizes(self) -> np.ndarray:
-        return self.segments.sizes
-
     def set_at(self, i: int) -> np.ndarray:
         return self.elements[self.offsets[i]:self.offsets[i + 1]]
 
     def gather(self, indices) -> "SetBatch":
         """The sets at ``indices``, in that order, as a new batch (a copy)."""
         idx = np.asarray(indices, dtype=np.int64)
-        starts = self.offsets[:-1][idx]
-        sizes = self.sizes()[idx]
-        offsets = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        rows = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
-        return SetBatch(np.take(self.elements, rows, axis=0), offsets)
+        segs = ad.Segments(np.concatenate([[0], np.cumsum(self.segments.sizes[idx])]))
+        rows = segs.spread(self.segments.starts[idx] - segs.starts) + np.arange(segs.offsets[-1])
+        return SetBatch(np.take(self.elements, rows, axis=0), segs)
 
     def slice(self, lo: int, hi: int) -> "SetBatch":
         """Sets ``lo`` to ``hi - 1`` as a batch sharing this batch's arrays."""
@@ -131,13 +125,12 @@ class SetBatch:
         first, last = self.offsets[lo], self.offsets[hi]
         return SetBatch(self.elements[first:last], self.offsets[lo:hi + 1] - first)
 
-    def permuted(self, rng: np.random.Generator) -> tuple["SetBatch", list[np.ndarray]]:
+    def permuted(self, rng: np.random.Generator) -> tuple["SetBatch", np.ndarray]:
         """Independently permute the rows of every set; returns the permuted
-        batch and the per-set permutations used."""
-        sizes = self.sizes()
-        perms = [rng.permutation(m) for m in sizes]
-        rows = np.concatenate(perms) + np.repeat(self.offsets[:-1], sizes)
-        return SetBatch(self.elements[rows], self.segments), perms
+        batch and the rows it read, so its elements are ``self.elements[rows]``."""
+        segs = self.segments
+        rows = np.concatenate([rng.permutation(m) for m in segs.sizes]) + segs.spread(segs.starts)
+        return SetBatch(self.elements[rows], segs), rows
 
 
 class DenseLayer:

@@ -174,15 +174,14 @@ class LabeledSetDataset:
         if self.per_set_meta is not None and len(self.per_set_meta) != n:
             raise TaskError("per-set metadata length mismatch")
         if not np.all(np.isfinite(self.batch.elements)):
-            row = int(np.argmin(np.isfinite(self.batch.elements).all(axis=1)))
-            i = int(np.searchsorted(self.batch.offsets, row, side="right")) - 1
+            i = int(np.argmax(self.batch.segments.max(~np.isfinite(self.batch.elements).all(axis=1))))
             raise TaskError(f"set {i} has a non-finite element", i)
         bad = ~np.isfinite(targets)
         if index_targets:
-            bad |= (targets != np.floor(targets)) | (targets < 0) | (targets >= self.batch.sizes())
+            bad |= (targets != np.floor(targets)) | (targets < 0) | (targets >= self.batch.segments.sizes)
         if bad.any():
             i = int(np.argmax(bad))
-            want = f"an integer in [0, {self.batch.sizes()[i]})" if index_targets else "finite"
+            want = f"an integer in [0, {self.batch.segments.sizes[i]})" if index_targets else "finite"
             raise TaskError(f"set {i} has target {targets[i]:g}; it must be {want}", i)
         self.targets = targets.astype(np.int64) if index_targets else targets
 
@@ -430,6 +429,8 @@ def load_jsonl(path: str) -> LabeledSetDataset:
                 try:
                     obj = json.loads(line)
                     sets.append(np.asarray(obj["elements"], dtype=np.float64))
+                    if sets[-1].ndim != 2:
+                        raise ValueError(f"elements must be a list of rows, got shape {sets[-1].shape}")
                     target = obj["target"]
                     if isinstance(target, bool) or not isinstance(target, (int, float)):
                         raise TypeError(f"target must be a JSON number, got {target!r}")

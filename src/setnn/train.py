@@ -274,7 +274,7 @@ def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
     """Each set's highest-scoring element; ties go to the lowest index."""
     segs = dataset.batch.segments
     scores = _column(lambda batch: _element_scores(model, batch), dataset)
-    return ad.segment_argmax(scores, segs)[:, 0] - segs.offsets[:-1]
+    return segs.argmax(scores)[:, 0] - segs.starts
 
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:

@@ -423,6 +423,16 @@ def test_segment_reductions_equal_the_per_set_loop(sizes, width):
     g_spread = (2.0 / x.size) * (np.repeat(pooled.data, sizes, axis=0) - x) * np.asarray(1.0)
     assert np.array_equal(g, per_set(g_spread))
 
+    # the layout's other kernels, on a matrix and on one column
+    segs = ad.Segments(offsets)
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    for a in (x, x[:, 0].copy()):
+        a[rng.random(a.shape) < 0.2] = 0.0  # exact ties, so the first maximum is the lowest row
+        assert np.array_equal(segs.max(a), np.array([a[lo:hi].max(axis=0) for lo, hi in bounds]))
+        assert np.array_equal(segs.argmax(a), np.array([lo + a[lo:hi].argmax(axis=0) for lo, hi in bounds]))
+        rows = a[: len(sizes)]
+        assert np.array_equal(segs.spread(rows), np.concatenate([[r] * m for r, m in zip(rows, sizes)]))
+
 
 def test_offsets_validation():
     x = Tensor(np.zeros((4, 2)))
@@ -450,7 +460,7 @@ def test_a_validated_layout_stays_valid():
     assert segs.offsets.tolist() == [0, 2, 5] and segs.sizes.tolist() == [2, 3]
     batch = SetBatch(np.zeros((5, 2)), segs)
     assert batch.segments is segs
-    for arr in (segs.offsets, segs.sizes, batch.offsets, batch.sizes()):
+    for arr in (segs.offsets, segs.sizes, segs.starts, batch.offsets, batch.segments.sizes):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     # a Segments is checked against its input's rows, naming both counts

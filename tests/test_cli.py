@@ -141,7 +141,7 @@ def test_gen_population_with_config(tmp_path, capsys):
     capsys.readouterr()
     ds = load_jsonl(str(out))
     assert ds.element_dim == 4
-    assert all(10 <= m <= 20 for m in ds.batch.sizes())
+    assert all(10 <= m <= 20 for m in ds.batch.segments.sizes)
 
 
 @pytest.mark.parametrize("task, setting, message", [
@@ -364,7 +364,8 @@ _INDEX_META = {"task": "outlier", "target_kind": "index"}
     (_SCALAR_META, {"elements": [[1.0, float("nan")]], "target": 1.0}),
     (_INDEX_META, {"elements": [[1.0, 0.0], [0.0, 1.0]], "target": 2}),
     (_SCALAR_META, _NESTED_TOO_DEEP),
-], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range", "nested-too-deep"])
+    (_SCALAR_META, {"elements": [1.0, 0.0], "target": 1.0}),
+], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range", "nested-too-deep", "flat-list"])
 def test_train_rejects_bad_data_at_the_boundary(tmp_path, capsys, meta, second):
     data = tmp_path / "bad.jsonl"
     first = {"elements": [[0.0, 1.0], [1.0, 0.0]], "target": 1, "meta": meta}

@@ -140,14 +140,14 @@ def relu_like(seed, width, sizes):
 
 
 def count_argmax(monkeypatch):
-    """The shapes ``ad.segment_argmax`` is called with from now on."""
+    """The shapes ``ad.Segments.argmax`` is called with from now on."""
     calls = []
-    original = ad.segment_argmax
+    original = ad.Segments.argmax
 
-    def counting(x, off):
+    def counting(segs, x):
         calls.append(x.shape)
-        return original(x, off)
-    monkeypatch.setattr(ad, "segment_argmax", counting)
+        return original(segs, x)
+    monkeypatch.setattr(ad.Segments, "argmax", counting)
     return calls
 
 

@@ -39,7 +39,7 @@ def test_setbatch_accessors():
     b = SetBatch.from_sets([np.ones((2, 3)), np.zeros((5, 3))])
     assert b.num_sets == 2
     assert b.width == 3
-    np.testing.assert_array_equal(b.sizes(), [2, 5])
+    np.testing.assert_array_equal(b.segments.sizes, [2, 5])
     assert b.set_at(1).shape == (5, 3)
 
 
@@ -77,6 +77,18 @@ def test_gather_and_slice_match_the_packed_sets():
     for lo, hi in ((3, 3), (-1, 2), (0, 8)):
         with pytest.raises(ShapeError):
             batch.slice(lo, hi)
+
+
+def test_permuted_returns_the_rows_it_read():
+    rng = np.random.default_rng(6)
+    sets = [rng.normal(size=(int(m), 2)) for m in (1, 4, 1, 1, 7, 3, 1)]
+    batch = SetBatch.from_sets(sets)
+    shuffled, rows = batch.permuted(rng)
+    np.testing.assert_array_equal(shuffled.elements, batch.elements[rows])
+    assert shuffled.segments is batch.segments
+    for a, b in zip(batch.offsets[:-1], batch.offsets[1:]):
+        assert sorted(rows[a:b].tolist()) == list(range(a, b))
+    assert not np.array_equal(rows, np.arange(rows.size))
 
 
 def test_identity_model_pure_sum_and_max():

@@ -342,7 +342,10 @@ def _write_lines(path, objs):
 
 @pytest.mark.parametrize("second, message", [
     ({"elements": [[1.0, 2.0, 3.0]], "target": 1.0}, "set 1 has width 3 but set 0 has width 2"),
-    ({"elements": [], "target": 1.0}, "set 1 must be a non-empty"),
+    ({"elements": [[]], "target": 1.0}, "set 1 must be a non-empty"),
+    ({"elements": [1.0, 2.0], "target": 1.0}, "elements must be a list of rows, got shape (2,)"),
+    ({"elements": 5, "target": 1.0}, "elements must be a list of rows, got shape ()"),
+    ({"elements": [], "target": 1.0}, "elements must be a list of rows, got shape (0,)"),
     ({"elements": [[1.0, float("nan")]], "target": 1.0}, "non-finite element"),
     ({"elements": [[1.0, 2.0]], "target": float("inf")}, "must be finite"),
     ({"elements": [[1.0, 2.0], [3]], "target": 1.0}, "inhomogeneous"),
@@ -356,7 +359,7 @@ def _write_lines(path, objs):
      "dataset fields ['target_kind', 'task'] differ from line 1"),
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": {"task": "digit-sum"}},
      "dataset fields ['target_kind'] differ from line 1"),
-], ids=["ragged", "empty", "nan-element", "inf-target", "ragged-rows", "list-target", "huge-target",
+], ids=["ragged", "empty", "flat-list", "scalar", "empty-list", "nan-element", "inf-target", "ragged-rows", "list-target", "huge-target",
         "string-target", "bool-target", "no-target", "meta-not-object", "task-changes", "key-dropped"])
 def test_load_names_the_bad_line(tmp_path, second, message):
     meta = {"task": "digit-sum", "target_kind": "scalar"}
@@ -393,9 +396,9 @@ def test_load_jsonl_fuzz_loads_a_valid_dataset_or_raises_task_error(objs):
         except TaskError:
             return
     assert len(ds) == len(objs)
-    assert ds.batch.width >= 1 and np.all(ds.batch.sizes() >= 1)
+    assert ds.batch.width >= 1 and np.all(ds.batch.segments.sizes >= 1)
     assert np.all(np.isfinite(ds.batch.elements)) and np.all(np.isfinite(ds.targets))
     assert ds.targets.shape == (len(ds),)
     if ds.meta.get("target_kind") == "index":
         assert ds.targets.dtype == np.int64
-        assert np.all((ds.targets >= 0) & (ds.targets < ds.batch.sizes()))
+        assert np.all((ds.targets >= 0) & (ds.targets < ds.batch.segments.sizes))

@@ -366,11 +366,11 @@ def test_each_task_metric_is_its_direct_formula():
 
 
 def _permuted_copy(ds, seed=0):
-    batch, perms = ds.to_set_batch().permuted(np.random.default_rng(seed))
+    batch, rows = ds.to_set_batch().permuted(np.random.default_rng(seed))
     targets = ds.targets.copy()
-    for i, perm in enumerate(perms):
-        if ds.meta.get("target_kind") == "index":
-            targets[i] = int(np.where(perm == ds.targets[i])[0][0])
+    if ds.meta.get("target_kind") == "index":  # where each target's row went
+        for i, (a, b) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
+            targets[i] = int(np.flatnonzero(rows[a:b] == a + ds.targets[i])[0])
     return LabeledSetDataset(batch, targets, dict(ds.meta), ds.per_set_meta)
 
 
