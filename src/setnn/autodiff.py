@@ -266,9 +266,9 @@ def _set_softmax_nll(xs, attrs):
     return np.asarray(nll / nsets), vjp
 
 
-def _seg_starts(xs, attrs):
-    """The first input, a ``(total, H)`` matrix, and the Segments of its
-    rows; a second input must hold one ``(H,)`` row per segment."""
+def _segment_input(xs, attrs):
+    """``(x, segs)``: the first input, a ``(total, H)`` matrix, and the Segments
+    of its rows; a second input must hold one ``(H,)`` row per segment."""
     x = xs[0]
     if x.ndim != 2:
         raise ShapeError(f"segment ops expect a (total, H) matrix, got {x.shape}")
@@ -279,17 +279,17 @@ def _seg_starts(xs, attrs):
 
 
 def _segment_sum(xs, attrs):
-    x, segs = _seg_starts(xs, attrs)
+    x, segs = _segment_input(xs, attrs)
     return segs.sums(x), lambda g: (segs.spread(g),)
 
 
 def _segment_mean(xs, attrs):
-    x, segs = _seg_starts(xs, attrs)
+    x, segs = _segment_input(xs, attrs)
     return segs.sums(x) / segs.sizes[:, None], lambda g: (segs.spread(g / segs.sizes[:, None]),)
 
 
 def _segment_max(xs, attrs):
-    x, segs = _seg_starts(xs, attrs)
+    x, segs = _segment_input(xs, attrs)
     if x.all():
         # with no zero there is no -0.0/0.0 tie, so the maximum has the first
         # maximum's bits; the vjp alone needs its rows, and finds them itself
@@ -309,7 +309,7 @@ def _segment_max(xs, attrs):
 
 
 def _segment_center(xs, attrs):
-    x, segs = _seg_starts(xs, attrs)
+    x, segs = _segment_input(xs, attrs)
     return x - segs.spread(xs[1]), lambda g: (g, -segs.sums(g))
 
 
@@ -322,7 +322,7 @@ def _segment_broadcast(xs, attrs):
 
 
 def _segment_augment(xs, attrs):
-    x, segs = _seg_starts(xs, attrs)
+    x, segs = _segment_input(xs, attrs)
     d = x.shape[1]
     return (np.concatenate([x, -segs.spread(xs[1])], axis=1),
             lambda g: (g[:, :d], -segs.sums(g[:, d:])))

@@ -134,11 +134,13 @@ class SetBatch:
 
 
 class DenseLayer:
+    """``sigma(x @ W + b)``, one fused ``dense`` node over the arrays ``W`` and ``b``."""
+
     def __init__(self, W, b, nonlinearity: str = "linear"):
         if nonlinearity not in NONLINEARITIES:
             raise ShapeError(f"unknown nonlinearity {nonlinearity!r}")
-        self.W = W if isinstance(W, Tensor) else Tensor(W)
-        self.b = b if isinstance(b, Tensor) else Tensor(b)
+        self.W = Tensor(W)
+        self.b = Tensor(b)
         if self.W.data.ndim != 2 or self.b.data.shape != (self.W.data.shape[1],):
             raise ShapeError(f"dense layer wants W (in,out) and b (out,), got {self.W.shape} / {self.b.shape}")
         self.nonlinearity = nonlinearity
@@ -214,31 +216,22 @@ class EquivariantLayer:
     two variants. ``pool`` selects the cross-element reduction of both
     variants; ``maxpool-normalized`` subtracts it from each row.
 
-    ``dense`` is the :class:`DenseLayer` of the layer's one ``dense`` node:
-    its weight is ``Lambda`` for ``maxpool-normalized`` and the stacked
-    ``[Lambda; Gamma]`` for ``full-lambda-gamma``."""
+    ``dense`` is the :class:`DenseLayer` of the layer's one ``dense`` node,
+    held as given: its weight is ``Lambda`` for ``maxpool-normalized`` and the
+    stacked ``[Lambda; Gamma]`` for ``full-lambda-gamma``, its bias ``beta``."""
 
     VARIANTS = ("full-lambda-gamma", "maxpool-normalized")
 
-    def __init__(self, variant: str, *, Lambda, Gamma=None, beta=None, pool: str = "max",
-                 nonlinearity: str = "tanh"):
+    def __init__(self, variant: str, dense: DenseLayer, pool: str = "max"):
         if variant not in self.VARIANTS:
             raise ShapeError(f"unknown variant {variant!r}")
         if pool not in _POOLS:
             raise ShapeError(f"pool must be one of {sorted(_POOLS)}, got {pool!r}")
+        if variant == "full-lambda-gamma" and dense.in_width % 2:
+            raise ShapeError(f"full-lambda-gamma wants a stacked [Lambda; Gamma] weight, got {dense.in_width} rows")
         self.variant = variant
         self.pool = pool
-        W = Lambda if isinstance(Lambda, Tensor) else Tensor(Lambda)
-        if W.data.ndim != 2:
-            raise ShapeError("Lambda must be a (D, D') matrix")
-        if variant == "full-lambda-gamma":
-            if Gamma is None:
-                raise ShapeError("full-lambda-gamma needs a Gamma matrix")
-            Gamma = Gamma.data if isinstance(Gamma, Tensor) else np.asarray(Gamma, dtype=np.float64)
-            if Gamma.shape != W.data.shape:
-                raise ShapeError("Gamma must match Lambda's shape")
-            W = Tensor(np.concatenate([W.data, Gamma]))
-        self.dense = DenseLayer(W, np.zeros(W.data.shape[1]) if beta is None else beta, nonlinearity)
+        self.dense = dense
 
     @classmethod
     def scalar(cls, lam: float, gam: float, width: int, pool: str = "max",
@@ -248,12 +241,8 @@ class EquivariantLayer:
         ``Gamma = -gam*I`` and ``beta = 0``. Only its initial weights are tied;
         they train like any other layer's, so a trained layer does not stay
         scalar."""
-        W = np.kron([[lam], [-gam]], np.eye(width))
-        return cls("full-lambda-gamma", Lambda=W[:width], Gamma=W[width:], pool=pool, nonlinearity=nonlinearity)
-
-    @property
-    def nonlinearity(self) -> str:
-        return self.dense.nonlinearity
+        dense = DenseLayer(np.kron([[lam], [-gam]], np.eye(width)), np.zeros(width), nonlinearity)
+        return cls("full-lambda-gamma", dense, pool)
 
     @property
     def in_width(self) -> int:
@@ -376,15 +365,13 @@ def random_equivariant_stack(rng: np.random.Generator, in_width: int) -> Equivar
                                                   pool=pool, nonlinearity=act))
         else:
             out_w = int(rng.integers(1, 9))
-            Lambda = rng.normal(scale=0.5, size=(width, out_w))
+            W = rng.normal(scale=0.5, size=(width, out_w))
             beta = rng.normal(scale=0.1, size=out_w)
+            pool = "max"
             if variant == "full-lambda-gamma":
                 pool = str(rng.choice(["sum", "max", "mean"]))
-                Gamma = rng.normal(scale=0.5, size=(width, out_w))
-                layers.append(EquivariantLayer(variant, Lambda=Lambda, Gamma=Gamma, beta=beta,
-                                               pool=pool, nonlinearity=act))
-            else:
-                layers.append(EquivariantLayer(variant, Lambda=Lambda, beta=beta, nonlinearity=act))
+                W = np.concatenate([W, rng.normal(scale=0.5, size=(width, out_w))])
+            layers.append(EquivariantLayer(variant, DenseLayer(W, beta, act), pool))
             width = out_w
     return EquivariantStack(layers)
 
@@ -431,7 +418,7 @@ def _dense_from_obj(obj) -> DenseLayer:
 
 def _equivariant_layer_to_obj(layer: EquivariantLayer) -> dict:
     d = layer.in_width
-    obj = {"variant": layer.variant, "pool": layer.pool, "nonlinearity": layer.nonlinearity,
+    obj = {"variant": layer.variant, "pool": layer.pool, "nonlinearity": layer.dense.nonlinearity,
            "Lambda": layer.dense.W.data[:d].tolist(), "beta": layer.dense.b.data.tolist()}
     if layer.variant == "full-lambda-gamma":
         obj["Gamma"] = layer.dense.W.data[d:].tolist()
@@ -443,10 +430,14 @@ def _equivariant_layer_from_obj(obj) -> EquivariantLayer:
     if variant == "scalar-lambda-gamma":
         raise ShapeError("variant 'scalar-lambda-gamma' is not read; write the layer as 'full-lambda-gamma' "
                          "with Lambda = lam*I, Gamma = -gam*I and beta = 0 at its input width")
-    return EquivariantLayer(variant, pool=_field(obj, "pool", str), nonlinearity=_field(obj, "nonlinearity", str),
-                            Lambda=_floats(obj, "Lambda", 2),
-                            Gamma=_floats(obj, "Gamma", 2) if variant == "full-lambda-gamma" else None,
-                            beta=_floats(obj, "beta", 1))
+    W = _floats(obj, "Lambda", 2)
+    if variant == "full-lambda-gamma":
+        Gamma = _floats(obj, "Gamma", 2)
+        if Gamma.shape != W.shape:
+            raise ShapeError(f"Gamma's shape {Gamma.shape} differs from Lambda's {W.shape}")
+        W = np.concatenate([W, Gamma])
+    return EquivariantLayer(variant, DenseLayer(W, _floats(obj, "beta", 1), _field(obj, "nonlinearity", str)),
+                            _field(obj, "pool", str))
 
 
 def model_to_json(model) -> str:

@@ -431,6 +431,10 @@ def load_jsonl(path: str) -> LabeledSetDataset:
                     sets.append(np.asarray(obj["elements"], dtype=np.float64))
                     if sets[-1].ndim != 2:
                         raise ValueError(f"elements must be a list of rows, got shape {sets[-1].shape}")
+                    # float() reads a JSON true as 1.0; only a line with one can hold a boolean element
+                    if ("true" in line or "false" in line) and any(
+                            isinstance(v, bool) for row in obj["elements"] for v in row):
+                        raise TypeError("elements must be JSON numbers, got a boolean")
                     target = obj["target"]
                     if isinstance(target, bool) or not isinstance(target, (int, float)):
                         raise TypeError(f"target must be a JSON number, got {target!r}")

@@ -177,8 +177,7 @@ def build_model(config: TrainConfig, element_dim: int, rng: np.random.Generator)
     layers = dense_stack(rng, [element_dim, *EQUIVARIANT_WIDTHS], "tanh", final="linear")
     if config.pooled_baseline:
         return InvariantModel([], "max", layers)
-    return EquivariantStack([EquivariantLayer("maxpool-normalized", Lambda=l.W, beta=l.b, pool="mean",
-                                              nonlinearity=l.nonlinearity) for l in layers])
+    return EquivariantStack([EquivariantLayer("maxpool-normalized", l, pool="mean") for l in layers])
 
 
 def _check_dataset(task: str, dataset: LabeledSetDataset) -> None:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from setnn import cli
 from setnn.cli import _build_parser, cli_dispatch
 from setnn.layers import (
+    DenseLayer,
     EquivariantLayer,
     EquivariantStack,
     InvariantModel,
@@ -365,7 +366,8 @@ _INDEX_META = {"task": "outlier", "target_kind": "index"}
     (_INDEX_META, {"elements": [[1.0, 0.0], [0.0, 1.0]], "target": 2}),
     (_SCALAR_META, _NESTED_TOO_DEEP),
     (_SCALAR_META, {"elements": [1.0, 0.0], "target": 1.0}),
-], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range", "nested-too-deep", "flat-list"])
+    (_SCALAR_META, {"elements": [[1.0, True]], "target": 1.0}),
+], ids=["ragged-width", "empty-set", "nan-element", "index-out-of-range", "nested-too-deep", "flat-list", "bool"])
 def test_train_rejects_bad_data_at_the_boundary(tmp_path, capsys, meta, second):
     data = tmp_path / "bad.jsonl"
     first = {"elements": [[0.0, 1.0], [1.0, 0.0]], "target": 1, "meta": meta}
@@ -506,8 +508,8 @@ def test_eval_rejects_a_model_with_more_than_one_output(tmp_path, capsys, kind, 
     if kind == "invariant":
         model = InvariantModel(dense_stack(rng, [2, 4], "relu"), "max", dense_stack(rng, [4, 3], "linear"))
     else:
-        model = EquivariantStack([EquivariantLayer("maxpool-normalized", Lambda=glorot_uniform(rng, 2, 3),
-                                                   beta=np.zeros(3), nonlinearity="linear")])
+        model = EquivariantStack([EquivariantLayer("maxpool-normalized",
+                                                   DenseLayer(glorot_uniform(rng, 2, 3), np.zeros(3), "linear"))])
     data, path, cfg = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "g.json"
     cfg.write_text(json.dumps({"d": 2}))
     assert cli_dispatch(["gen", "--task", task, "--n", "8", "--config", str(cfg), "--out", str(data)]) == 0

@@ -353,6 +353,8 @@ def _write_lines(path, objs):
     ({"elements": [[1.0, 2.0]], "target": 10 ** 400}, "line 3"),
     ({"elements": [[1.0, 2.0]], "target": "2"}, "target must be a JSON number, got '2'"),
     ({"elements": [[1.0, 2.0]], "target": True}, "target must be a JSON number, got True"),
+    ({"elements": [[True, False]], "target": 1.0}, "elements must be JSON numbers, got a boolean"),
+    ({"elements": [[0.5, 1.0], [0.5, True]], "target": 1.0}, "elements must be JSON numbers, got a boolean"),
     ({"elements": [[1.0, 2.0]]}, "missing field 'target'"),
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": 4}, "meta must be a JSON object"),
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": {"task": "outlier", "target_kind": "index"}},
@@ -360,7 +362,7 @@ def _write_lines(path, objs):
     ({"elements": [[1.0, 2.0]], "target": 1.0, "meta": {"task": "digit-sum"}},
      "dataset fields ['target_kind'] differ from line 1"),
 ], ids=["ragged", "empty", "flat-list", "scalar", "empty-list", "nan-element", "inf-target", "ragged-rows", "list-target", "huge-target",
-        "string-target", "bool-target", "no-target", "meta-not-object", "task-changes", "key-dropped"])
+        "string-target", "bool-target", "bool-element", "mixed-bool", "no-target", "meta-not-object", "task-changes", "key-dropped"])
 def test_load_names_the_bad_line(tmp_path, second, message):
     meta = {"task": "digit-sum", "target_kind": "scalar"}
     path = tmp_path / "bad.jsonl"
@@ -370,6 +372,16 @@ def test_load_names_the_bad_line(tmp_path, second, message):
     with pytest.raises(TaskError, match="line 3") as info:
         load_jsonl(str(path))
     assert message in str(info.value)
+
+
+def test_load_reads_a_boolean_in_meta(tmp_path):
+    """Only elements refuse booleans: a line whose ``true`` is in its meta loads."""
+    path = tmp_path / "flagged.jsonl"
+    meta = {"task": "digit-sum", "target_kind": "scalar", "flagged": True}
+    path.write_text(json.dumps({"elements": [[0.0, 1.0]], "target": 1.0, "meta": meta}) + "\n")
+    ds = load_jsonl(str(path))
+    np.testing.assert_array_equal(ds.batch.elements, [[0.0, 1.0]])
+    assert ds.per_set_meta == [{"flagged": True}]
 
 
 _numbers = st.one_of(st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none())

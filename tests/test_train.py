@@ -7,7 +7,7 @@ import pytest
 from setnn import autodiff as ad
 from setnn import train as tr
 from setnn.autodiff import Tape, Tensor
-from setnn.layers import EquivariantLayer, EquivariantStack, InvariantModel, SetBatch, model_to_json
+from setnn.layers import DenseLayer, EquivariantLayer, EquivariantStack, InvariantModel, SetBatch, model_to_json
 from setnn.tasks import (
     TASKS,
     GaussianTaskSpec,
@@ -105,7 +105,7 @@ def test_build_model_shapes_and_parity():
     sel = build_model(TrainConfig(task="outlier"), 8, rng)
     assert isinstance(sel, EquivariantStack)
     assert len(sel.layers) == 3
-    assert [l.nonlinearity for l in sel.layers] == ["tanh", "tanh", "linear"]
+    assert [l.dense.nonlinearity for l in sel.layers] == ["tanh", "tanh", "linear"]
     assert [l.pool for l in sel.layers] == ["mean"] * 3  # each layer centres its sets: x - mean(x)
 
     base = build_model(TrainConfig(task="outlier", pooled_baseline=True), 8, rng)
@@ -471,10 +471,10 @@ def test_every_primitive_is_recorded_by_some_model():
     runs = [(TrainConfig(task="population", pool=pool), np.zeros(2)) for pool in ("sum", "mean", "max")]
     runs += [(outlier, np.array([1, 3])), (TrainConfig(task="outlier", pooled_baseline=True), np.array([0, 2]))]
     models = [build_model(config, 3, rng) for config, _ in runs]
-    head = EquivariantLayer("maxpool-normalized", Lambda=rng.normal(size=(3, 1)))
+    head = EquivariantLayer("maxpool-normalized", DenseLayer(rng.normal(size=(3, 1)), np.zeros(1), "tanh"))
     for pool in ("sum", "mean", "max"):
-        full = EquivariantLayer("full-lambda-gamma", Lambda=rng.normal(size=(3, 1)), Gamma=rng.normal(size=(3, 1)),
-                                pool=pool)
+        # one (6, 1) draw is the (3, 1) Lambda draw followed by the Gamma draw
+        full = EquivariantLayer("full-lambda-gamma", DenseLayer(rng.normal(size=(6, 1)), np.zeros(1), "tanh"), pool)
         scalar = EquivariantLayer.scalar(0.5, -0.25, 3, pool=pool)
         for layers in ([full], [scalar, head]):
             runs.append((outlier, np.array([0, 1])))
