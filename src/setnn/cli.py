@@ -188,7 +188,7 @@ def _cmd_expand(args) -> int:
             lines = f.readlines()
     except (OSError, ValueError) as exc:  # missing file, undecodable bytes
         raise UsageError(f"cannot read candidates {args.data}: {exc}") from exc
-    query, candidates, ids = [], [], []
+    query, candidates, ids, rows = [], [], [], []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -208,6 +208,7 @@ def _cmd_expand(args) -> int:
                     raise ValueError(f"id {ident!r} holds a comma, quote or line break")
                 ids.append(ident)
                 candidates.append(bits)
+            rows.append((number, bits))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise UsageError(f"cannot read candidates {args.data} line {number}: {exc}") from exc
     if not query:
@@ -223,12 +224,23 @@ def _cmd_expand(args) -> int:
             model = bayes.BetaBinomialModel(_pseudo_counts(obj, "beta_plus"), _pseudo_counts(obj, "beta_minus"))
         except bayes.BayesSetError as exc:
             raise UsageError(f"bad scorer parameters: {exc}") from exc
+        if model.d != d:
+            raise UsageError(f"bad scorer parameters: {args.model} has {model.d} coordinates, "
+                             f"but the bits rows have width {d}")
     else:
         model = bayes.BetaBinomialModel.uniform(d)
     k = args.k if args.k is not None else len(candidates)
     try:
         X = bayes.as_binary_matrix(query, d)
         C = bayes.as_binary_matrix(candidates, d)
+    except bayes.BayesSetError as exc:
+        for number, bits in rows:  # name the first bad row, query or candidate
+            try:
+                bayes.as_binary_matrix([bits], d)
+            except bayes.BayesSetError as row_exc:
+                raise UsageError(f"cannot read candidates {args.data} line {number}: {row_exc}") from exc
+        raise UsageError(str(exc)) from exc
+    try:
         ranked = bayes.expand(model, X, C, min(k, len(candidates)))
     except bayes.BayesSetError as exc:
         raise UsageError(str(exc)) from exc

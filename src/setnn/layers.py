@@ -323,13 +323,8 @@ def commutant_dimension(M: int) -> int:
         perm = np.arange(M)
         perm[[i, j]] = perm[[j, i]]
         P = eye[perm]
-        # column k of the constraint block: vec(E_k P - P E_k)
-        block = np.empty((M * M, M * M))
-        for k in range(M * M):
-            E = np.zeros((M, M))
-            E.flat[k] = 1.0
-            block[:, k] = (E @ P - P @ E).ravel()
-        rows.append(block)
+        # row-major vec(A P - P A) = (I kron P^T - P kron I) vec(A)
+        rows.append(np.kron(eye, P.T) - np.kron(P, eye))
     system = np.concatenate(rows, axis=0)
     svals = np.linalg.svd(system, compute_uv=False)
     return int(np.sum(svals < 1e-10))

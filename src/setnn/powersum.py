@@ -1,17 +1,19 @@
 """Sum-of-powers set embeddings, their inversion, and exact worked examples.
 
-A sorted sample ``x_1 <= ... <= x_M`` in [0,1] is embedded as the vector of
+`embed` maps a sorted sample ``x_1 <= ... <= x_M`` in [0,1] to the vector of
 power sums ``Z_q = sum_m y_m^q`` of its centered values ``y_m = 2 x_m - 1``
 for ``q = 0..M``. These are a triangular linear map of the power sums of the
 x_m themselves, so the embedding is injective for the same reason, but their
-Vandermonde system on [-1,1] is far better conditioned than on [0,1]. The
-embedding is invertible: Newton-Girard recurrences turn power sums into
-elementary symmetric polynomials, i.e. the coefficients of the monic
-polynomial whose roots are the y_m, and the eigenvalues of its companion
-matrix recover them: one ``np.linalg.eigvals`` call on the matrix
-``np.roots`` would build, with the same roots in the same order. This gives a
-constructive sum-decomposition of any continuous symmetric function of a
-fixed-size set, checked here by round-trip rather than assumed.
+Vandermonde system on [-1,1] is far better conditioned than on [0,1]. It is
+the only embedding offered, since `invert` reads every power-sum vector as
+one of centered values. The embedding is invertible: Newton-Girard
+recurrences turn power sums into elementary symmetric polynomials, i.e. the
+coefficients of the monic polynomial whose roots are the y_m, and the
+eigenvalues of its companion matrix recover them: one ``np.linalg.eigvals``
+call on the matrix ``np.roots`` would build, with the same roots in the same
+order. This gives a constructive sum-decomposition of any continuous
+symmetric function of a fixed-size set, checked here by round-trip rather
+than assumed.
 
 `countable_encode` is the companion construction for finite universes: each
 subset maps to a distinct base-4 fraction, exactly representable in float64
@@ -35,7 +37,6 @@ __all__ = [
     "SortedSample",
     "PowerSumVector",
     "countable_encode",
-    "power_sums",
     "embed",
     "newton_girard",
     "poly_roots",
@@ -47,10 +48,10 @@ __all__ = [
 
 # Beyond this size the power-sum system is too ill-conditioned for float64
 # round-trips, so the cap is part of the contract rather than a soft limit:
-# neither embed nor power_sums takes more values. Share of 1000 sorted uniform
-# samples per M (one default_rng(0) drawn for M = 1..16 in turn) whose round
-# trip misses 1e-6 or raises: none for M <= 7, 0.1% at M = 8, none at M = 9,
-# at most 0.1% for M = 10..12, 0.6% at 13, 0.8% at 14, 2.2% at 15, 3.7% at 16.
+# embed takes no more values. Share of 1000 sorted uniform samples per M (one
+# default_rng(0) drawn for M = 1..16 in turn) whose round trip misses 1e-6 or
+# raises: none for M <= 7, 0.1% at M = 8, none at M = 9, at most 0.1% for
+# M = 10..12, 0.6% at 13, 0.8% at 14, 2.2% at 15, 3.7% at 16.
 MAX_SET_SIZE = 16
 
 # Largest code value for which sums of distinct 4**-c are exact in binary64:
@@ -146,41 +147,25 @@ def countable_encode(items, code: dict) -> float:
     return total
 
 
-def _power_sums(v: np.ndarray) -> PowerSumVector:
-    """Power sums Z_0..Z_M of sorted values, from one table of powers.
-
-    Row q-1 of the table is v**q, each row the previous one times v, so every
-    power is the same chain of multiplications as a loop over q would make,
-    and each contiguous row sums as a lone vector does. An overflow to inf
-    (or an inf - inf) is left to PowerSumVector's finiteness check.
-    """
-    M = v.size
-    if M > MAX_SET_SIZE:
-        raise PowerSumError(f"{M} values exceed the supported set size {MAX_SET_SIZE}")
-    Z = np.empty(M + 1)
-    Z[0] = M
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply.accumulate(np.broadcast_to(v, (M, M)), axis=0).sum(axis=1, out=Z[1:])
-    return PowerSumVector(Z)
-
-
-def power_sums(values) -> PowerSumVector:
-    """Power sums Z_0..Z_M of at most MAX_SET_SIZE real values (sorted first,
-    so the result is exactly permutation-invariant)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise PowerSumError("values must be a non-empty vector")
-    return _power_sums(np.sort(v))
-
-
 def embed(sample) -> PowerSumVector:
-    """Embed a [0,1] sample as the power sums of its centered values 2x - 1.
+    """Embed a [0,1] sample as the power sums Z_0..Z_M of its centered values.
 
-    The centering is monotone, so the centered values are already sorted.
+    The centering y = 2x - 1 is monotone, so the centered values are already
+    sorted. Row q-1 of the table is y**q, each row the previous one times y,
+    so every power is the same chain of multiplications as a loop over q
+    would make, and each contiguous row sums as a lone vector does. Every
+    centered value lies in [-1,1], so no power can overflow.
     """
     if not isinstance(sample, SortedSample):
         sample = SortedSample.from_values(sample)
-    return _power_sums(2.0 * sample.values - 1.0)
+    M = sample.M
+    if M > MAX_SET_SIZE:
+        raise PowerSumError(f"{M} values exceed the supported set size {MAX_SET_SIZE}")
+    y = 2.0 * sample.values - 1.0
+    Z = np.empty(M + 1)
+    Z[0] = M
+    np.multiply.accumulate(np.broadcast_to(y, (M, M)), axis=0).sum(axis=1, out=Z[1:])
+    return PowerSumVector(Z)
 
 
 def newton_girard(Z: PowerSumVector) -> np.ndarray:

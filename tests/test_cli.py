@@ -620,7 +620,25 @@ def test_expand_rejects_bad_candidate_bits(tmp_path, capsys, bad_row, message):
     data = tmp_path / "cand.jsonl"
     _write_expand_file(data, [[1, 0]], [("a", [1, 0]), ("bad", bad_row), ("b", [0, 1])])
     assert cli_dispatch(["expand", "--data", str(data)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.startswith(f"error: cannot read candidates {data} line 3: ")
+
+
+def test_expand_names_the_line_of_a_ragged_query_row(tmp_path, capsys):
+    data = tmp_path / "cand.jsonl"
+    _write_expand_file(data, [[1, 0], [1, 0, 1]], [("a", [1, 0]), ("bad", [2, 0])])
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read candidates {data} line 2: items must be vectors of width 2")
+
+
+def test_expand_refuses_a_prior_of_another_width(tmp_path, capsys):
+    data = tmp_path / "cand.jsonl"
+    _write_expand_file(data, [[1, 0]], [("a", [1, 0]), ("b", [0, 1])])
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"beta_plus": [1.0], "beta_minus": [1.0]}))
+    assert cli_dispatch(["expand", "--data", str(data), "--model", str(prior)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scorer parameters:") and str(prior) in err and "width 2" in err
 
 
 def test_expand_rejects_a_query_row_without_a_bit_list(tmp_path, capsys):

@@ -162,8 +162,9 @@ def test_pooled_baseline_scores_are_constant_within_a_set():
 
 def test_the_pooled_baseline_trains_nothing():
     """Its scores are constant within a set, so the set softmax is uniform,
-    the loss is log M and the gradient is exactly zero: Adam never moves a
-    weight."""
+    the loss is log M and each set's gradient is M*fl(1/M) - 1. At this
+    power-of-two set size 1/M is exact, the gradient is exactly zero and Adam
+    never moves a weight."""
     ds = gen_outlier_sets(256, seed=5)
     cfg = TrainConfig(task="outlier", pooled_baseline=True, epochs=3)
     model, recs = train(cfg, ds)
@@ -173,6 +174,19 @@ def test_the_pooled_baseline_trains_nothing():
     assert len(recs) == 3
     for r in recs:
         assert r.train_loss == pytest.approx(np.log(16), rel=0, abs=1e-12)
+
+
+def test_the_pooled_baseline_picks_element_0_at_a_size_without_an_exact_reciprocal():
+    """At set size 5, fl(1/5) is not exact, so each set's gradient M*fl(1/M) - 1
+    is a rounding residue and Adam moves the weights by ~1e-11. The scores stay
+    constant within every set all the same: each selection is element 0 and
+    each epoch's loss is log 5."""
+    ds = gen_outlier_sets(256, set_size=5, seed=5)
+    model, recs = train(TrainConfig(task="outlier", pooled_baseline=True, epochs=3), ds)
+    assert np.array_equal(tr._selections(model, ds), np.zeros(256, dtype=np.int64))
+    assert len(recs) == 3
+    for r in recs:
+        assert r.train_loss == pytest.approx(np.log(5), rel=0, abs=1e-12)
 
 
 def test_metrics_csv_format_and_timing():
