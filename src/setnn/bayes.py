@@ -79,8 +79,10 @@ def as_binary_matrix(items, d: int) -> np.ndarray:
         raise BayesSetError(f"items must be vectors of width {d}: {exc}") from exc
     if mat.ndim == 1:
         mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[1] != d:
+    if mat.ndim != 2:
         raise BayesSetError(f"items must be vectors of width {d}, got shape {mat.shape}")
+    if mat.shape[1] != d:
+        raise BayesSetError(f"items must be vectors of width {d}, got width {mat.shape[1]}")
     if not ((mat == 0) | (mat == 1)).all():
         raise BayesSetError("item entries must be 0 or 1")
     return mat.astype(np.int64, copy=False)

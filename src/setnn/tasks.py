@@ -14,14 +14,18 @@ Three families:
   the outlier's index.
 
 ``TASKS`` says what each task means: whether its target ``selects`` an
-element (outlier; else it is one scalar per set), the ``metric(outputs,
-targets)`` of its selections or predictions, and its dataset ``meta_keys``.
+element (outlier; else it is one scalar per set), which fixes the dataset's
+``target_kind``, the ``metric(outputs, targets)`` of its selections or
+predictions, and its dataset ``meta_keys``.
 
-Generation is deterministic and partitionable: every set derives its own
-generator from (seed, set index), so datasets are reproducible byte-for-byte
-and identical regardless of generation order. Serialization is JSONL (one
-object per set), gzipped when the path ends in ``.gz`` with a pinned zero
-mtime so repeated runs produce identical files.
+Generation is deterministic and partitionable: one loop draws every set of
+every task from its own generator seeded by (seed, set index), so datasets
+are reproducible byte-for-byte and a set is the same in a dataset of any
+size. Each generator supplies only its checks and the draw of one set; the
+loop writes the shared metadata, and a dataset's ``per_set_meta`` is None when
+no set carries metadata of its own. Serialization is JSONL (one object per
+set), gzipped when the path ends in ``.gz`` with a pinned zero mtime so
+repeated runs produce identical files.
 """
 
 from __future__ import annotations
@@ -83,6 +87,11 @@ def _require_task(task, error: type[ValueError] = TaskError) -> Task:
     if not isinstance(task, str) or task not in TASKS:
         raise error(f"task must be one of {tuple(TASKS)}, got {task!r}")
     return TASKS[task]
+
+
+def _target_kind(task: Task) -> str:
+    """The ``target_kind`` of every dataset of ``task``."""
+    return "index" if task.selects else "scalar"
 
 
 def require_int(name: str, value, least: int, error: type[ValueError] = TaskError):
@@ -149,11 +158,14 @@ class GaussianTaskSpec:
 class LabeledSetDataset:
     """Sets packed in one :class:`SetBatch`, with one target per set.
 
-    ``meta`` names a ``task`` of ``TASKS`` and its ``target_kind``: ``"index"``
-    (the row of one element within its set) when it ``selects``, else
-    ``"scalar"``. The dataset is validated once, here: that metadata, finite
-    elements, one finite target per set, and index targets that are integers
-    in ``[0, set size)``. A failure raises a TaskError naming the first bad set.
+    ``meta`` names a ``task`` of ``TASKS`` and the ``target_kind`` that the
+    table gives it: ``"index"`` (the row of one element within its set) when
+    it ``selects``, else ``"scalar"``. ``per_set_meta`` holds one dict per set,
+    or is None when no set carries metadata of its own. The generators build
+    every dataset through one loop that draws set ``i`` from ``(seed, i)``.
+    The dataset is validated once, here: that metadata, finite elements, one
+    finite target per set, and index targets that are integers in
+    ``[0, set size)``. A failure raises a TaskError naming the first bad set.
     """
 
     batch: SetBatch
@@ -162,8 +174,9 @@ class LabeledSetDataset:
     per_set_meta: list[dict] | None = None
 
     def __post_init__(self):
-        index_targets = _require_task(self.meta.get("task")).selects
-        kind = "index" if index_targets else "scalar"
+        task = _require_task(self.meta.get("task"))
+        index_targets = task.selects
+        kind = _target_kind(task)
         if self.meta.get("target_kind") != kind:
             raise TaskError(f"task {self.meta['task']!r} needs target_kind {kind!r}, "
                             f"got {self.meta.get('target_kind')!r}")
@@ -251,6 +264,20 @@ def _block_mi(cov: np.ndarray, d: int) -> float:
     return 0.5 * (top + bottom - full)
 
 
+def _generate(task: str, num_sets: int, seed: int, draw, **params) -> LabeledSetDataset:
+    """The one generation loop: set ``i`` is ``draw(_set_rng(seed, i))`` ->
+    ``(elements, target, info)``, so it is the same set in a dataset of any
+    size. ``meta`` is ``params`` with the task, ``num_sets``, ``seed`` and the
+    target kind ``TASKS`` gives the task; ``per_set_meta`` holds the ``info``
+    dicts, or is None when every one is empty."""
+    require_int("num_sets", num_sets, 1)
+    require_int("seed", seed, 0)
+    sets, targets, per_set = zip(*(draw(_set_rng(seed, i)) for i in range(num_sets)))
+    meta = dict(params, task=task, num_sets=num_sets, seed=seed, target_kind=_target_kind(TASKS[task]))
+    return LabeledSetDataset(SetBatch.from_sets(sets), np.array(targets), meta,
+                             list(per_set) if any(per_set) else None)
+
+
 def gen_population_task(spec: GaussianTaskSpec) -> LabeledSetDataset:
     """Sample the per-set Gaussians of one population task with their targets."""
     d = spec.d
@@ -261,19 +288,15 @@ def gen_population_task(spec: GaussianTaskSpec) -> LabeledSetDataset:
         base_cov = _require_pd(_random_pd(ds_rng, d))
     elif spec.kind == "rank1":
         direction = ds_rng.standard_normal(d)
-
-    sets: list[np.ndarray] = []
-    targets = np.empty(spec.num_sets)
-    per_set: list[dict] = []
     lo, hi = spec.set_size_range
-    for i in range(spec.num_sets):
-        rng = _set_rng(spec.seed, i)
+
+    def draw(rng):
         size = int(rng.integers(lo, hi + 1))
         info: dict = {}
         if spec.kind == "rotation":
             angle = float(rng.uniform(0.0, np.pi))
             cov = _rotation(angle) @ base_cov @ _rotation(angle).T
-            targets[i] = 0.5 * np.log(2.0 * np.pi * np.e * cov[0, 0])
+            target = 0.5 * np.log(2.0 * np.pi * np.e * cov[0, 0])
             info["alpha"] = angle
         elif spec.kind == "correlation":
             if spec.alpha_fixed is not None:
@@ -283,34 +306,23 @@ def gen_population_task(spec: GaussianTaskSpec) -> LabeledSetDataset:
             # keep the paired covariance comfortably positive definite
             alpha = float(np.clip(alpha, -(1.0 - 1e-3), 1.0 - 1e-3))
             cov = np.block([[base_cov, alpha * base_cov], [alpha * base_cov, base_cov]])
-            targets[i] = _block_mi(cov, d)
+            target = _block_mi(cov, d)
             info["alpha"] = alpha
         elif spec.kind == "rank1":
             lam = float(rng.uniform(0.0, 1.0))
             cov = np.eye(d) + lam * np.outer(direction, direction)
-            targets[i] = _total_correlation(cov)
+            target = _total_correlation(cov)
             info["lambda"] = lam
         else:  # random
             cov = _random_pd(rng, d)
-            targets[i] = _total_correlation(cov)
+            target = _total_correlation(cov)
         _require_pd(cov)
         chol = np.linalg.cholesky(cov)
-        sets.append(rng.standard_normal((size, cov.shape[0])) @ chol.T)
-        per_set.append(info)
+        return rng.standard_normal((size, cov.shape[0])) @ chol.T, target, info
 
-    meta = {
-        "task": "population",
-        "kind": spec.kind,
-        "d": d,
-        "element_dim": spec.element_dim,
-        "num_sets": spec.num_sets,
-        "seed": spec.seed,
-        "set_size_range": list(spec.set_size_range),
-        "target_kind": "scalar",
-    }
-    if spec.alpha_fixed is not None:
-        meta["alpha_fixed"] = spec.alpha_fixed
-    return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta, per_set)
+    pinned = {} if spec.alpha_fixed is None else {"alpha_fixed": spec.alpha_fixed}
+    return _generate("population", spec.num_sets, spec.seed, draw, kind=spec.kind, d=d,
+                     element_dim=spec.element_dim, set_size_range=list(spec.set_size_range), **pinned)
 
 
 def gen_digit_sum(num_sets: int, max_set_size: int = 10, set_size_at_test: int | None = 0, *,
@@ -321,28 +333,16 @@ def gen_digit_sum(num_sets: int, max_set_size: int = 10, set_size_at_test: int |
     [1, max_set_size] (the training regime); otherwise every set has exactly
     that size (the evaluation regime for length generalization).
     """
-    require_int("num_sets", num_sets, 1)
     require_int("max_set_size", max_set_size, 1)
-    require_int("seed", seed, 0)
     fixed = 0 if set_size_at_test is None else require_int("set_size_at_test", set_size_at_test, 0)
-    sets = []
-    targets = np.empty(num_sets)
     eye = np.eye(10)
-    for i in range(num_sets):
-        rng = _set_rng(seed, i)
+
+    def draw(rng):
         size = fixed if fixed else int(rng.integers(1, max_set_size + 1))
         digits = rng.integers(0, 10, size)
-        sets.append(eye[digits])
-        targets[i] = float(digits.sum())
-    meta = {
-        "task": "digit-sum",
-        "max_set_size": max_set_size,
-        "set_size_at_test": fixed,
-        "num_sets": num_sets,
-        "seed": seed,
-        "target_kind": "scalar",
-    }
-    return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta)
+        return eye[digits], float(digits.sum()), {}
+
+    return _generate("digit-sum", num_sets, seed, draw, max_set_size=max_set_size, set_size_at_test=fixed)
 
 
 def gen_outlier_sets(num_sets: int, set_size: int = 16, d: int = 8, shift: float = 4.0, *,
@@ -355,32 +355,19 @@ def gen_outlier_sets(num_sets: int, set_size: int = 16, d: int = 8, shift: float
     """
     require_int("set_size", set_size, 2)
     require_int("d", d, 1)
-    require_int("num_sets", num_sets, 1)
-    require_int("seed", seed, 0)
     if require_real("shift", shift) < 0:
         raise TaskError("shift must be non-negative")
-    sets = []
-    targets = np.empty(num_sets, dtype=np.int64)
-    for i in range(num_sets):
-        rng = _set_rng(seed, i)
+
+    def draw(rng):
         mu = rng.standard_normal(d)
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
         elements = mu + rng.standard_normal((set_size, d))
         pos = int(rng.integers(0, set_size))
         elements[pos] += shift * u
-        sets.append(elements)
-        targets[i] = pos
-    meta = {
-        "task": "outlier",
-        "set_size": set_size,
-        "d": d,
-        "shift": shift,
-        "num_sets": num_sets,
-        "seed": seed,
-        "target_kind": "index",
-    }
-    return LabeledSetDataset(SetBatch.from_sets(sets), targets, meta)
+        return elements, pos, {}
+
+    return _generate("outlier", num_sets, seed, draw, set_size=set_size, d=d, shift=shift)
 
 
 # --- serialization ------------------------------------------------------------

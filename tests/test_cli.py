@@ -628,7 +628,14 @@ def test_expand_names_the_line_of_a_ragged_query_row(tmp_path, capsys):
     data = tmp_path / "cand.jsonl"
     _write_expand_file(data, [[1, 0], [1, 0, 1]], [("a", [1, 0]), ("bad", [2, 0])])
     assert cli_dispatch(["expand", "--data", str(data)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot read candidates {data} line 2: items must be vectors of width 2")
+    assert capsys.readouterr().err == f"error: cannot read candidates {data} line 2: items must be vectors of width 2, got width 3\n"
+
+
+def test_expand_names_the_width_of_a_ragged_candidate_row(tmp_path, capsys):
+    data = tmp_path / "cand.jsonl"
+    _write_expand_file(data, [[1, 0], [0, 1]], [("a", [1, 0]), ("wide", [1, 0, 1])])
+    assert cli_dispatch(["expand", "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read candidates {data} line 4: items must be vectors of width 2, got width 3\n"
 
 
 def test_expand_refuses_a_prior_of_another_width(tmp_path, capsys):
@@ -856,8 +863,9 @@ def test_default_pool_cli_outputs_match_golden_sha256(tmp_path):
     assert digests == _DEFAULT_POOL_SHA256
 
 
-# sha256 of the files ``gen`` writes in the test below, for each --task, on
-# the OpenBLAS named above (the population kinds draw through LAPACK and libm)
+# sha256 of the files ``gen`` writes in the test below, for each --task and
+# for three configs that reach branches the defaults skip, on the OpenBLAS
+# named above (the population kinds draw through LAPACK and libm)
 _GEN_SHA256 = {
     "rotation": "84bda8cd3e644de557d8b78d11912d48f16e882911c827a62bb3140e6403c442",
     "correlation": "1ccea2d11293a3d591a74f89a71d6ad42d4dc9e42fb7c7c841ee3560d03fdd7c",
@@ -865,22 +873,32 @@ _GEN_SHA256 = {
     "random": "79f523c543ecc8dcf76695ad3ead03dd3fdd1a2917dc5ab35b850c4dc0677f04",
     "digit-sum": "240bd9d6b03e981dc2486c704c298b971e6cf5e245961ced20fbaa58dbb2b907",
     "outlier": "d5b44c764cd36520adc42872a7f57c1c691ba8d789d4097ea4c100e34c42957a",
+    "correlation-alpha-fixed": "301576ac0eb3e9b6fea558f9833c8c805581eb244fa1c8cbbc5fd0d9c1b6770b",
+    "digit-sum-at-test": "e6aed46f5a1370c0fa3d48577a5cfcb604ccf4178f89ce12b456d571c6165cfb",
+    "outlier-no-shift": "20e1fdc0ffa86644b5efab806657eb5406b144c48ad6a75888a985220591957c",
+}
+
+# (--task, generator config) of the cases above that are not a bare --task
+_GEN_CONFIGS = {
+    "correlation-alpha-fixed": ("correlation", {"alpha_fixed": 0.25, "set_size_range": [3, 6]}),
+    "digit-sum-at-test": ("digit-sum", {"set_size_at_test": 5}),
+    "outlier-no-shift": ("outlier", {"shift": 0, "d": 3}),
 }
 
 
 def test_gen_outputs_match_golden_sha256(tmp_path):
-    """Three small sets per --task, seed 4, population sets of 3-6 rows, on
-    one BLAS thread: the bytes of every generator and of save_jsonl are
-    pinned."""
+    """Three small sets per case, seed 4, population sets of 3-6 rows unless
+    the case's config says otherwise, on one BLAS thread: the bytes of every
+    generator and of save_jsonl are pinned."""
     run = _golden_cli(tmp_path)
-    (tmp_path / "p.cfg").write_text(json.dumps({"set_size_range": [3, 6]}))
-    (tmp_path / "empty.cfg").write_text("{}")
     digests = {}
-    for task in _GEN_SHA256:
-        config = "empty.cfg" if task in ("digit-sum", "outlier") else "p.cfg"
-        run("-m", "setnn", "gen", "--task", task, "--n", "3", "--seed", "4", "--config", config,
-            "--out", f"{task}.jsonl")
-        digests[task] = hashlib.sha256((tmp_path / f"{task}.jsonl").read_bytes()).hexdigest()
+    for case in _GEN_SHA256:
+        default = {} if case in ("digit-sum", "outlier") else {"set_size_range": [3, 6]}
+        task, config = _GEN_CONFIGS.get(case, (case, default))
+        (tmp_path / f"{case}.cfg").write_text(json.dumps(config))
+        run("-m", "setnn", "gen", "--task", task, "--n", "3", "--seed", "4", "--config", f"{case}.cfg",
+            "--out", f"{case}.jsonl")
+        digests[case] = hashlib.sha256((tmp_path / f"{case}.jsonl").read_bytes()).hexdigest()
     assert digests == _GEN_SHA256
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from setnn.layers import SetBatch
 from setnn.tasks import (
+    POPULATION_KINDS,
+    TASKS,
     GaussianTaskSpec,
     LabeledSetDataset,
     TaskError,
@@ -181,16 +183,31 @@ def test_permuting_a_set_tracks_its_target():
         np.testing.assert_array_equal(permuted[new_target], s[t])
 
 
-def test_jsonl_roundtrip_plain_and_gzip(tmp_path):
-    ds = gen_population_task(GaussianTaskSpec(kind="correlation", num_sets=3, seed=4, d=2, set_size_range=(3, 6)))
-    for name in ("data.jsonl", "data.jsonl.gz"):
-        path = str(tmp_path / name)
+# one small dataset of every generator: (task, make(num_sets, seed))
+_GENERATORS = {
+    **{kind: ("population", lambda n, seed, kind=kind: gen_population_task(GaussianTaskSpec(
+        kind=kind, num_sets=n, seed=seed, d=2, set_size_range=(3, 6)))) for kind in POPULATION_KINDS},
+    "digit-sum": ("digit-sum", lambda n, seed: gen_digit_sum(n, 6, None, seed=seed)),
+    "outlier": ("outlier", lambda n, seed: gen_outlier_sets(n, set_size=5, d=2, shift=2.0, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_jsonl_roundtrip_plain_and_gzip(tmp_path, name):
+    """Every generator's sets, targets and metadata survive save and load,
+    and its dataset metadata is the task's ``meta_keys``."""
+    task, make = _GENERATORS[name]
+    ds = make(3, 4)
+    keys = set(TASKS[task].meta_keys) - ({"alpha_fixed"} if ds.meta.get("alpha_fixed") is None else set())
+    assert set(ds.meta) == keys
+    for path in (str(tmp_path / "data.jsonl"), str(tmp_path / "data.jsonl.gz")):
         save_jsonl(ds, path)
         back = load_jsonl(path)
         assert len(back) == len(ds)
         for a, b in zip(_sets(ds), _sets(back)):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.targets, ds.targets)
+        assert back.targets.dtype == ds.targets.dtype
         assert back.meta == ds.meta
         assert back.per_set_meta == ds.per_set_meta
 
@@ -258,11 +275,12 @@ def test_load_refuses_a_first_line_that_names_no_task(tmp_path, meta):
                                f"got {meta.get('task')!r}")
 
 
-def test_prefix_sets_are_stable_under_dataset_growth():
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_prefix_sets_are_stable_under_dataset_growth(name):
     """The first K sets of a larger generation equal the K-set generation,
     so one run can be split into matched train/test halves."""
-    small = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=4, seed=55, set_size_range=(5, 9)))
-    big = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=7, seed=55, set_size_range=(5, 9)))
+    make = _GENERATORS[name][1]
+    small, big = make(4, 55), make(7, 55)
     for a, b in zip(_sets(small), _sets(big)):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(small.targets, big.targets[:4])
