@@ -139,13 +139,22 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
+def _tanh_backward(g, out):
+    # (1 - out**2) * g in one temporary, not g's buffer; the same bits as
+    # g * (1 - out**2), since multiplication commutes
+    t = out * out
+    np.subtract(1.0, t, out=t)
+    t *= g
+    return t
+
+
 # Activations of ``dense``. Each forward overwrites its argument and returns
 # it; each backward scales the incoming gradient using the activation's output
 # alone. The keys, in order, are ``layers.NONLINEARITIES``.
 _ACTIVATIONS = {
     # derivative at exactly 0 is 0
     "relu": (lambda out: np.maximum(out, 0.0, out=out), lambda g, out: g * (out > 0.0)),
-    "tanh": (lambda out: np.tanh(out, out=out), lambda g, out: g * (1.0 - out * out)),
+    "tanh": (lambda out: np.tanh(out, out=out), _tanh_backward),
     "linear": (lambda out: out, lambda g, out: g),
 }
 

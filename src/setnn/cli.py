@@ -8,7 +8,9 @@ whose weights overflow on it).
 
 ``gen`` writes a JSONL dataset (gzipped if the path ends in .gz). ``train``
 reads one, trains per an optional config JSON plus flag overrides, and writes
-the model JSON to --out with per-epoch metrics in a sibling .metrics.csv.
+the model JSON to --out with per-epoch metrics in a sibling .metrics.csv; a
+row's eval_metric is the epoch's running metric over its own steps' outputs
+(for population, close to train_loss).
 ``eval`` scores a saved model on a dataset and prints the metrics line.
 ``expand`` ranks candidate bit-vectors against the query rows marked in the
 same JSONL file. ``check`` runs the property battery and prints its table.

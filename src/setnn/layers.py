@@ -12,8 +12,7 @@ permutations. Two weight-sharing variants are provided:
   :meth:`EquivariantLayer.scalar` builds the paper's scalar form
   ``sigma(lam*x + gam*pool(x))`` as this variant with ``Lambda = lam*I``,
   ``Gamma = -gam*I`` and ``beta = 0``; with sum pooling it is exactly the
-  tied dense matrix ``Theta = lam*I + gam*ones`` materialized by
-  :func:`build_theta`.
+  tied dense matrix ``Theta = lam*I + gam*ones``.
 * ``maxpool-normalized``: ``sigma(beta + (x - pool(x))@Lambda)``, a single
   weight matrix applied after subtracting the per-channel pool (max by
   default; the mean gives the set-centring ``x - mean(x)``).
@@ -26,9 +25,8 @@ the set's rows, and one fused ``dense`` applies the layer's weight.
 ``maxpool-normalized`` spreads with ``segment_center`` into
 ``x - pool(x)``, under ``Lambda``.
 
-`commutes_with_all_permutations` and `commutant_dimension` check the algebra
-directly: the tied two-parameter family is precisely the space of matrices
-commuting with every permutation.
+`commutant_dimension` checks the algebra directly: the matrices commuting
+with every permutation form a two-dimensional space, the tied family.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
     "InvariantModel",
     "EquivariantLayer",
     "EquivariantStack",
-    "build_theta",
-    "commutes_with_all_permutations",
     "commutant_dimension",
     "glorot_uniform",
     "random_invariant_model",
@@ -282,32 +278,6 @@ class EquivariantStack:
         return [p for layer in self.layers for p in layer.params()]
 
 
-def build_theta(lam: float, gam: float, M: int) -> np.ndarray:
-    """Tied M x M matrix: lam on the diagonal (plus gam), gam elsewhere."""
-    if M < 1:
-        raise ShapeError(f"M must be >= 1, got {M}")
-    return lam * np.eye(M) + gam * np.ones((M, M))
-
-
-def commutes_with_all_permutations(theta: np.ndarray) -> bool:
-    """Exhaustively check theta @ P == P @ theta, within 1e-12, over all M!
-    permutations."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ShapeError(f"theta must be square, got {theta.shape}")
-    M = theta.shape[0]
-    if M > 8:
-        raise ShapeError(f"M={M} too large for exhaustive permutation check (max 8)")
-    for perm in itertools.permutations(range(M)):
-        p = np.asarray(perm)
-        inv = np.empty(M, dtype=np.int64)
-        inv[p] = np.arange(M)
-        # P @ theta permutes rows; theta @ P permutes columns by the inverse
-        if np.max(np.abs(theta[p, :] - theta[:, inv])) > 1e-12:
-            return False
-    return True
-
-
 def commutant_dimension(M: int) -> int:
     """Dimension of {A : A P == P A for every permutation matrix P}.
 
@@ -447,7 +417,7 @@ def model_to_json(model) -> str:
         doc = {"type": "equivariant_stack", "layers": [_equivariant_layer_to_obj(l) for l in model.layers]}
     else:
         raise ShapeError(f"cannot serialize {type(model).__name__}")
-    return json.dumps(doc)
+    return json.dumps(doc, allow_nan=False)
 
 
 def model_from_json(text: str):

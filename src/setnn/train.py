@@ -66,8 +66,8 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised by ``train`` when a step produces a non-finite value, or when the
-    weights after an epoch's last step overflow in that epoch's evaluation.
+    """Raised by ``train`` when a step produces a non-finite value, or when an
+    epoch ends with a non-finite weight or metric.
 
     Carries where the run died and the parameter norms at that point, which
     is usually enough to tell an exploding step size from bad data.
@@ -187,29 +187,43 @@ def _check_dataset(task: str, dataset: LabeledSetDataset) -> None:
         raise ConfigError(f"task {task!r} but dataset task {dataset.meta['task']!r}")
 
 
-def _element_scores(model, batch: SetBatch) -> Tensor:
-    """Per-element selection scores as a (total, 1) tensor. A per-set scorer
-    (the pooled baseline) is broadcast back to its elements."""
-    scores = model.forward(batch)
-    return scores if isinstance(model, EquivariantStack) else ad.segment_broadcast(scores, batch.segments)
+def _output(selects: bool, model, batch: SetBatch) -> Tensor:
+    """The model's output column the task reads: per-set predictions, or for
+    a selecting task per-element scores, where a per-set scorer (the pooled
+    baseline) is broadcast back to its elements."""
+    out = model.forward(batch)
+    if selects and not isinstance(model, EquivariantStack):
+        return ad.segment_broadcast(out, batch.segments)
+    return out
 
 
-def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray) -> Tensor:
-    if TASKS[config.task].selects:
-        scores = _element_scores(model, batch)
-        return ad.set_softmax_nll(scores, batch.segments, targets)
-    pred = model.forward(batch)
-    return ad.mse_loss(pred, Tensor(targets.reshape(-1, 1)))
+def _metric_input(selects: bool, column: np.ndarray, segs: ad.Segments) -> np.ndarray:
+    """What the task's metric reads from an output column: each set's
+    highest-scoring element, ties going to the lowest index, or its
+    prediction."""
+    return segs.argmax(column)[:, 0] - segs.starts if selects else column[:, 0]
+
+
+def _batch_loss(config: TrainConfig, model, batch: SetBatch, targets: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The batch's loss and the output column it reads."""
+    selects = TASKS[config.task].selects
+    out = _output(selects, model, batch)
+    if selects:
+        return ad.set_softmax_nll(out, batch.segments, targets), out
+    return ad.mse_loss(out, Tensor(targets.reshape(-1, 1))), out
 
 
 def train(config: TrainConfig, dataset: LabeledSetDataset):
     """Run the configured training; returns (model, per-epoch MetricsRecords).
 
-    The eval metric of each record is computed on the training dataset. The
-    dataset is never mutated: training batches are gathered copies, and
-    evaluation reads slices of the dataset.
+    A record's ``eval_metric`` is the epoch's running metric over its own
+    steps' outputs, read as ``evaluate`` reads them, and computed the way
+    ``train_loss`` is: no second pass over the data. Its ``wall_seconds``
+    covers the epoch's steps. The dataset is never mutated: training batches
+    are gathered copies.
     """
     _check_dataset(config.task, dataset)
+    spec = TASKS[config.task]
     rng = np.random.default_rng(config.seed)
     model = build_model(config, dataset.element_dim, rng)
     params = model.params()
@@ -220,25 +234,26 @@ def train(config: TrainConfig, dataset: LabeledSetDataset):
         started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
-        sets_seen = 0
-        try:  # a step's loss or gradient, or the epoch's evaluation after its last step
+        outputs = []
+        try:  # a step's loss or gradient, the epoch's metric, or a weight its last step left
             for batch_index, lo in enumerate(range(0, n, config.batch_size)):
                 idx = order[lo:lo + config.batch_size]
                 batch = dataset.to_set_batch(idx)
                 targets = dataset.targets[idx]
                 with Tape() as tape:
-                    loss = _batch_loss(config, model, batch, targets)
+                    loss, out = _batch_loss(config, model, batch, targets)
                 grads = ad.backprop(tape, loss, params)
                 opt.step(grads)
                 loss_sum += float(loss.data) * idx.size
-                sets_seen += idx.size
-            metric = evaluate(model, dataset, config.task).eval_metric
+                outputs.append(_metric_input(spec.selects, out.data, batch.segments))
+            metric = spec.metric(np.concatenate(outputs), dataset.targets[order])
+            if not (math.isfinite(metric) and all(np.isfinite(p.data).all() for p in params)):
+                raise ad.NonFiniteError("the epoch's metric, or a weight its last step left, is not finite")
         except ad.NonFiniteError as exc:
             # hypot, unlike squaring, does not overflow on weights near 1e300
             norms = [float(np.hypot.reduce(p.data, axis=None)) for p in params]
             raise TrainingDiverged(epoch, batch_index, norms) from exc
-        records.append(MetricsRecord(epoch, loss_sum / sets_seen, metric,
-                                     time.perf_counter() - started))
+        records.append(MetricsRecord(epoch, loss_sum / n, metric, time.perf_counter() - started))
     return model, records
 
 
@@ -255,25 +270,15 @@ def _eval_slices(offsets: np.ndarray):
         lo = hi
 
 
-def _column(run, dataset: LabeledSetDataset) -> np.ndarray:
-    """``run`` over the evaluation slices, stacked. Evaluation reads one output
-    per set or per element, so a model with more is a ShapeError."""
-    out = np.concatenate([run(dataset.to_set_batch(slice(lo, hi))).data
+def _column(model, dataset: LabeledSetDataset, selects: bool) -> np.ndarray:
+    """The model's output column over the evaluation slices, stacked.
+    Evaluation reads one output per set or per element, so a model with more
+    is a ShapeError."""
+    out = np.concatenate([_output(selects, model, dataset.to_set_batch(slice(lo, hi))).data
                           for lo, hi in _eval_slices(dataset.batch.offsets)])
     if out.shape[1] != 1:
         raise ad.ShapeError(f"model gives {out.shape[1]} outputs per row; evaluation needs 1")
     return out
-
-
-def _predictions(model, dataset: LabeledSetDataset) -> np.ndarray:
-    return _column(model.forward, dataset)[:, 0]
-
-
-def _selections(model, dataset: LabeledSetDataset) -> np.ndarray:
-    """Each set's highest-scoring element; ties go to the lowest index."""
-    segs = dataset.batch.segments
-    scores = _column(lambda batch: _element_scores(model, batch), dataset)
-    return segs.argmax(scores)[:, 0] - segs.starts
 
 
 def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
@@ -285,7 +290,8 @@ def evaluate(model, dataset: LabeledSetDataset, task: str) -> MetricsRecord:
     if not spec.selects and isinstance(model, EquivariantStack):
         raise ConfigError(f"task {task!r} needs one prediction per set, but the model scores elements")
     started = time.perf_counter()
-    metric = spec.metric((_selections if spec.selects else _predictions)(model, dataset), dataset.targets)
+    column = _column(model, dataset, spec.selects)
+    metric = spec.metric(_metric_input(spec.selects, column, dataset.batch.segments), dataset.targets)
     if not math.isfinite(metric):
         raise ad.NonFiniteError(f"the {task} metric is not finite")
     return MetricsRecord(0, float("nan"), metric, time.perf_counter() - started)

@@ -552,10 +552,10 @@ def test_eval_rejects_a_model_whose_metric_overflows(tmp_path, capsys):
     assert err.count("\n") == 1 and "epoch" not in err and "batch" not in err
 
 
-def test_train_reports_an_overflow_in_the_epoch_evaluation_as_divergence(tmp_path, capsys):
-    """The one step of epoch 1 leaves weights that overflow when that epoch is
-    evaluated: train exits 1 naming the epoch, with finite parameter norms and
-    no numpy warning, and writes nothing."""
+def test_train_reports_an_overflow_in_the_step_after_an_overflowing_update_as_divergence(tmp_path, capsys):
+    """The one step of epoch 1 leaves finite weights that overflow in the
+    first step that reads them: train exits 1 naming epoch 2, batch 0, with
+    finite parameter norms and no numpy warning, and writes nothing."""
     data, cfg, model = tmp_path / "d.jsonl", tmp_path / "cfg.json", tmp_path / "m.json"
     assert cli_dispatch(["gen", "--task", "digit-sum", "--n", "32", "--seed", "1", "--out", str(data)]) == 0
     cfg.write_text(json.dumps({"step_size": 1e300, "batch_size": 64}))
@@ -564,7 +564,7 @@ def test_train_reports_an_overflow_in_the_epoch_evaluation_as_divergence(tmp_pat
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("training diverged: non-finite values at epoch 1, batch 0;")
+    assert captured.err.startswith("training diverged: non-finite values at epoch 2, batch 0;")
     norms = captured.err.split("parameter norms: [")[1].split("]")[0].split(", ")
     assert len(norms) > 0 and all(np.isfinite(float(n)) for n in norms)
     assert not model.exists() and not (tmp_path / "m.metrics.csv").exists()
@@ -765,7 +765,7 @@ for path in sorted({l.split()[-1] for l in maps if "openblas" in l and l.endswit
 _GOLDEN_BLAS = ("SkylakeX", "0.3.31.188.0")
 _GOLDEN_SHA256 = {
     "m.json": "5724f9a5a63c117685bbb1b66be3bbc64a7f8fa5da6ac774be4bed75cf03ff4a",
-    "m.metrics.csv": "429db641bacb428106ea09068cb0cf8ce97fbbca665062dcc08cf658645909f5",
+    "m.metrics.csv": "f8baa7c8b8975c3b09d238b17ab0d3739b5c6816faa886626504f3a35d6d3fa6",
     "e.csv": "192a14db65f3cebb74b388cbc2e3b84e78c1ca33d2664fa294f7648042369ba0",
     "b.json": "b1daa2cb31a6385a5a2c3f4e9d857f95fa6c452de8e07d18300d7807ab6650d3",
     "b.metrics.csv": "7a8904e60d5d328ce165a53e4eaf6134bea9ff68b32658dcccf4bec373fde39a",
@@ -810,10 +810,10 @@ def test_outlier_cli_outputs_match_golden_sha256(tmp_path):
 # model JSON free of condition keys, on the OpenBLAS named above
 _MAX_POOL_SHA256 = {
     "r.json": "5eda34cdfb6fbe851c1e9a5e4987d7520df81a57cc62cfe30b15fec9cbccab8c",
-    "r.metrics.csv": "c39db03410bde6a1d5c463855b5cc463fad2c6602092e22a71334c617169c91a",
+    "r.metrics.csv": "4624a67112eadb35c10c8fa5584b703e9ae07f20b8848558d807ba8a32fbbca2",
     "r.csv": "3ed064b467558917b508ec4ebc5c5eecd0e9952a1976c3fca2c62002f90a770b",
     "d.json": "167ac78d69786837f114b072f0cfc92bc623e6c77eba746c51db95c23b4b9f29",
-    "d.metrics.csv": "e9709bfe98c359d52386c19ba4d06220a8694e1ec48acec1824f04d018e51851",
+    "d.metrics.csv": "ee26bf5505ddb7ace89eb0660fc272a2ab17f2ac08825024a36cf6db3fb1f05d",
     "d.csv": "e2705eed2001482bc984cdb03857ad9ae33cf1aee928b19677581141bcf3257e",
 }
 
@@ -839,10 +839,10 @@ def test_max_pool_cli_outputs_match_golden_sha256(tmp_path):
 # of condition keys, on the OpenBLAS named above
 _DEFAULT_POOL_SHA256 = {
     "r.json": "95b9bce393572e2959e6361874c4bc3d60423ca1611127c39e92d25de1d65346",
-    "r.metrics.csv": "857526d22678c716e8bc00cc61c1fce41cb81a2c336a963b5fb393bdeec2374e",
+    "r.metrics.csv": "7263aed36e754b4b3e01fd4b2f1302ded89ad699aa23b8a6e328e3600e37e364",
     "r.csv": "fbf84b39bc3caa6ac9667330b340702a8140ba1aca8c2188cb0fcc5df0d47c03",
     "d.json": "3cf7fc74ae640c424ca213646610d146c1ad2bb20ad90dcfb0b9c8d6419fca70",
-    "d.metrics.csv": "6a96f3670ee4b04c42f4f02445232898ff4be2dd38ab0b54a95cc39c89034fb5",
+    "d.metrics.csv": "6a6d440dacf9174a11e75387820a39239d060232526474a53e2038bcb7666460",
     "d.csv": "3485abe16c1d9f4f606e25758d4ebcb95b68d0292062018e73c0663d02a274a0",
 }
 

@@ -78,11 +78,16 @@ def ref_set_softmax_nll(flat, off, targets):
     return np.asarray(nll / nsets), probs, gx
 
 
+def selections(model, dataset):
+    """The picks ``evaluate`` scores an outlier model by."""
+    return tr._metric_input(True, tr._column(model, dataset, True), dataset.batch.segments)
+
+
 def ref_selections(model, dataset):
     picks = np.empty(len(dataset), dtype=np.int64)
     for lo, hi in tr._eval_slices(dataset.batch.offsets):
         batch = dataset.to_set_batch(slice(lo, hi))
-        scores = tr._element_scores(model, batch).data.reshape(-1)
+        scores = tr._output(True, model, batch).data.reshape(-1)
         for j in range(batch.num_sets):
             seg = scores[batch.offsets[j]:batch.offsets[j + 1]]
             picks[lo + j] = int(np.argmax(seg))
@@ -221,7 +226,7 @@ def test_a_training_step_finds_first_maxima_in_backward_only(monkeypatch):
     model = tr.build_model(cfg, ds.element_dim, np.random.default_rng(34))
     calls = count_argmax(monkeypatch)
     with ad.Tape() as tape:
-        loss = tr._batch_loss(cfg, model, ds.to_set_batch(), ds.targets)
+        loss, _ = tr._batch_loss(cfg, model, ds.to_set_batch(), ds.targets)
     assert sum(node.kind == "segment_max" for node in tape.nodes) == 1
     assert calls == []
     ad.backprop(tape, loss, model.params())
@@ -310,11 +315,11 @@ def test_selections_match_the_per_set_loop(monkeypatch):
         assert len(list(tr._eval_slices(off))) > 1
         for cfg in (tr.TrainConfig(task="outlier"), tr.TrainConfig(task="outlier", pooled_baseline=True)):
             model = tr.build_model(cfg, 2, np.random.default_rng(4))
-            assert np.array_equal(tr._selections(model, ds), ref_selections(model, ds))
+            assert np.array_equal(selections(model, ds), ref_selections(model, ds))
         # the first coordinate as the score: integer ties and a signed-zero maximum
         with monkeypatch.context() as m:
-            m.setattr(tr, "_element_scores", lambda model, batch: ad.Tensor(batch.elements[:, :1]))
-            picks = tr._selections(None, ds)
+            m.setattr(tr, "_output", lambda selects, model, batch: ad.Tensor(batch.elements[:, :1]))
+            picks = selections(None, ds)
             assert np.array_equal(picks, ref_selections(None, ds))
         assert picks[2] == 1 and picks[3] == 1
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from functools import reduce
 from operator import getitem
@@ -17,14 +18,38 @@ from setnn.layers import (
     EquivariantStack,
     InvariantModel,
     SetBatch,
-    build_theta,
     commutant_dimension,
-    commutes_with_all_permutations,
     model_from_json,
     model_to_json,
     random_equivariant_stack,
     random_invariant_model,
 )
+
+
+def build_theta(lam: float, gam: float, M: int) -> np.ndarray:
+    """Tied M x M matrix: lam on the diagonal (plus gam), gam elsewhere."""
+    if M < 1:
+        raise ShapeError(f"M must be >= 1, got {M}")
+    return lam * np.eye(M) + gam * np.ones((M, M))
+
+
+def commutes_with_all_permutations(theta: np.ndarray) -> bool:
+    """Exhaustively check theta @ P == P @ theta, within 1e-12, over all M!
+    permutations."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ShapeError(f"theta must be square, got {theta.shape}")
+    M = theta.shape[0]
+    if M > 8:
+        raise ShapeError(f"M={M} too large for exhaustive permutation check (max 8)")
+    for perm in itertools.permutations(range(M)):
+        p = np.asarray(perm)
+        inv = np.empty(M, dtype=np.int64)
+        inv[p] = np.arange(M)
+        # P @ theta permutes rows; theta @ P permutes columns by the inverse
+        if np.max(np.abs(theta[p, :] - theta[:, inv])) > 1e-12:
+            return False
+    return True
 
 
 def test_setbatch_validation():
@@ -364,6 +389,16 @@ def test_json_is_single_document_with_descriptor():
     doc = json.loads(model_to_json(random_invariant_model(rng, 3)))
     assert doc["type"] == "invariant"
     assert set(doc) == {"type", "pool", "phi", "rho"}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_json_refuses_a_non_finite_weight(bad):
+    """JSON has no Infinity or NaN and the loader refuses them, so a model
+    with such a weight is not written."""
+    model = random_invariant_model(np.random.default_rng(3), 3)
+    model.rho[-1].W.data[0, 0] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        model_to_json(model)
 
 
 # Golden bytes: repr floats and a fixed key order, so no BLAS or libm is

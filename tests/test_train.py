@@ -30,6 +30,11 @@ from setnn.train import (
 )
 
 
+def selections(model, dataset):
+    """The picks ``evaluate`` scores an outlier model by."""
+    return tr._metric_input(True, tr._column(model, dataset, True), dataset.batch.segments)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(task="regression")
@@ -148,13 +153,12 @@ def test_training_visits_sets_in_the_documented_order(monkeypatch, task):
 
 
 def test_pooled_baseline_scores_are_constant_within_a_set():
-    from setnn.train import _element_scores
 
     rng = np.random.default_rng(3)
     base = build_model(TrainConfig(task="outlier", pooled_baseline=True), 4, rng)
     ds = gen_outlier_sets(6, set_size=5, d=4, shift=3.0, seed=1)
     batch = ds.to_set_batch()
-    scores = _element_scores(base, batch).data.reshape(-1)
+    scores = tr._output(True, base, batch).data.reshape(-1)
     for i in range(batch.num_sets):
         seg = scores[batch.offsets[i]:batch.offsets[i + 1]]
         assert np.ptp(seg) == 0.0
@@ -183,7 +187,7 @@ def test_the_pooled_baseline_picks_element_0_at_a_size_without_an_exact_reciproc
     each epoch's loss is log 5."""
     ds = gen_outlier_sets(256, set_size=5, seed=5)
     model, recs = train(TrainConfig(task="outlier", pooled_baseline=True, epochs=3), ds)
-    assert np.array_equal(tr._selections(model, ds), np.zeros(256, dtype=np.int64))
+    assert np.array_equal(selections(model, ds), np.zeros(256, dtype=np.int64))
     assert len(recs) == 3
     for r in recs:
         assert r.train_loss == pytest.approx(np.log(5), rel=0, abs=1e-12)
@@ -420,16 +424,77 @@ def test_divergence_reports_location_and_norms():
     assert "epoch 1" in str(err)
 
 
+def test_a_non_finite_weight_after_an_epoch_is_divergence(monkeypatch):
+    """An epoch's last step can leave a weight that no later step reads: here
+    one Adam step sets it to inf. train raises TrainingDiverged naming that
+    step instead of returning the model."""
+    ds = gen_digit_sum(48, 6, None, seed=43)
+    step = Adam.step
+
+    def overflowing(self, grads):
+        step(self, grads)
+        self.params[0].data[0, 0] = np.inf
+    monkeypatch.setattr(Adam, "step", overflowing)
+    with pytest.raises(TrainingDiverged) as info:
+        train(TrainConfig(task="digit-sum", epochs=3, batch_size=64, seed=44), ds)
+    err = info.value
+    assert (err.epoch, err.batch_index) == (1, 0)
+    assert err.param_norms[0] == np.inf and all(np.isfinite(err.param_norms[1:]))
+
+
+@pytest.mark.parametrize("config, make", [
+    (TrainConfig(task="population", pool="mean", batch_size=16, epochs=3, seed=5),
+     lambda: gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=40, seed=6, set_size_range=(20, 60)))),
+    (TrainConfig(task="outlier", batch_size=32, epochs=3, seed=7),
+     lambda: gen_outlier_sets(80, set_size=8, d=3, shift=3.0, seed=8)),
+], ids=["population", "outlier"])
+def test_the_epoch_metric_is_the_task_metric_of_its_steps_outputs(monkeypatch, config, make):
+    """Each record's eval_metric is TASKS[task].metric of the outputs its
+    epoch's steps made, read as evaluate reads them, against the targets in
+    the epoch's order, bit for bit."""
+    ds = make()
+    spec = TASKS[config.task]
+    outputs = []
+    model_type = EquivariantStack if spec.selects else InvariantModel
+    forward = model_type.forward
+
+    def recording(model, batch):
+        out = forward(model, batch)
+        outputs.append(tr._metric_input(spec.selects, out.data, batch.segments))
+        return out
+    monkeypatch.setattr(model_type, "forward", recording)
+    _, records = train(config, ds)
+    steps = -(-len(ds) // config.batch_size)
+    assert steps > 1 and len(records) == config.epochs and len(outputs) == steps * config.epochs
+    # the epoch orders, drawn as test_training_visits_sets_in_the_documented_order pins
+    rng = np.random.default_rng(config.seed)
+    build_model(config, ds.element_dim, rng)
+    for epoch, record in enumerate(records):
+        order = rng.permutation(len(ds))
+        picks = np.concatenate(outputs[epoch * steps:(epoch + 1) * steps])
+        assert record.eval_metric.hex() == spec.metric(picks, ds.targets[order]).hex()
+
+
+def test_train_never_calls_evaluate(monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("train called evaluate")
+    monkeypatch.setattr(tr, "evaluate", refusing)
+    for config, ds in ((TrainConfig(task="digit-sum", epochs=2), gen_digit_sum(40, 6, None, seed=9)),
+                       (TrainConfig(task="outlier", epochs=2), gen_outlier_sets(40, seed=10))):
+        _, records = train(config, ds)
+        assert len(records) == 2
+
+
 def test_evaluate_chunking_matches_single_batch():
     """Evaluation slices the dataset; every prediction and pick must have the
     bits of one forward pass over the whole dataset, whatever the set count
     (each residue mod 16) and however the sets straddle the row budget."""
-    from setnn.train import _element_scores, _eval_slices, _predictions, _selections
+    from setnn.train import _eval_slices
 
     def check(model, ds):
         assert len(list(_eval_slices(ds.batch.offsets))) > 1
         whole = model.forward(ds.to_set_batch()).data.reshape(-1)
-        assert np.array_equal(_predictions(model, ds), whole)
+        assert np.array_equal(tr._column(model, ds, False)[:, 0], whole)
 
     pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=47, seed=51, set_size_range=(20, 500)))
     for pool in ("sum", "mean", "max"):
@@ -444,17 +509,18 @@ def test_evaluate_chunking_matches_single_batch():
     out = gen_outlier_sets(600, set_size=7, d=3, shift=3.0, seed=53)
     model = build_model(TrainConfig(task="outlier"), 3, np.random.default_rng(3))
     assert len(list(_eval_slices(out.batch.offsets))) > 1
-    scores = _element_scores(model, out.to_set_batch()).data.reshape(-1)
+    scores = tr._output(True, model, out.to_set_batch()).data.reshape(-1)
     off = out.batch.offsets
     whole = [np.argmax(scores[a:b]) for a, b in zip(off[:-1], off[1:])]
-    assert np.array_equal(_selections(model, out), whole)
+    assert np.array_equal(selections(model, out), whole)
 
 
 @pytest.mark.parametrize("pooled_baseline", [False, True], ids=["equivariant", "pooled-baseline"])
 def test_the_layout_is_validated_once_per_batch(monkeypatch, pooled_baseline):
     """A batch's offsets are validated once, where its SetBatch is made: one
-    Segments per gathered training batch and per evaluation slice, and none
-    in the primitives that read it."""
+    Segments per gathered training batch and per slice of the one explicit
+    evaluation (train evaluates nothing), and none in the primitives that
+    read it."""
     from setnn.train import _eval_slices
 
     ds = gen_outlier_sets(300, set_size=16, d=2, shift=3.0, seed=7)
@@ -472,7 +538,7 @@ def test_the_layout_is_validated_once_per_batch(monkeypatch, pooled_baseline):
     batches = [min(config.batch_size, len(ds) - lo) + 1 for lo in range(0, len(ds), config.batch_size)]
     slices = [hi - lo + 1 for lo, hi in _eval_slices(ds.batch.offsets)]
     assert len(slices) > 1
-    assert sorted(built) == sorted(config.epochs * batches + (config.epochs + 1) * slices)
+    assert sorted(built) == sorted(config.epochs * batches + slices)
 
 
 def test_every_primitive_is_recorded_by_some_model():
