@@ -5,13 +5,18 @@ evaluates a primitive eagerly and, when a :class:`Tape` is active, records a
 node (and a leaf node for each input not yet on that tape). Without an active
 tape the same calls are plain eager numpy evaluation. ``backprop(tape, loss,
 wrt)`` sweeps the tape in reverse and returns one gradient array per tensor in
-``wrt``, in order; the caller never handles node ids.
+``wrt``, in order; the caller never handles node ids. It computes only the
+gradients that ``wrt`` depends on: a node's vjp runs only if the node reads,
+directly or not, a tensor of ``wrt``.
 
 Each primitive is one function ``(arrays, attrs) -> (out, vjp)``: it checks
-its inputs, computes ``out``, and returns with it a closure ``vjp(g)`` that
-maps the gradient of ``out`` to one gradient per input, holding only the
-arrays that needs. A tape node keeps its kind, its input node ids, that
-``vjp`` and ``out``; ``backprop`` calls ``node.vjp(g)``.
+its inputs, computes ``out``, and returns with it a closure ``vjp(g, needs)``
+that maps the gradient ``g`` of ``out`` to one gradient per input, holding
+only the arrays that needs. ``needs`` holds one bool per input; where it is
+False the vjp may return ``None`` in that input's place. ``g`` belongs to the
+vjp, which may overwrite it and may pass it on as the gradient of at most one
+input. A tape node keeps its kind, its input node ids, that ``vjp`` and
+``out``; ``backprop`` calls ``node.vjp(g, needs)``.
 
 The primitive set is intentionally small: a fused dense layer (matmul, bias
 and activation in one node), the only affine map or activation on the tape;
@@ -96,7 +101,7 @@ class _Node:
     def __init__(self, kind, inputs, vjp, out_data):
         self.kind = kind
         self.inputs = inputs        # node ids of inputs, all < own id
-        self.vjp = vjp              # output gradient -> one gradient per input; None on a leaf
+        self.vjp = vjp              # (output gradient, needs) -> one gradient per input; None on a leaf
         self.out_data = out_data    # a leaf keeps its tensor's own data
 
 
@@ -134,8 +139,9 @@ class Tape:
 # ---------------------------------------------------------------------------
 # Primitive registry: kind -> primitive(arrays, attrs) -> (out_array, vjp).
 #
-# vjp(grad_out) returns one gradient per input array, in input order, and
-# closes over only what it reads.
+# vjp(grad_out, needs) returns one gradient per input array, in input order,
+# or None where needs is False, and closes over only what it reads. It owns
+# grad_out: it may overwrite it, or return it as one input's gradient.
 # ---------------------------------------------------------------------------
 
 
@@ -149,11 +155,12 @@ def _tanh_backward(g, out):
 
 
 # Activations of ``dense``. Each forward overwrites its argument and returns
-# it; each backward scales the incoming gradient using the activation's output
-# alone. The keys, in order, are ``layers.NONLINEARITIES``.
+# it; each backward scales the incoming gradient, which the vjp owns, using
+# the activation's output alone. The keys, in order, are
+# ``layers.NONLINEARITIES``.
 _ACTIVATIONS = {
-    # derivative at exactly 0 is 0
-    "relu": (lambda out: np.maximum(out, 0.0, out=out), lambda g, out: g * (out > 0.0)),
+    # derivative at exactly 0 is 0; in place, the same bits as g * (out > 0.0)
+    "relu": (lambda out: np.maximum(out, 0.0, out=out), lambda g, out: np.multiply(g, out > 0.0, out=g)),
     "tanh": (lambda out: np.tanh(out, out=out), _tanh_backward),
     "linear": (lambda out: out, lambda g, out: g),
 }
@@ -176,9 +183,11 @@ def _dense(xs, attrs):
         raise NonFiniteError("primitive 'dense' produced non-finite values")
     out = forward(out)
 
-    def vjp(g):
+    def vjp(g, needs):
         g = backward(g, out)
-        return g @ W.T, x.T @ g, g.sum(axis=0)
+        return (g @ W.T if needs[0] else None,
+                x.T @ g if needs[1] else None,
+                g.sum(axis=0) if needs[2] else None)
     return out, vjp
 
 
@@ -188,9 +197,9 @@ def _mse_loss(xs, attrs):
         raise ShapeError(f"mse_loss shapes disagree: {p.shape} vs {t.shape}")
     d = p - t
 
-    def vjp(g):
-        gp = (2.0 / p.size) * (p - t) * g
-        return gp, -gp
+    def vjp(g, needs):
+        gp = (2.0 / d.size) * d * g
+        return gp, (-gp if needs[1] else None)
     return np.asarray((d * d).mean()), vjp
 
 
@@ -267,7 +276,7 @@ def _set_softmax_nll(xs, attrs):
     picked = segs.starts + targets
     nll = sum(-np.log(probs[picked]))  # in set order, from 0
 
-    def vjp(g):
+    def vjp(g, needs):
         gx = probs.copy()
         gx[picked] -= 1.0
         gx *= g / nsets
@@ -289,12 +298,12 @@ def _segment_input(xs, attrs):
 
 def _segment_sum(xs, attrs):
     x, segs = _segment_input(xs, attrs)
-    return segs.sums(x), lambda g: (segs.spread(g),)
+    return segs.sums(x), lambda g, needs: (segs.spread(g),)
 
 
 def _segment_mean(xs, attrs):
     x, segs = _segment_input(xs, attrs)
-    return segs.sums(x) / segs.sizes[:, None], lambda g: (segs.spread(g / segs.sizes[:, None]),)
+    return segs.sums(x) / segs.sizes[:, None], lambda g, needs: (segs.spread(g / segs.sizes[:, None]),)
 
 
 def _segment_max(xs, attrs):
@@ -309,7 +318,7 @@ def _segment_max(xs, attrs):
         argrows = segs.argmax(x)
         out = np.take_along_axis(x, argrows, axis=0)
 
-    def vjp(g):
+    def vjp(g, needs):
         rows = segs.argmax(x) if argrows is None else argrows
         gx = np.zeros_like(x)
         gx[rows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
@@ -319,7 +328,7 @@ def _segment_max(xs, attrs):
 
 def _segment_center(xs, attrs):
     x, segs = _segment_input(xs, attrs)
-    return x - segs.spread(xs[1]), lambda g: (g, -segs.sums(g))
+    return x - segs.spread(xs[1]), lambda g, needs: (g, -segs.sums(g))
 
 
 def _segment_broadcast(xs, attrs):
@@ -327,14 +336,14 @@ def _segment_broadcast(xs, attrs):
     segs = Segments.of(attrs["offsets"])
     if x.ndim != 2 or x.shape[0] != segs.sizes.size:
         raise ShapeError(f"segment_broadcast expects one row per segment, got {x.shape} for {segs.sizes.size} segments")
-    return segs.spread(x), lambda g: (segs.sums(g),)
+    return segs.spread(x), lambda g, needs: (segs.sums(g),)
 
 
 def _segment_augment(xs, attrs):
     x, segs = _segment_input(xs, attrs)
     d = x.shape[1]
     return (np.concatenate([x, -segs.spread(xs[1])], axis=1),
-            lambda g: (g[:, :d], -segs.sums(g[:, d:])))
+            lambda g, needs: (g[:, :d], -segs.sums(g[:, d:])))
 
 
 _PRIMITIVES = {
@@ -387,6 +396,15 @@ def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
     to every element of a set, or a layer input that is both pooled and
     spread) accumulates one contribution per use. Other intermediate
     gradients are dropped as soon as they have been propagated.
+
+    Only what ``wrt`` depends on is computed. Before the sweep, a node is
+    marked as needing a gradient if it is in ``wrt``, or if it is not a leaf
+    and one of its inputs needs one. A node is swept only if one of its inputs
+    is marked, and its ``vjp(g, needs)`` gets one bool per input saying which;
+    where one is False the vjp may return None, and backprop skips it. The
+    ``g`` a vjp receives is its own, to overwrite or to pass on as the
+    gradient of at most one input: backprop pops it, or, for a node in
+    ``wrt``, hands over a copy and keeps the original to return.
     Raises AutodiffError if ``loss`` is not on ``tape`` and NonFiniteError if
     a returned gradient holds NaN or Inf.
     """
@@ -395,19 +413,23 @@ def backprop(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
     if loss.data.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     wanted = {t.node_id for t in wrt if t.tape is tape}
+    need = []
+    for nid in range(loss.node_id + 1):
+        need.append(nid in wanted or any(need[i] for i in tape.nodes[nid].inputs))
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.asarray(1.0)}
     for nid in range(loss.node_id, -1, -1):
         node = tape.nodes[nid]
-        if node.kind == "leaf" or nid not in grads:
+        if nid not in grads:
             continue
-        g = grads[nid] if nid in wanted else grads.pop(nid)
-        for iid, ig in zip(node.inputs, node.vjp(g)):
-            if iid in grads:
-                # out of place: a vjp may return its incoming gradient itself
-                grads[iid] = grads[iid] + ig
-            else:
-                grads[iid] = ig
+        needs = tuple(need[i] for i in node.inputs)
+        if not any(needs):  # a leaf, or a node that reads only what needs no gradient
+            continue
+        g = grads[nid].copy() if nid in wanted else grads.pop(nid)
+        for iid, needed, ig in zip(node.inputs, needs, node.vjp(g, needs)):
+            if not needed:
+                continue
+            grads[iid] = grads[iid] + ig if iid in grads else ig
 
     out = []
     for t in wrt:

@@ -6,7 +6,8 @@ Five suites, one per structural guarantee the library makes:
 * equivariance: random equivariant stacks and the outlier stack commute with
   permutations, and the permutation commutant is exactly two dimensional;
 * gradients: every autodiff primitive and both default architectures agree
-  with central finite differences;
+  with central finite differences, and backprop gives each parameter the
+  same bits alone as among all of them, sweep after sweep of one tape;
 * powersum-roundtrip: the sum-of-powers embedding inverts, the countable
   encoding is injective, and the closed-form models match direct references;
 * bayes-oracle: both scoring routes of the Beta-Binomial model agree, and
@@ -191,9 +192,30 @@ def _gradient_cases(seed: int):
     return cases
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _sweep_failures(name: str, f, params: list[Tensor]) -> list[str]:
+    """backprop computes only what ``wrt`` asks for and may overwrite the
+    gradients it hands on, so a sweep for one parameter alone, and a second
+    sweep of the same tape, must give the first full sweep's bits."""
+    with ad.Tape() as tape:
+        loss = f(params)
+    every = ad.backprop(tape, loss, params)
+    failures = []
+    if not all(map(_same_bits, every, ad.backprop(tape, loss, params))):
+        failures.append(f"{name}: a second sweep of the same tape gives other gradients")
+    for i, (p, g) in enumerate(zip(params, every)):
+        if not _same_bits(ad.backprop(tape, loss, [p])[0], g):
+            failures.append(f"{name}: parameter {i} alone gets other gradient bits than among all")
+    return failures
+
+
 def check_gradients(seed: int = 0) -> CheckResult:
     """Finite-difference checks of all primitives (1e-6 smooth / 1e-4 kinked)
-    and of both default architectures through their losses (1e-4)."""
+    and of both default architectures through their losses (1e-4), and, bit
+    for bit, each parameter's gradient alone and from a second sweep."""
     started = time.perf_counter()
     cases = _gradient_cases(seed)
     failures = []
@@ -202,6 +224,7 @@ def check_gradients(seed: int = 0) -> CheckResult:
         err = grad_check(f, params, seed=seed)
         if err > tol:
             failures.append(f"{name}: relative error {err:.3e} > {tol:.0e}")
+        failures += _sweep_failures(name, f, params)
 
     rng = _case_rng(seed, len(cases))
     reg = build_model(TrainConfig(task="population"), 3, rng)
@@ -209,21 +232,24 @@ def check_gradients(seed: int = 0) -> CheckResult:
     batch = SetBatch.from_sets([rng.normal(size=(m, 3)) for m in sizes])
     targets = Tensor(rng.normal(size=(4, 1)))
     # step 1e-6: at 1e-5 the difference quotient can straddle a relu kink
-    err = grad_check(lambda ps: ad.mse_loss(reg.forward(batch), targets), reg.params(),
-                     step=1e-6, seed=seed)
+    f = lambda ps: ad.mse_loss(reg.forward(batch), targets)
+    err = grad_check(f, reg.params(), step=1e-6, seed=seed)
     if err > 1e-4:
         failures.append(f"regression architecture: relative error {err:.3e} > 1e-4")
+    failures += _sweep_failures("regression architecture", f, reg.params())
 
     rng = _case_rng(seed, len(cases) + 1)
     sel = build_model(TrainConfig(task="outlier"), 5, rng)
     sbatch = SetBatch.from_sets([rng.normal(size=(m, 5)) for m in (4, 6, 5)])
     stargets = (2, 0, 4)
-    err = grad_check(lambda ps: ad.set_softmax_nll(sel.forward(sbatch), sbatch.segments, stargets),
-                     sel.params(), step=1e-6, seed=seed)
+    f = lambda ps: ad.set_softmax_nll(sel.forward(sbatch), sbatch.segments, stargets)
+    err = grad_check(f, sel.params(), step=1e-6, seed=seed)
     if err > 1e-4:
         failures.append(f"selection architecture: relative error {err:.3e} > 1e-4")
+    failures += _sweep_failures("selection architecture", f, sel.params())
     return _result("gradients", started, failures,
-                   "all primitives and both default architectures pass finite differences")
+                   "all primitives and both default architectures pass finite differences; "
+                   "each parameter alone and a second sweep give the same gradient bits")
 
 
 def _gapped_sample(rng: np.random.Generator, m: int, min_gap: float = 1e-3) -> SortedSample:

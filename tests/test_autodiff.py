@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setnn import autodiff as ad
-from setnn.checks import _off_kink_dense
-from setnn.layers import NONLINEARITIES, SetBatch
+from setnn import train as tr
+from setnn.checks import _off_kink_dense, _same_bits as same_bits
+from setnn.layers import (
+    NONLINEARITIES,
+    EquivariantLayer,
+    EquivariantStack,
+    SetBatch,
+    random_equivariant_stack,
+    random_invariant_model,
+)
 from setnn.autodiff import (
     NonDeterministicError,
     NonFiniteError,
@@ -491,3 +499,152 @@ def test_tape_reuse_across_tapes():
         with Tape() as tape:
             loss = ad.mse_loss(ad.dense(Tensor([[1.0]]), w, Tensor([0.0]), "linear"), Tensor([[0.0]]))
         np.testing.assert_allclose(backprop(tape, loss, [w])[0], [[4.0]])
+
+
+# --- what backprop computes, and whose gradient a vjp may overwrite ----------
+
+
+def reference_backprop(tape, loss, wrt):
+    """The sweep with no work skipped: every node the loss reaches is swept,
+    each vjp gets all-True ``needs`` and a copy of its gradient, and
+    contributions add out of place."""
+    grads = {loss.node_id: np.asarray(1.0)}
+    for nid in range(loss.node_id, -1, -1):
+        node = tape.nodes[nid]
+        if node.kind == "leaf" or nid not in grads:
+            continue
+        for iid, ig in zip(node.inputs, node.vjp(grads[nid].copy(), (True,) * len(node.inputs))):
+            grads[iid] = grads[iid] + ig if iid in grads else ig
+    return [grads[t.node_id] if t.tape is tape and t.node_id in grads else np.zeros_like(t.data) for t in wrt]
+
+
+def record_needs(tape):
+    """Wrap every node's vjp to log ``{node id: needs}`` when backprop calls it."""
+    log = {}
+
+    def logged(nid, vjp):
+        def vjp_logging(g, needs):
+            log[nid] = needs
+            return vjp(g, needs)
+        return vjp_logging
+    for nid, node in enumerate(tape.nodes):
+        if node.vjp is not None:
+            node.vjp = logged(nid, node.vjp)
+    return log
+
+
+def test_a_wanted_relu_output_keeps_its_unmasked_gradient():
+    """relu's backward masks its gradient in place, so the gradient backprop
+    returns for a wanted dense output must not be the one it hands on."""
+    x = Tensor([[-1.0, 2.0], [3.0, -4.0]])
+    with Tape() as tape:
+        h = _identity(x, "relu")  # [[0, 2], [3, 0]]
+        loss = ad.mse_loss(h, Tensor(-np.ones((2, 2))))
+    unmasked = 0.5 * (h.data + 1.0)  # d loss / d h, non-zero everywhere
+    for wrt in ([h], [h, x], [x, h]):
+        grads = dict(zip(map(id, wrt), backprop(tape, loss, wrt)))
+        assert np.array_equal(grads[id(h)], unmasked)
+        if id(x) in grads:
+            assert np.array_equal(grads[id(x)], unmasked * (h.data > 0.0))
+
+
+def test_a_population_step_asks_for_no_data_or_target_gradient():
+    rng = np.random.default_rng(6)
+    cfg = tr.TrainConfig(task="population")
+    model = tr.build_model(cfg, 2, rng)
+    batch = SetBatch.from_sets([rng.normal(size=(m, 2)) for m in (5, 3, 8)])
+    with Tape() as tape:
+        loss, _ = tr._batch_loss(cfg, model, batch, rng.normal(size=3))
+    log = record_needs(tape)
+    grads = backprop(tape, loss, model.params())
+    kinds = [node.kind for node in tape.nodes]
+    dense_ids = [nid for nid, kind in enumerate(kinds) if kind == "dense"]
+    # the data leaf feeds only the first dense, the target leaf only the loss
+    assert log[dense_ids[0]] == (False, True, True)
+    assert all(log[nid] == (True, True, True) for nid in dense_ids[1:])
+    assert log[kinds.index("mse_loss")] == (True, False)
+    assert sorted(log) == [nid for nid, kind in enumerate(kinds) if kind != "leaf"]
+    for got, want in zip(grads, reference_backprop(tape, loss, model.params())):
+        assert same_bits(got, want)
+
+
+def test_a_wanted_data_leaf_still_gets_its_gradient():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(6, 3)))
+    layers = [(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4)), "relu"),
+              (Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=2)), "linear")]
+    with Tape() as tape:
+        h = x
+        for W, b, act in layers:
+            h = ad.dense(h, W, b, act)
+        loss = ad.mse_loss(ad.segment_mean(h, [0, 2, 6]), Tensor(rng.normal(size=(2, 2))))
+    params = [p for W, b, _ in layers for p in (W, b)]
+    (want,) = reference_backprop(tape, loss, [x])
+    assert np.any(want != 0.0)
+    (alone,) = backprop(tape, loss, [x])
+    assert same_bits(alone, want)
+    assert same_bits(backprop(tape, loss, params + [x])[-1], want)
+
+
+def _forward_from(model, x, batch):
+    """``model.forward(batch)``, from a data tensor the caller holds."""
+    if isinstance(model, EquivariantStack):
+        for layer in model.layers:
+            x = layer.forward(x, batch.segments)
+        return x
+    for layer in model.phi:
+        x = layer.forward(x)
+    x = getattr(ad, f"segment_{model.pool}")(x, batch.segments)
+    for layer in model.rho:
+        x = layer.forward(x)
+    return x
+
+
+def _layer_kinds(model):
+    """(variant, pool, activation) of every layer; an invariant model's dense
+    layers count under its pool, with no variant."""
+    if isinstance(model, EquivariantStack):
+        return {(l.variant, l.pool, l.dense.nonlinearity) for l in model.layers}
+    return {(None, model.pool, l.nonlinearity) for l in model.phi + model.rho}
+
+
+def _check_backprop_against_reference(seed, sizes, equivariant, wanted):
+    """backprop on a random model's tape, for the drawn subset of the data
+    leaf and the parameters, gives the reference sweep's bits; returns the
+    model's layer kinds."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    model = (random_equivariant_stack(rng, width) if equivariant
+             else random_invariant_model(rng, width, out_width=int(rng.integers(1, 3))))
+    batch = SetBatch.from_sets([rng.normal(size=(m, width)) for m in sizes])
+    x = Tensor(batch.elements)
+    with Tape() as tape:
+        out = _forward_from(model, x, batch)
+        loss = ad.mse_loss(out, Tensor(rng.normal(size=out.shape)))
+    assert same_bits(out.data, model.forward(batch).data)
+    leaves = [x, *model.params()]
+    wrt = [t for t, w in zip(leaves, wanted + [True] * len(leaves)) if w]
+    reference = reference_backprop(tape, loss, wrt)
+    for _ in range(2):  # a second sweep of the same tape gives the same bits
+        for got, want in zip(backprop(tape, loss, wrt), reference):
+            assert same_bits(got, want)
+    return _layer_kinds(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       st.booleans(), st.lists(st.booleans(), max_size=12))
+def test_backprop_matches_the_reference_sweep_bit_for_bit(seed, sizes, equivariant, wanted):
+    _check_backprop_against_reference(seed, sizes, equivariant, wanted)
+
+
+def test_the_reference_sweep_check_covers_every_layer_kind():
+    """Fixed seeds on which the property above meets both equivariant
+    variants, every pool and every activation."""
+    kinds = set()
+    for seed in range(16):
+        for equivariant in (False, True):
+            kinds |= _check_backprop_against_reference(seed, [3, 1, 4, 4], equivariant, [seed % 2 == 0])
+    assert {v for v, _, _ in kinds} >= {None, *EquivariantLayer.VARIANTS}
+    assert {p for _, p, _ in kinds} == {"sum", "max", "mean"}
+    assert {a for _, _, a in kinds} == set(NONLINEARITIES)

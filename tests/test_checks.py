@@ -40,7 +40,7 @@ def test_gradient_cases_cover_every_primitive():
 def test_every_recorded_vjp_returns_one_gradient_per_input():
     """backprop checks only the shapes of the gradients it returns; each node
     must also hand back one gradient per input, shaped like that input, and
-    read only earlier nodes."""
+    read only earlier nodes, when every input needs one."""
     kinds = set()
     for name, f, params, _ in checks._gradient_cases(0):
         with ad.Tape() as tape:
@@ -49,7 +49,7 @@ def test_every_recorded_vjp_returns_one_gradient_per_input():
             if node.kind == "leaf":
                 continue
             kinds.add(node.kind)
-            grads = node.vjp(np.ones_like(node.out_data))
+            grads = node.vjp(np.ones_like(node.out_data), (True,) * len(node.inputs))
             assert len(grads) == len(node.inputs), (name, node.kind)
             for iid, g in zip(node.inputs, grads):
                 assert iid < nid, (name, node.kind)

@@ -57,7 +57,7 @@ def ref_segment_max_primitive(xs, attrs):
     (x,) = xs
     off = attrs["offsets"].offsets  # training passes each batch's Segments
     out, argrows = ref_segment_max(x, off)
-    return out, lambda g: (ref_segment_max_grad(g, x, off, argrows),)
+    return out, lambda g, needs: (ref_segment_max_grad(g, x, off, argrows),)
 
 
 def ref_set_softmax_nll(flat, off, targets):
@@ -107,8 +107,8 @@ def chain_center(x, off, g):
     out = x + neg
     gx, gneg = g, g
     gspread = -1.0 * gneg
-    (gtop,) = spread_vjp(gspread)
-    (gmax,) = max_vjp(gtop)
+    (gtop,) = spread_vjp(gspread, (True,))
+    (gmax,) = max_vjp(gtop, (True,))
     return out, gx + gmax
 
 
@@ -177,7 +177,7 @@ def test_segment_max_matches_the_per_set_loop(width, seed):
         rng = np.random.default_rng(seed + 10)
         g = rng.integers(-2, 3, size=out.shape).astype(np.float64)
         g[g == 0] = -0.0
-        (gx,) = vjp(g)
+        (gx,) = vjp(g, (True,))
         assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
         assert not np.signbit(gx[gx == 0]).any()
 
@@ -205,7 +205,7 @@ def test_segment_max_finds_the_first_maximum_rows_once(zeros, width, seed, monke
             assert zero.mean() >= 0.3
             assert np.signbit(ref_out[zero]).any() and not np.signbit(ref_out[zero]).all()
         g = upstream(seed, out.shape)
-        (gx,) = vjp(g)
+        (gx,) = vjp(g, (True,))
         assert len(calls) == 1
         assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
         calls.clear()
@@ -220,7 +220,11 @@ def test_evaluate_finds_first_maxima_only_for_the_selection(monkeypatch):
 
 
 def test_a_training_step_finds_first_maxima_in_backward_only(monkeypatch):
-    # the pooled baseline max-pools the raw Gaussian elements, which hold no zero
+    """The pooled baseline max-pools the raw Gaussian elements, which hold no
+    zero, so its forward pass takes a plain maximum. The data needs no
+    gradient, so a training step's backprop does not sweep the pool and finds
+    no rows either; a pool whose input needs a gradient finds them in
+    backward, once."""
     ds = gen_outlier_sets(64, seed=33)
     cfg = tr.TrainConfig(task="outlier", pooled_baseline=True)
     model = tr.build_model(cfg, ds.element_dim, np.random.default_rng(34))
@@ -228,8 +232,15 @@ def test_a_training_step_finds_first_maxima_in_backward_only(monkeypatch):
     with ad.Tape() as tape:
         loss, _ = tr._batch_loss(cfg, model, ds.to_set_batch(), ds.targets)
     assert sum(node.kind == "segment_max" for node in tape.nodes) == 1
-    assert calls == []
     ad.backprop(tape, loss, model.params())
+    assert calls == []
+
+    x = ad.Tensor(ds.batch.elements)
+    with ad.Tape() as tape:
+        pooled = ad.segment_max(x, ds.batch.segments)
+        loss = ad.mse_loss(pooled, ad.Tensor(np.zeros(pooled.shape)))
+    assert calls == []
+    ad.backprop(tape, loss, [x])
     assert len(calls) == 1
 
 
@@ -258,7 +269,7 @@ def test_training_matches_the_per_set_loop_bit_for_bit(make, cfg, monkeypatch):
 def _probe(g):
     """A scalar loss primitive whose vjp hands ``g`` on unchanged, so
     backprop starts from exactly that upstream gradient."""
-    return lambda xs, attrs: (np.asarray(float(np.sum(xs[0] * g))), lambda gout: (gout * g,))
+    return lambda xs, attrs: (np.asarray(float(np.sum(xs[0] * g))), lambda gout, needs: (gout * g,))
 
 
 @pytest.mark.parametrize("width", [1, 8, 64])
@@ -295,13 +306,13 @@ def test_set_softmax_nll_matches_the_per_set_loop(shape, seed):
         targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
         attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
         value, vjp = ad._PRIMITIVES["set_softmax_nll"]((scores,), attrs)
-        (gx,) = vjp(np.asarray(1.0))
+        (gx,) = vjp(np.asarray(1.0), (True,))
         ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
         assert same_bits(value, ref_value)
         assert same_bits(gx, ref_gx.reshape(scores.shape))
         # at g = nsets the gradient is probs - onehot, unscaled, so it pins
         # the probabilities themselves
-        (unscaled,) = vjp(np.asarray(float(off.size - 1)))
+        (unscaled,) = vjp(np.asarray(float(off.size - 1)), (True,))
         onehot = np.zeros_like(flat)
         onehot[off[:-1] + targets] = 1.0
         assert same_bits(unscaled.reshape(-1), ref_probs - onehot)
