@@ -24,10 +24,10 @@ segment pooling over ragged batches, whose layout is one validated
 :class:`Segments` passed as the ``offsets`` attr, and three ways to spread a
 pooled row back over its segment (repeat it, subtract it as ``x - pooled``,
 or append its negation as ``[x, -pooled]``); and the two loss heads used in
-training. Only ``Segments.spread``, ``sums``, ``max`` and ``argmax`` read
-which rows a segment holds. A pooled row comes from its own pooling node, so
-the gradient through the pool reaches ``x`` by backprop's sum rule. All arrays
-are float64; any primitive producing a NaN/Inf raises at once.
+training. Only ``Segments.spread``, ``sums`` and ``argmax`` read which rows
+a segment holds. A pooled row comes from its own pooling node, so the
+gradient through the pool reaches ``x`` by backprop's sum rule. All arrays are
+float64; any primitive producing a NaN/Inf raises at once.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ class Segments:
     """A ragged batch's validated layout, and the only code that turns it into
     rows: segment ``i`` is rows ``offsets[i]:offsets[i+1]``, from ``starts[i]``;
     offsets are 1-D integers from 0, strictly increasing. ``spread`` repeats a
-    row per segment over its rows; ``sums``, ``max`` and ``argmax`` reduce one
-    block per maximal run of equal-size segments. Its arrays are read-only.
+    row per segment over its rows; ``sums`` and ``argmax`` reduce one block per
+    maximal run of equal-size segments. Its arrays are read-only.
     """
 
     def __init__(self, offsets):
@@ -244,15 +244,12 @@ class Segments:
         """Each segment's sum of the rows of ``x``, one row sum per run block."""
         return np.concatenate([block.sum(axis=1) for block in self._blocks(x)])
 
-    def max(self, x):
-        """Each segment's maximum of the rows of ``x``, one ``max`` per run block."""
-        return np.concatenate([block.max(axis=1) for block in self._blocks(x)])
-
     def argmax(self, x):
         """Row of each segment's first maximum of finite ``x``, per column: the
         lowest row equal to the maximum (``-0.0 == 0.0``), as ``argmax`` breaks
-        ties. Max pooling uses it in its vjp, and in its forward pass when the
-        input has a zero; outlier selection uses it."""
+        ties. It is the one maximum rule: max pooling reads its value at these
+        rows and sends its gradient to them, the set softmax shifts each set by
+        the value there, and outlier selection picks them."""
         local = np.concatenate([block.argmax(axis=1) for block in self._blocks(x)])
         return local + self.starts.reshape(-1, *(1,) * (x.ndim - 1))
 
@@ -271,7 +268,7 @@ def _set_softmax_nll(xs, attrs):
     bad = np.flatnonzero((targets < 0) | (targets >= segs.sizes))
     if bad.size:
         raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {segs.sizes[bad[0]]}")
-    e = np.exp(flat - segs.spread(segs.max(flat)))
+    e = np.exp(flat - segs.spread(flat[segs.argmax(flat)]))
     probs = e / segs.spread(segs.sums(e))
     picked = segs.starts + targets
     nll = sum(-np.log(probs[picked]))  # in set order, from 0
@@ -308,22 +305,14 @@ def _segment_mean(xs, attrs):
 
 def _segment_max(xs, attrs):
     x, segs = _segment_input(xs, attrs)
-    if x.all():
-        # with no zero there is no -0.0/0.0 tie, so the maximum has the first
-        # maximum's bits; the vjp alone needs its rows, and finds them itself
-        argrows = None
-        out = segs.max(x)
-    else:
-        # with a zero, not segs.max: of [-0.0, 0.0] it gives 0.0, not the first -0.0
-        argrows = segs.argmax(x)
-        out = np.take_along_axis(x, argrows, axis=0)
+    # the value at the first maximum, not a max: of [-0.0, 0.0] that is -0.0
+    argrows = segs.argmax(x)
 
     def vjp(g, needs):
-        rows = segs.argmax(x) if argrows is None else argrows
         gx = np.zeros_like(x)
-        gx[rows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
+        gx[argrows, np.arange(gx.shape[1])] += g  # += on zeros: a -0.0 gradient lands as +0.0
         return (gx,)
-    return out, vjp
+    return np.take_along_axis(x, argrows, axis=0), vjp
 
 
 def _segment_center(xs, attrs):

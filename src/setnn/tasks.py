@@ -187,7 +187,8 @@ class LabeledSetDataset:
         if self.per_set_meta is not None and len(self.per_set_meta) != n:
             raise TaskError("per-set metadata length mismatch")
         if not np.all(np.isfinite(self.batch.elements)):
-            i = int(np.argmax(self.batch.segments.max(~np.isfinite(self.batch.elements).all(axis=1))))
+            row = int(np.argmin(np.isfinite(self.batch.elements).all(axis=1)))
+            i = int(np.searchsorted(self.batch.offsets, row, side="right")) - 1
             raise TaskError(f"set {i} has a non-finite element", i)
         bad = ~np.isfinite(targets)
         if index_targets:
@@ -205,11 +206,10 @@ class LabeledSetDataset:
     def element_dim(self) -> int:
         return self.batch.width
 
-    def to_set_batch(self, indices=None) -> SetBatch:
-        """The whole batch, a ``slice(lo, hi)`` of it sharing its arrays, or the
-        sets at an index array gathered into a copy."""
-        if indices is None:
-            return self.batch
+    def to_set_batch(self, indices) -> SetBatch:
+        """The sets at ``indices``: a ``slice(lo, hi)`` of the batch that shares
+        its arrays (evaluation), or an index array gathered into a copy
+        (training). The whole batch is ``self.batch``."""
         if isinstance(indices, slice):
             return self.batch.slice(indices.start, indices.stop)
         return self.batch.gather(indices)

@@ -28,6 +28,8 @@ from setnn.autodiff import (
     grad_check,
 )
 
+from test_first_maximum import drawn_layouts
+
 
 def test_tensor_is_float64_contiguous():
     t = Tensor([[1, 2], [3, 4]])
@@ -431,15 +433,29 @@ def test_segment_reductions_equal_the_per_set_loop(sizes, width):
     g_spread = (2.0 / x.size) * (np.repeat(pooled.data, sizes, axis=0) - x) * np.asarray(1.0)
     assert np.array_equal(g, per_set(g_spread))
 
-    # the layout's other kernels, on a matrix and on one column
-    segs = ad.Segments(offsets)
-    bounds = list(zip(offsets[:-1], offsets[1:]))
     for a in (x, x[:, 0].copy()):
         a[rng.random(a.shape) < 0.2] = 0.0  # exact ties, so the first maximum is the lowest row
-        assert np.array_equal(segs.max(a), np.array([a[lo:hi].max(axis=0) for lo, hi in bounds]))
-        assert np.array_equal(segs.argmax(a), np.array([lo + a[lo:hi].argmax(axis=0) for lo, hi in bounds]))
-        rows = a[: len(sizes)]
-        assert np.array_equal(segs.spread(rows), np.concatenate([[r] * m for r, m in zip(rows, sizes)]))
+        check_layout_kernels(a, offsets)
+
+
+def check_layout_kernels(a, offsets):
+    """The layout's kernels on a matrix or one column against one loop step
+    per set, bit for bit."""
+    segs = ad.Segments(offsets)
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    sizes = np.diff(offsets)
+    assert same_bits(segs.sums(a), np.array([a[lo:hi].sum(axis=0) for lo, hi in bounds]))
+    assert np.array_equal(segs.argmax(a), np.array([lo + a[lo:hi].argmax(axis=0) for lo, hi in bounds]))
+    rows = a[: len(sizes)]
+    assert same_bits(segs.spread(rows), np.concatenate([[r] * m for r, m in zip(rows, sizes)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_layouts())
+def test_segment_kernels_equal_the_per_set_loop_on_drawn_layouts(layout):
+    x, offsets = layout
+    check_layout_kernels(x, offsets)
+    check_layout_kernels(x[:, 0].copy(), offsets)
 
 
 def test_offsets_validation():

@@ -2,19 +2,24 @@
 
 `segment_max` (forward and backward), `set_softmax_nll` and the outlier
 task's element selection reduce each run of equal-size sets as one block;
-these loops are the per-set form they replaced. `segment_max` takes a plain
-maximum forward when its input has no zero and finds the first maximum's
-rows in its vjp, so both paths are checked, and so is where the rows are
-found; training with it and with the loop must write the same bytes.
-Max-centering, recorded as `segment_max` then `segment_center`, must also
-match the arithmetic of the four tape nodes it once took, with backprop
-adding the gradient through the maximum to the direct one. All must agree
-bit for bit, sign of zero included, on ragged batches and on long
-equal-size runs between ragged sets, with ties and a signed-zero maximum.
+these loops are the per-set form they replaced. All three read the one
+maximum rule, `Segments.argmax`: `segment_max` finds the first maximum's
+rows once, in its forward pass, reads the maximum there and sends its
+gradient to the same rows, so its vjp searches for none, and the set
+softmax shifts each set by the value at those rows. Training with
+`segment_max` and with the loop must write the same bytes. Max-centering,
+recorded as `segment_max` then `segment_center`, must also match the
+arithmetic of the four tape nodes it once took, with backprop adding the
+gradient through the maximum to the direct one. All must agree bit for bit,
+sign of zero included, on fixed ragged batches, on long equal-size runs
+between ragged sets and on drawn layouts of both kinds, with ties and
+signed-zero maxima.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setnn import autodiff as ad
 from setnn import train as tr
@@ -144,6 +149,24 @@ def relu_like(seed, width, sizes):
     return x, off
 
 
+@st.composite
+def drawn_layouts(draw):
+    """``(x, off)``: runs of 1-20 equal-size sets between single sets, 1, 3
+    or 8 columns of integer-valued entries (so ties are common) with zeros
+    of both signs, mostly at or below zero, so many sets have a zero
+    maximum."""
+    size = st.integers(1, 12)
+    sizes = [draw(size)]
+    for _ in range(draw(st.integers(0, 4))):
+        sizes += [draw(size)] * draw(st.integers(1, 20)) + [draw(size)]
+    width = draw(st.sampled_from([1, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    x = rng.integers(-3, 2, size=(off[-1], width)).astype(np.float64)
+    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    return x, off
+
+
 def count_argmax(monkeypatch):
     """The shapes ``ad.Segments.argmax`` is called with from now on."""
     calls = []
@@ -165,30 +188,44 @@ def upstream(seed, shape):
     return g
 
 
+def check_segment_max(x, off, g):
+    """``segment_max`` and its vjp against the per-set loop, bit for bit; a
+    -0.0 gradient must land as +0.0."""
+    out, vjp = ad._PRIMITIVES["segment_max"]((x,), {"offsets": tuple(off.tolist())})
+    ref_out, argrows = ref_segment_max(x, off)
+    assert same_bits(out, ref_out)
+    (gx,) = vjp(g, (True,))
+    assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
+    assert not np.signbit(gx[gx == 0]).any()
+    return out
+
+
 @pytest.mark.parametrize("width", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_segment_max_matches_the_per_set_loop(width, seed):
     for sizes in LAYOUTS:
         x, off = ragged(seed, width, sizes)
-        out, vjp = ad._PRIMITIVES["segment_max"]((x,), {"offsets": tuple(off.tolist())})
-        ref_out, argrows = ref_segment_max(x, off)
-        assert same_bits(out, ref_out)
-        assert np.signbit(out[2]).all() and not np.signbit(out[3]).any()
         rng = np.random.default_rng(seed + 10)
-        g = rng.integers(-2, 3, size=out.shape).astype(np.float64)
+        g = rng.integers(-2, 3, size=(off.size - 1, width)).astype(np.float64)
         g[g == 0] = -0.0
-        (gx,) = vjp(g, (True,))
-        assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
-        assert not np.signbit(gx[gx == 0]).any()
+        out = check_segment_max(x, off, g)
+        assert np.signbit(out[2]).all() and not np.signbit(out[3]).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_layouts(), st.integers(0, 2**31 - 1))
+def test_segment_max_matches_the_per_set_loop_on_drawn_layouts(layout, seed):
+    x, off = layout
+    check_segment_max(x, off, upstream(seed, (off.size - 1, x.shape[1])))
 
 
 @pytest.mark.parametrize("zeros", [True, False], ids=["relu", "no-zero"])
 @pytest.mark.parametrize("width", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_segment_max_finds_the_first_maximum_rows_once(zeros, width, seed, monkeypatch):
-    """An input with a zero takes the first maximum's rows in the forward
-    pass and hands them to the vjp; one with none (here with integer ties)
-    takes a plain maximum, and the vjp finds the rows."""
+    """With or without a zero in its input (here with integer ties), the
+    forward pass finds the first maximum's rows, once, and hands them to the
+    vjp, which searches for none."""
     calls = count_argmax(monkeypatch)
     for sizes in [UNIFORM, *LAYOUTS]:
         if zeros:
@@ -197,7 +234,7 @@ def test_segment_max_finds_the_first_maximum_rows_once(zeros, width, seed, monke
             x, off = ragged(seed, width, sizes)
             x[x == 0] = 0.5
         out, vjp = ad._PRIMITIVES["segment_max"]((x,), {"offsets": tuple(off.tolist())})
-        assert len(calls) == zeros
+        assert calls == [x.shape]
         ref_out, argrows = ref_segment_max(x, off)
         assert same_bits(out, ref_out)
         if zeros:
@@ -206,7 +243,7 @@ def test_segment_max_finds_the_first_maximum_rows_once(zeros, width, seed, monke
             assert np.signbit(ref_out[zero]).any() and not np.signbit(ref_out[zero]).all()
         g = upstream(seed, out.shape)
         (gx,) = vjp(g, (True,))
-        assert len(calls) == 1
+        assert calls == [x.shape]
         assert same_bits(gx, ref_segment_max_grad(g, x, off, argrows))
         calls.clear()
 
@@ -219,29 +256,30 @@ def test_evaluate_finds_first_maxima_only_for_the_selection(monkeypatch):
     assert calls == [(len(ds.batch.elements), 1)]
 
 
-def test_a_training_step_finds_first_maxima_in_backward_only(monkeypatch):
-    """The pooled baseline max-pools the raw Gaussian elements, which hold no
-    zero, so its forward pass takes a plain maximum. The data needs no
-    gradient, so a training step's backprop does not sweep the pool and finds
-    no rows either; a pool whose input needs a gradient finds them in
-    backward, once."""
+def test_a_training_step_finds_first_maxima_in_forward_only(monkeypatch):
+    """The pooled baseline's forward pass finds the first maxima twice: the
+    rows of its pool over the raw elements, then each set's highest score,
+    by which the set softmax shifts. Its backprop finds none, and neither
+    does that of a pool whose input needs a gradient."""
     ds = gen_outlier_sets(64, seed=33)
     cfg = tr.TrainConfig(task="outlier", pooled_baseline=True)
     model = tr.build_model(cfg, ds.element_dim, np.random.default_rng(34))
     calls = count_argmax(monkeypatch)
     with ad.Tape() as tape:
-        loss, _ = tr._batch_loss(cfg, model, ds.to_set_batch(), ds.targets)
+        loss, _ = tr._batch_loss(cfg, model, ds.batch, ds.targets)
     assert sum(node.kind == "segment_max" for node in tape.nodes) == 1
+    assert calls == [ds.batch.elements.shape, (len(ds.batch.elements),)]
     ad.backprop(tape, loss, model.params())
-    assert calls == []
+    assert len(calls) == 2
 
+    calls.clear()
     x = ad.Tensor(ds.batch.elements)
     with ad.Tape() as tape:
         pooled = ad.segment_max(x, ds.batch.segments)
         loss = ad.mse_loss(pooled, ad.Tensor(np.zeros(pooled.shape)))
-    assert calls == []
+    assert calls == [x.shape]
     ad.backprop(tape, loss, [x])
-    assert len(calls) == 1
+    assert calls == [x.shape]
 
 
 @pytest.mark.parametrize("make, cfg", [
@@ -296,26 +334,41 @@ def test_segment_center_matches_the_four_node_chain(width, seed, monkeypatch):
         assert same_bits(gx, g + ref_segment_max_grad(sums, x, off, argrows))
 
 
+def check_set_softmax_nll(scores, off, targets):
+    """``set_softmax_nll``, its gradient and its probabilities against the
+    per-set loop, bit for bit, for ``(total,)`` or ``(total, 1)`` scores."""
+    flat = scores.reshape(-1)
+    attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
+    value, vjp = ad._PRIMITIVES["set_softmax_nll"]((scores,), attrs)
+    (gx,) = vjp(np.asarray(1.0), (True,))
+    ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
+    assert same_bits(value, ref_value)
+    assert same_bits(gx, ref_gx.reshape(scores.shape))
+    # at g = nsets the gradient is probs - onehot, unscaled, so it pins the
+    # probabilities themselves
+    (unscaled,) = vjp(np.asarray(float(off.size - 1)), (True,))
+    onehot = np.zeros_like(flat)
+    onehot[off[:-1] + targets] = 1.0
+    assert same_bits(unscaled.reshape(-1), ref_probs - onehot)
+
+
 @pytest.mark.parametrize("shape", ["flat", "column"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_softmax_nll_matches_the_per_set_loop(shape, seed):
     for sizes in LAYOUTS:
         x, off = ragged(seed, 1, sizes)
-        flat = x[:, 0]
-        scores = flat if shape == "flat" else x
         targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
-        attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
-        value, vjp = ad._PRIMITIVES["set_softmax_nll"]((scores,), attrs)
-        (gx,) = vjp(np.asarray(1.0), (True,))
-        ref_value, ref_probs, ref_gx = ref_set_softmax_nll(flat, off, targets)
-        assert same_bits(value, ref_value)
-        assert same_bits(gx, ref_gx.reshape(scores.shape))
-        # at g = nsets the gradient is probs - onehot, unscaled, so it pins
-        # the probabilities themselves
-        (unscaled,) = vjp(np.asarray(float(off.size - 1)), (True,))
-        onehot = np.zeros_like(flat)
-        onehot[off[:-1] + targets] = 1.0
-        assert same_bits(unscaled.reshape(-1), ref_probs - onehot)
+        check_set_softmax_nll(x[:, 0] if shape == "flat" else x, off, targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_layouts(), st.integers(0, 2**31 - 1))
+def test_set_softmax_nll_matches_the_per_set_loop_on_drawn_layouts(layout, seed):
+    x, off = layout
+    targets = np.random.default_rng(seed).integers(0, np.diff(off))
+    for column in x.T:
+        check_set_softmax_nll(column.copy(), off, targets)
+        check_set_softmax_nll(column.reshape(-1, 1), off, targets)
 
 
 def test_selections_match_the_per_set_loop(monkeypatch):

@@ -134,7 +134,7 @@ def test_training_visits_sets_in_the_documented_order(monkeypatch, task):
     seen = []
     gather = LabeledSetDataset.to_set_batch
 
-    def recording(self, indices=None):
+    def recording(self, indices):
         if isinstance(indices, np.ndarray):  # training batches; evaluation passes slices
             seen.append(indices.copy())
         return gather(self, indices)
@@ -157,7 +157,7 @@ def test_pooled_baseline_scores_are_constant_within_a_set():
     rng = np.random.default_rng(3)
     base = build_model(TrainConfig(task="outlier", pooled_baseline=True), 4, rng)
     ds = gen_outlier_sets(6, set_size=5, d=4, shift=3.0, seed=1)
-    batch = ds.to_set_batch()
+    batch = ds.batch
     scores = tr._output(True, base, batch).data.reshape(-1)
     for i in range(batch.num_sets):
         seg = scores[batch.offsets[i]:batch.offsets[i + 1]]
@@ -373,18 +373,18 @@ def test_each_task_metric_is_its_direct_formula():
             model = _ExactDigitSum(scale=1.05)
         got = evaluate(model, ds, task).eval_metric
         if task == "outlier":
-            scores = model.forward(ds.to_set_batch()).data[:, 0]
+            scores = model.forward(ds.batch).data[:, 0]
             picks = np.array([np.argmax(scores[a:b]) for a, b in zip(ds.batch.offsets[:-1], ds.batch.offsets[1:])])
             want = np.mean(picks == ds.targets)
         else:
-            preds = model.forward(ds.to_set_batch()).data[:, 0]
+            preds = model.forward(ds.batch).data[:, 0]
             want = np.mean((preds - ds.targets) ** 2) if task == "population" else np.mean(np.round(preds) == ds.targets)
         assert got == want, task
         assert 0 < want < 1 or task == "population", task
 
 
 def _permuted_copy(ds, seed=0):
-    batch, rows = ds.to_set_batch().permuted(np.random.default_rng(seed))
+    batch, rows = ds.batch.permuted(np.random.default_rng(seed))
     targets = ds.targets.copy()
     if ds.meta.get("target_kind") == "index":  # where each target's row went
         for i, (a, b) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
@@ -493,7 +493,7 @@ def test_evaluate_chunking_matches_single_batch():
 
     def check(model, ds):
         assert len(list(_eval_slices(ds.batch.offsets))) > 1
-        whole = model.forward(ds.to_set_batch()).data.reshape(-1)
+        whole = model.forward(ds.batch).data.reshape(-1)
         assert np.array_equal(tr._column(model, ds, False)[:, 0], whole)
 
     pop = gen_population_task(GaussianTaskSpec(kind="rotation", num_sets=47, seed=51, set_size_range=(20, 500)))
@@ -509,7 +509,7 @@ def test_evaluate_chunking_matches_single_batch():
     out = gen_outlier_sets(600, set_size=7, d=3, shift=3.0, seed=53)
     model = build_model(TrainConfig(task="outlier"), 3, np.random.default_rng(3))
     assert len(list(_eval_slices(out.batch.offsets))) > 1
-    scores = tr._output(True, model, out.to_set_batch()).data.reshape(-1)
+    scores = tr._output(True, model, out.batch).data.reshape(-1)
     off = out.batch.offsets
     whole = [np.argmax(scores[a:b]) for a, b in zip(off[:-1], off[1:])]
     assert np.array_equal(selections(model, out), whole)
