@@ -83,9 +83,20 @@ def as_binary_matrix(items, d: int) -> np.ndarray:
         raise BayesSetError(f"items must be vectors of width {d}, got shape {mat.shape}")
     if mat.shape[1] != d:
         raise BayesSetError(f"items must be vectors of width {d}, got width {mat.shape[1]}")
-    if not ((mat == 0) | (mat == 1)).all():
+    if mat.dtype.kind in "iu":
+        # viewed as unsigned, a negative entry is huge: one max refuses it too
+        bad = mat.size > 0 and mat.view(f"u{mat.dtype.itemsize}").max() > 1
+    else:
+        bad = not ((mat == 0) | (mat == 1)).all()
+    if bad:
         raise BayesSetError("item entries must be 0 or 1")
     return mat.astype(np.int64, copy=False)
+
+
+# _item_scores picks and sums at most this many values per block of rows
+# (327 rows at d = 200), so that the block stays in cache; a row wider than
+# the budget makes a block of its own.
+_SCORE_BLOCK = 1 << 16
 
 
 def _counts(X: np.ndarray) -> tuple[int, np.ndarray]:
@@ -94,20 +105,31 @@ def _counts(X: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _item_scores(model: BetaBinomialModel, Xm: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Count-form scores of every row of the validated (n, d) matrix `cand`
-    against the validated query matrix `Xm`, in one pass.
+    against the validated query matrix `Xm`.
 
     Per coordinate the score is log((beta_plus + M_plus) / (beta + M)) minus
     the prior log-rate log(beta_plus / beta) when the candidate bit is 1, and
-    the mirrored expression in beta_minus/M_minus when it is 0. Each row is
-    summed along the contiguous last axis, which numpy sums exactly as it sums
-    a lone 1-D row, so a candidate's score does not depend on the pool around it.
+    the mirrored expression in beta_minus/M_minus when it is 0. Both terms of
+    coordinate j sit in one table at 2j (bit 0) and 2j + 1 (bit 1), so one
+    `take` picks a row's exact terms, a block of at most _SCORE_BLOCK values
+    at a time: the temporary memory is bounded by the block, not by n * d.
+    Each row's terms are summed along the contiguous last axis, which numpy
+    sums exactly as it sums a lone 1-D row, so a candidate's score has the
+    same bits whatever the pool or block around it.
     """
     M, m_plus = _counts(Xm)
     beta = model.beta
     m_minus = M - m_plus
     on = np.log(model.beta_plus + m_plus) - np.log(beta + M) - np.log(model.beta_plus) + np.log(beta)
     off = np.log(model.beta_minus + m_minus) - np.log(beta + M) - np.log(model.beta_minus) + np.log(beta)
-    return np.where(cand == 1, on, off).sum(axis=1)
+    table = np.stack([off, on], axis=1).ravel()
+    n, d = cand.shape
+    pick = 2 * np.arange(d)
+    rows = max(1, _SCORE_BLOCK // d)
+    scores = np.empty(n)
+    for lo in range(0, n, rows):
+        scores[lo:lo + rows] = table.take(cand[lo:lo + rows] + pick).sum(axis=1)
+    return scores
 
 
 def score_item(model: BetaBinomialModel, X, x) -> float:

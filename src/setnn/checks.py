@@ -11,7 +11,8 @@ Five suites, one per structural guarantee the library makes:
 * powersum-roundtrip: the sum-of-powers embedding inverts, the countable
   encoding is injective, and the closed-form models match direct references;
 * bayes-oracle: both scoring routes of the Beta-Binomial model agree, and
-  ``expand`` ranks exactly as per-candidate scoring does.
+  ``expand`` ranks exactly as per-candidate scoring and a row-by-row
+  restatement of the count form do.
 
 Each suite runs on its own deterministic generator derived from the battery
 seed, returns a CheckResult rather than raising, and is independent of the
@@ -304,7 +305,8 @@ def check_powersum(seed: int = 0) -> CheckResult:
 
 def check_bayes(seed: int = 0) -> CheckResult:
     """Count-form scores equal their log-Gamma forms on random triples, and
-    ``expand`` rankings equal a stable sort of per-candidate scores."""
+    ``expand`` rankings equal a stable sort of per-candidate scores, and of
+    row-by-row count-form scores on a pool of several kernel blocks."""
     started = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 14]))
     failures = []
@@ -342,9 +344,28 @@ def check_bayes(seed: int = 0) -> CheckResult:
             b = bayes.score_item_oracle(model, X, C[i])
             if abs(score - b) > 1e-9 * max(1.0, abs(b)):
                 failures.append(f"expand pool {t} candidate {i}: {score!r} vs oracle {b!r}")
+    # score_item shares expand's kernel, so one pool of several kernel blocks
+    # is ranked against a restatement of the count form, row by row
+    d = 200
+    n = 3 * (bayes._SCORE_BLOCK // d) + 37
+    model = BetaBinomialModel(rng.uniform(0.1, 5.0, size=d), rng.uniform(0.1, 5.0, size=d))
+    X = rng.integers(0, 2, size=(8, d))
+    C = rng.integers(0, 2, size=(n, d))
+    dup = rng.random(n) < 0.05
+    C[dup] = C[rng.integers(0, n, size=n)[dup]]
+    M, m_plus = X.shape[0], X.sum(axis=0)
+    m_minus = M - m_plus
+    beta = model.beta
+    on = np.log(model.beta_plus + m_plus) - np.log(beta + M) - np.log(model.beta_plus) + np.log(beta)
+    off = np.log(model.beta_minus + m_minus) - np.log(beta + M) - np.log(model.beta_minus) + np.log(beta)
+    ref = [float(np.where(c == 1, on, off).sum()) for c in C]
+    want = sorted(range(n), key=lambda i: -ref[i])
+    if bayes.expand(model, X, C, n) != [(i, ref[i]) for i in want]:
+        failures.append(f"expand pool of {n} x {d}: ranking or scores differ from the row-by-row count form")
     return _result("bayes-oracle", started, failures,
                    "1000 random triples: both scoring routes agree within 1e-9; "
-                   f"{pools} expand rankings equal per-candidate scoring")
+                   f"{pools} expand rankings equal per-candidate scoring; "
+                   f"a {n}-candidate pool equals the row-by-row count form")
 
 
 SUITES = {

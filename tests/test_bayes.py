@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setnn.bayes import (
+    _SCORE_BLOCK,
     BayesSetError,
     BetaBinomialModel,
     as_binary_matrix,
@@ -61,6 +62,44 @@ def test_binary_matrix_accepts_exact_bits_of_any_dtype():
         got = as_binary_matrix(items, 2)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def _int_cases():
+    for dtype in (np.int8, np.int32, np.int64, np.uint8, np.uint64):
+        info = np.iinfo(dtype)
+        values = [v for v in (-1, 2, info.min, info.max, 2**63) if info.min <= v <= info.max]
+        yield pytest.param(np.array([[0, 1], [1, 0]], dtype=dtype), id=f"{dtype.__name__}-bits")
+        for v in values:
+            yield pytest.param(np.array([[0, 1], [v, 0]], dtype=dtype), id=f"{dtype.__name__}-{v}")
+    yield pytest.param(np.array([[0, 1], [1, 1]], dtype=np.int64)[:, ::-1], id="int64-strided")
+
+
+@pytest.mark.parametrize("items", [
+    *_int_cases(),
+    pytest.param(np.array([[False, True], [True, True]]), id="bool"),
+    pytest.param(np.array([[0.0, 1.0], [1.0, 0.0]]), id="float-bits"),
+    pytest.param(np.array([[0.0, 0.5]]), id="float-half"),
+    pytest.param(np.array([[0.0, np.nan]]), id="float-nan"),
+    pytest.param([[0, 1], [1, 0]], id="list-bits"),
+    pytest.param([[-1, 0]], id="list-negative"),
+    pytest.param([[2, 1]], id="list-two"),
+    pytest.param([[2**63, 1]], id="list-2**63"),
+    pytest.param([[2**64, 1]], id="list-object"),
+    pytest.param([[-1, 2**63]], id="list-negative-and-2**63"),
+    pytest.param([[True, 0]], id="list-bool-int"),
+    pytest.param([[0.0, 1]], id="list-float"),
+])
+def test_binary_matrix_bit_check_agrees_with_generic_rule(items):
+    """The one-pass integer check accepts and refuses what the generic
+    ``(mat == 0) | (mat == 1)`` rule does, whatever the dtype."""
+    mat = np.asarray(items)
+    if ((mat == 0) | (mat == 1)).all():
+        got = as_binary_matrix(items, 2)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, mat)
+    else:
+        with pytest.raises(BayesSetError, match="^item entries must be 0 or 1$"):
+            as_binary_matrix(items, 2)
 
 
 def test_score_item_empty_query_is_zero():
@@ -216,6 +255,40 @@ def test_expand_same_bits_as_per_candidate_scores():
         assert ranked == [(i, ref[i]) for i in sorted(range(n), key=lambda i: -ref[i])]
         top = expand(model, X, C, k=max(1, n // 3))
         assert top == ranked[: len(top)]
+
+
+def _restated_scores(model, X, C):
+    """Count-form score of every row of C, restated row by row (each distinct
+    row once)."""
+    M, m_plus = X.shape[0], X.sum(axis=0)
+    m_minus = M - m_plus
+    beta = model.beta
+    on = np.log(model.beta_plus + m_plus) - np.log(beta + M) - np.log(model.beta_plus) + np.log(beta)
+    off = np.log(model.beta_minus + m_minus) - np.log(beta + M) - np.log(model.beta_minus) + np.log(beta)
+    rows, inverse = np.unique(C, axis=0, return_inverse=True)
+    return np.array([np.where(row == 1, on, off).sum() for row in rows])[inverse.ravel()]
+
+
+@pytest.mark.parametrize("d", [1, 7, 200, _SCORE_BLOCK + 3])
+def test_expand_same_bits_as_row_restatement_across_blocks(d):
+    """score_item shares expand's kernel, so every expand score is held bit
+    for bit to a row-by-row restatement, on pools that end just before, on
+    and just after a block boundary, and on one of several blocks."""
+    block = max(1, _SCORE_BLOCK // d)
+    rng = np.random.default_rng(d)
+    model = BetaBinomialModel(rng.uniform(0.1, 5.0, d), rng.uniform(0.1, 5.0, d))
+    X = rng.integers(0, 2, (5, d))
+    for n in sorted({block - 1, block, block + 1, 3 * block + 37} - {0}):
+        C = rng.integers(0, 2, (n, d))
+        dup = rng.random(n) < 0.1
+        C[dup] = C[rng.integers(0, n, n)[dup]]
+        ref = _restated_scores(model, X, C)
+        ranked = expand(model, X, C, k=n)
+        order = np.argsort(-ref, kind="stable")
+        assert [i for i, _ in ranked] == order.tolist()
+        got = np.array([s for _, s in ranked])
+        np.testing.assert_array_equal(got.view(np.int64), ref[order].view(np.int64))
+        assert expand(model, X, C, k=1) == ranked[:1]
 
 
 def test_expand_validation():
