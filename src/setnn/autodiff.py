@@ -256,10 +256,9 @@ class Segments:
 
 def _set_softmax_nll(xs, attrs):
     (scores,) = xs
-    flat = scores.reshape(-1) if scores.ndim == 2 and scores.shape[1] == 1 else scores
-    if flat.ndim != 1:
-        raise ShapeError(f"set_softmax_nll expects (total,) or (total,1) scores, got {scores.shape}")
-    segs = Segments.of(attrs["offsets"], flat.shape[0])
+    if scores.ndim != 2 or scores.shape[1] != 1:
+        raise ShapeError(f"set_softmax_nll expects a (total, 1) column of scores, got {scores.shape}")
+    segs = Segments.of(attrs["offsets"], scores.shape[0])
     targets = np.asarray(attrs["targets"])
     nsets = segs.sizes.size
     if targets.dtype.kind not in "iu" or targets.shape != (nsets,):
@@ -268,16 +267,16 @@ def _set_softmax_nll(xs, attrs):
     bad = np.flatnonzero((targets < 0) | (targets >= segs.sizes))
     if bad.size:
         raise ShapeError(f"target {targets[bad[0]]} out of range for set {bad[0]} of size {segs.sizes[bad[0]]}")
-    e = np.exp(flat - segs.spread(flat[segs.argmax(flat)]))
+    e = np.exp(scores - segs.spread(scores[segs.argmax(scores)[:, 0]]))
     probs = e / segs.spread(segs.sums(e))
     picked = segs.starts + targets
-    nll = sum(-np.log(probs[picked]))  # in set order, from 0
+    nll = sum(-np.log(probs[picked, 0]))  # in set order, from 0
 
     def vjp(g, needs):
         gx = probs.copy()
         gx[picked] -= 1.0
         gx *= g / nsets
-        return (gx.reshape(scores.shape),)
+        return (gx,)
     return np.asarray(nll / nsets), vjp
 
 

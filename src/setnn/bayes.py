@@ -65,7 +65,8 @@ class BetaBinomialModel:
 
 
 def as_binary_matrix(items, d: int) -> np.ndarray:
-    """Validate and stack items into an (n, d) 0/1 integer matrix.
+    """Validate ``items``, a sequence of rows of ``d`` bits (one item is
+    ``[row]``), as an (n, d) 0/1 integer matrix.
 
     Entries must equal 0 or 1 exactly (bools and 0.0/1.0 floats qualify); the
     test runs on the values as given, before the integer cast, so a fractional
@@ -77,8 +78,6 @@ def as_binary_matrix(items, d: int) -> np.ndarray:
         mat = np.asarray(items)
     except ValueError as exc:  # ragged rows
         raise BayesSetError(f"items must be vectors of width {d}: {exc}") from exc
-    if mat.ndim == 1:
-        mat = mat[None, :]
     if mat.ndim != 2:
         raise BayesSetError(f"items must be vectors of width {d}, got shape {mat.shape}")
     if mat.shape[1] != d:

@@ -73,21 +73,20 @@ class SetBatch:
 
     @classmethod
     def from_sets(cls, sets) -> "SetBatch":
-        """Pack per-set ``(n_i, D)`` arrays (a 1-D array is one element).
+        """Pack per-set ``(n_i, D)`` matrices, one row per element.
 
-        The only packer of per-set arrays. A set that is empty, has zero
-        width or differs in width from set 0 raises a ShapeError that names
-        it; its index is also in the error's ``set_index``.
+        The only packer of per-set arrays. A set that is not a matrix, is
+        empty, has zero width or differs in width from set 0 raises a
+        ShapeError that names it, with its index in ``set_index``.
         """
-        mats = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sets]
+        mats = [np.asarray(s, dtype=np.float64) for s in sets]
         if not mats:
             raise ShapeError("no sets to pack")
-        width = mats[0].shape[-1]
         for i, m in enumerate(mats):
             if m.ndim != 2 or m.size == 0:
                 problem = f"must be a non-empty (n, D) matrix with D >= 1, got shape {m.shape}"
-            elif m.shape[1] != width:
-                problem = f"has width {m.shape[1]} but set 0 has width {width}"
+            elif m.shape[1] != mats[0].shape[1]:  # set 0 passed the first test
+                problem = f"has width {m.shape[1]} but set 0 has width {mats[0].shape[1]}"
             else:
                 continue
             err = ShapeError(f"set {i} {problem}")

@@ -38,6 +38,20 @@ def test_tensor_is_float64_contiguous():
     assert t.shape == (2, 2)
 
 
+def test_tensor_adopts_a_contiguous_float64_buffer():
+    """A C-contiguous float64 array is the tensor's data, not a copy of it, so
+    a view of one flat parameter vector can be a Tensor; float32 or strided
+    input is copied into a new float64 array."""
+    flat = np.arange(8.0)
+    view = flat[2:8].reshape(3, 2)
+    assert np.shares_memory(Tensor(view).data, flat)
+    for other in (flat.astype(np.float32), flat[::2]):
+        data = Tensor(other).data
+        assert not np.shares_memory(data, other)
+        assert data.dtype == np.float64 and data.flags["C_CONTIGUOUS"]
+        assert np.array_equal(data, other)
+
+
 def test_tensor_rejects_non_finite():
     with pytest.raises(NonFiniteError):
         Tensor([1.0, np.nan])
@@ -295,7 +309,8 @@ def _loss_through(op):
 
 GRAD_CASES = {
     "mse_loss": lambda rng: ([Tensor(rng.normal(size=(4,))), Tensor(rng.normal(size=(4,)))], ad.mse_loss),
-    "set_softmax_nll": lambda rng: ([Tensor(rng.normal(size=7))], lambda s: ad.set_softmax_nll(s, [0, 3, 7], [1, 2])),
+    "set_softmax_nll": lambda rng: ([Tensor(rng.normal(size=(7, 1)))],
+                                    lambda s: ad.set_softmax_nll(s, [0, 3, 7], [1, 2])),
     "segment_sum": lambda rng: ([Tensor(rng.normal(size=(6, 2)))], lambda x: ad.segment_sum(x, [0, 2, 6])),
     "segment_mean": lambda rng: ([Tensor(rng.normal(size=(6, 2)))], lambda x: ad.segment_mean(x, [0, 4, 6])),
     "segment_max": lambda rng: ([Tensor(_well_separated(rng, (6, 2)))], lambda x: ad.segment_max(x, [0, 3, 6])),
@@ -360,7 +375,7 @@ def test_grad_check_catches_wrong_gradient():
 
 
 def test_set_softmax_nll_value_and_grad():
-    scores = Tensor([0.0, 0.0, 0.0, 1.0])
+    scores = Tensor([[0.0], [0.0], [0.0], [1.0]])
     out = ad.set_softmax_nll(scores, [0, 4], [3])
     expected = -np.log(np.exp(1.0) / (3.0 + np.exp(1.0)))
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
@@ -369,11 +384,11 @@ def test_set_softmax_nll_value_and_grad():
         loss = ad.set_softmax_nll(scores, [0, 4], [3])
     (g,) = backprop(tape, loss, [scores])
     np.testing.assert_allclose(g.sum(), 0.0, atol=1e-15)
-    assert g[3] < 0 < g[0]
+    assert g.shape == (4, 1) and g[3, 0] < 0 < g[0, 0]
 
 
 def test_set_softmax_nll_validates_targets_and_offsets():
-    s = Tensor(np.zeros(4))
+    s = Tensor(np.zeros((4, 1)))
     with pytest.raises(ShapeError):
         ad.set_softmax_nll(s, [0, 4], [4])
     with pytest.raises(ShapeError):
@@ -384,6 +399,12 @@ def test_set_softmax_nll_validates_targets_and_offsets():
     for targets in ([0.9, 1.2], np.array([1.0, 0.0]), ["0", "1"]):
         with pytest.raises(ShapeError, match="integer target"):
             ad.set_softmax_nll(s, [0, 2, 4], targets)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (1, 4)])
+def test_set_softmax_nll_takes_only_a_column_of_scores(shape):
+    with pytest.raises(ShapeError, match=r"a \(total, 1\) column"):
+        ad.set_softmax_nll(Tensor(np.zeros(shape)), [0, 2, 4], [0, 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,7 +512,7 @@ def test_a_validated_layout_stays_valid():
     x, pooled = Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2)))
     for op in (lambda: ad.segment_sum(x, segs), lambda: ad.segment_mean(x, segs), lambda: ad.segment_max(x, segs),
                lambda: ad.segment_center(x, pooled, segs), lambda: ad.segment_augment(x, pooled, segs),
-               lambda: ad.set_softmax_nll(Tensor(np.zeros(4)), segs, [0, 0]), lambda: SetBatch(x.data, segs)):
+               lambda: ad.set_softmax_nll(Tensor(np.zeros((4, 1))), segs, [0, 0]), lambda: SetBatch(x.data, segs)):
         with pytest.raises(ShapeError, match="span 5 rows, but the input has 4"):
             op()
     with pytest.raises(ShapeError, match="one row per segment"):

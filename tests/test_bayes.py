@@ -40,6 +40,8 @@ def test_binary_matrix_validation():
         as_binary_matrix([[0, 2]], 2)
     with pytest.raises(BayesSetError):
         as_binary_matrix([[0, 1, 1]], 2)
+    with pytest.raises(BayesSetError, match=r"got shape \(2,\)"):  # one item is [row], not a bare row
+        as_binary_matrix([0, 1], 2)
     assert as_binary_matrix([], 4).shape == (0, 4)
 
 

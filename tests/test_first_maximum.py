@@ -268,7 +268,7 @@ def test_a_training_step_finds_first_maxima_in_forward_only(monkeypatch):
     with ad.Tape() as tape:
         loss, _ = tr._batch_loss(cfg, model, ds.batch, ds.targets)
     assert sum(node.kind == "segment_max" for node in tape.nodes) == 1
-    assert calls == [ds.batch.elements.shape, (len(ds.batch.elements),)]
+    assert calls == [ds.batch.elements.shape, (len(ds.batch.elements), 1)]
     ad.backprop(tape, loss, model.params())
     assert len(calls) == 2
 
@@ -336,8 +336,8 @@ def test_segment_center_matches_the_four_node_chain(width, seed, monkeypatch):
 
 def check_set_softmax_nll(scores, off, targets):
     """``set_softmax_nll``, its gradient and its probabilities against the
-    per-set loop, bit for bit, for ``(total,)`` or ``(total, 1)`` scores."""
-    flat = scores.reshape(-1)
+    per-set loop, bit for bit, for a ``(total, 1)`` column of scores."""
+    flat = scores[:, 0]
     attrs = {"offsets": tuple(off.tolist()), "targets": tuple(targets.tolist())}
     value, vjp = ad._PRIMITIVES["set_softmax_nll"]((scores,), attrs)
     (gx,) = vjp(np.asarray(1.0), (True,))
@@ -352,13 +352,13 @@ def check_set_softmax_nll(scores, off, targets):
     assert same_bits(unscaled.reshape(-1), ref_probs - onehot)
 
 
-@pytest.mark.parametrize("shape", ["flat", "column"])
+@pytest.mark.parametrize("shape", ["column"])  # the one score shape the set softmax takes
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_softmax_nll_matches_the_per_set_loop(shape, seed):
     for sizes in LAYOUTS:
         x, off = ragged(seed, 1, sizes)
         targets = np.random.default_rng(seed + 20).integers(0, np.diff(off))
-        check_set_softmax_nll(x[:, 0] if shape == "flat" else x, off, targets)
+        check_set_softmax_nll(x, off, targets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,7 +367,6 @@ def test_set_softmax_nll_matches_the_per_set_loop_on_drawn_layouts(layout, seed)
     x, off = layout
     targets = np.random.default_rng(seed).integers(0, np.diff(off))
     for column in x.T:
-        check_set_softmax_nll(column.copy(), off, targets)
         check_set_softmax_nll(column.reshape(-1, 1), off, targets)
 
 

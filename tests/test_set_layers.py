@@ -70,12 +70,13 @@ def test_setbatch_accessors():
 
 
 @pytest.mark.parametrize("sets, bad", [
-    ([np.ones((2, 3)), []], 1),               # atleast_2d([]) is a (1, 0) row
+    ([np.zeros(3)], 0),                        # one element, not a (1, D) matrix
+    ([np.ones((2, 3)), []], 1),               # a (0,) array
     ([np.ones((2, 3)), np.zeros((0, 3))], 1),  # no elements
     ([np.zeros((2, 0)), np.zeros((2, 0))], 0),  # zero width
     ([np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2))], 2),  # ragged widths
     ([np.ones((2, 3)), np.ones((2, 3, 1))], 1),  # not a matrix
-], ids=["empty-list", "no-rows", "zero-width", "ragged-width", "3-d"])
+], ids=["1-d", "empty-list", "no-rows", "zero-width", "ragged-width", "3-d"])
 def test_from_sets_rejects_and_names_the_bad_set(sets, bad):
     with pytest.raises(ShapeError, match=f"set {bad} ") as info:
         SetBatch.from_sets(sets)

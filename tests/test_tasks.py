@@ -15,6 +15,8 @@ from setnn.tasks import (
     LabeledSetDataset,
     TaskError,
     _block_mi,
+    _dataset_rng,
+    _random_pd,
     _rotation,
     gen_digit_sum,
     gen_outlier_sets,
@@ -119,6 +121,29 @@ def test_population_determinism():
     np.testing.assert_array_equal(a.targets, b.targets)
 
 
+@pytest.mark.parametrize("kind, d, alpha", [
+    *[("correlation", d, alpha) for d in (1, 2, 16, 64) for alpha in (-1.0, 1.0)],
+    *[(kind, d, None) for kind in ("rank1", "random") for d in (1, 32)],
+    ("rotation", 2, None),
+])
+def test_population_covariances_are_positive_definite_at_the_extremes(kind, d, alpha):
+    """Every recipe's covariance has a Cholesky factor and finite targets, at
+    the clipped couplings +-1 and at the smallest and largest dimensions."""
+    spec = GaussianTaskSpec(kind=kind, num_sets=6, seed=8, d=d, set_size_range=(3, 5), alpha_fixed=alpha)
+    assert np.all(np.isfinite(gen_population_task(spec).targets))
+
+
+def test_the_clipped_correlation_block_keeps_eigenvalues_of_1e_minus_6():
+    """``[[B, aB], [aB, B]]`` with ``|a|`` clipped to 0.999 has eigenvalues
+    ``(1 +- a) * eig(B)``, and ``_random_pd`` gives ``eig(B) >= 1e-3``."""
+    alpha = 1.0 - 1e-3
+    for d in (1, 2, 16, 64):
+        for seed in range(60):
+            base = _random_pd(_dataset_rng(seed), d)
+            block = np.block([[base, alpha * base], [alpha * base, base]])
+            assert np.linalg.eigvalsh(block)[0] >= 1e-6 * (1 - 1e-9), (d, seed)
+
+
 def test_digit_sum_encoding_and_targets():
     ds = gen_digit_sum(50, 10, None, seed=5)
     for s, t in zip(_sets(ds), ds.targets):
@@ -214,10 +239,10 @@ def test_jsonl_roundtrip_plain_and_gzip(tmp_path, name):
 
 def test_jsonl_bytes_deterministic(tmp_path):
     ds = gen_digit_sum(10, 6, None, seed=1)
-    paths = [str(tmp_path / f"{i}.jsonl.gz") for i in (0, 1)]
+    paths = [tmp_path / f"{i}.jsonl.gz" for i in (0, 1)]
     for p in paths:
-        save_jsonl(ds, p)
-    a, b = (open(p, "rb").read() for p in paths)
+        save_jsonl(ds, str(p))
+    a, b = (p.read_bytes() for p in paths)
     assert a == b
 
 
